@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curves import r_grid
-from .envelope import envelopes, mark_correlation_study
+from .curves import default_r, r_grid
+from .envelope import envelopes, mark_correlation_study, poisson_network_min2
 from .errors import NumericalError, ValidationError
 from .geometry import PlanarWindow, load_network, synthetic_tree_network
 from .intensity import (
@@ -165,19 +165,17 @@ def _plugin_intensity(args, p):
     return intensity_uniform(p, k, dims)
 
 
-def _summary_r(args, p):
+def _summary_r(args, domain):
     if args.rmax is not None:
         return r_grid(args.rmax, args.bins)
-    if p.is_network:
-        return r_grid(min(250.0, p.domain.total_length / 4.0), args.bins)
-    return r_grid(min(p.domain.width, p.domain.height) / 4.0, args.bins)
+    return default_r(domain, args.bins)
 
 
 def _cmd_summary(args):
     out = _out_dir(args)
     domain = _load_domain(args)
     p = load_pattern_csv(_require_file(args.pattern, "pattern"), domain)
-    r = _summary_r(args, p)
+    r = _summary_r(args, p.domain)
 
     def lam_for(sub):
         if args.lambda_const is not None:
@@ -227,7 +225,7 @@ def _cmd_markcorr(args):
     out = _out_dir(args)
     domain = _load_domain(args)
     p = load_pattern_csv(_require_file(args.pattern, "pattern"), domain)
-    r = _summary_r(args, p)
+    r = _summary_r(args, p.domain)
     smoothing = (
         SmoothingSpec1D(args.bandwidth, args.smoothing_kernel)
         if args.bandwidth is not None
@@ -356,10 +354,8 @@ def _cmd_envelope(args):
         smoothing = SmoothingSpec1D(args.bandwidth if args.bandwidth is not None else 10.0)
 
         def gen(rng):
-            while True:
-                p = poisson_network(lam, net, rng)
-                if p.n >= 2:
-                    return model_marks(kind, p, rng, a=args.a, b=args.b, tau=args.tau, radius=args.radius)
+            p = poisson_network_min2(lam, net, rng)
+            return model_marks(kind, p, rng, a=args.a, b=args.b, tau=args.tau, radius=args.radius)
 
         def stat(p):
             return mark_corr(p, tf, smoothing, r, degenerate="nan")
@@ -381,11 +377,7 @@ def _cmd_envelope(args):
             raise ValidationError("--rate is required for poisson envelopes")
         if domain.__class__.__name__ == "LinearNetwork":
             raise ValidationError("poisson envelopes are planar-only in the CLI")
-        r = (
-            r_grid(args.rmax, args.bins)
-            if args.rmax is not None
-            else r_grid(min(domain.width, domain.height) / 4.0, args.bins)
-        )
+        r = _summary_r(args, domain)
 
         def gen(rng):
             return poisson_planar(args.rate, domain, rng)

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .geometry import LinearNetwork
 
 __all__ = ["SummaryCurve", "r_grid"]
 
@@ -17,6 +18,14 @@ def r_grid(r_max: float, bins: int = 512) -> np.ndarray:
     if r_max <= 0 or bins < 1:
         raise ValidationError(f"need r_max > 0 and bins >= 1, got {r_max}, {bins}")
     return np.linspace(0.0, float(r_max), bins + 1)
+
+
+def default_r(domain, bins: int = 512) -> np.ndarray:
+    """Default r-grid: up to a quarter of the shorter window side, or of the
+    total network length capped at 250."""
+    if isinstance(domain, LinearNetwork):
+        return r_grid(min(250.0, domain.total_length / 4.0), bins)
+    return r_grid(min(domain.width, domain.height) / 4.0, bins)
 
 
 @dataclass

@@ -151,6 +151,18 @@ def envelopes(
 
 _STUDY_STATS = ("stoyan", "variogram", "shimantani_i", "beisbart_kerscher")
 
+_MAX_REDRAWS = 1000
+
+
+def poisson_network_min2(lam: float, net: LinearNetwork, rng) -> MarkedPointPattern:
+    """Poisson pattern on the network, redrawn until it has at least two
+    points; raises ValidationError after _MAX_REDRAWS redraws."""
+    for _ in range(_MAX_REDRAWS + 1):
+        p = poisson_network(lam, net, rng)
+        if p.n >= 2:
+            return p
+    raise ValidationError(f"no pattern with 2 or more points in {_MAX_REDRAWS} redraws (rate {lam:g})")
+
 
 def mark_correlation_study(
     net: LinearNetwork,
@@ -187,10 +199,7 @@ def mark_correlation_study(
 
     def one(i):
         rng = replicate_rng(SeedSpec(master_seed, i))
-        while True:
-            p = poisson_network(lam, net, rng)
-            if p.n >= 2:
-                break
+        p = poisson_network_min2(lam, net, rng)
         marked = model_marks(model, p, rng, a=trend_a, b=1.0, radius=radius)
         suite = mark_corr_suite(marked, smoothing, r)
         return [suite.curves[name].values for name in _STUDY_STATS]

@@ -57,14 +57,22 @@ class KernelSpec:
 
 def kernel1d_pdf(family: str, h: float, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    u = t / h
+    u = np.divide(t, h, out=np.empty_like(t))
     if family == "gaussian":
         return np.exp(-0.5 * u * u) / (np.sqrt(2.0 * np.pi) * h)
+    # compact kernels are evaluated in place in u, the one full-size array
+    outside = ~((u >= -1.0) & (u <= 1.0))
     if family == "epanechnikov":
-        return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u) / h, 0.0)
-    if family == "box":
-        return np.where(np.abs(u) <= 1.0, 0.5 / h, 0.0)
-    raise ValidationError(f"unknown kernel family {family!r}")
+        u *= u
+        np.subtract(1.0, u, out=u)
+        u *= 0.75
+        u /= h
+    elif family == "box":
+        u.fill(0.5 / h)
+    else:
+        raise ValidationError(f"unknown kernel family {family!r}")
+    u[outside] = 0.0
+    return u
 
 
 def kernel1d_cdf(family: str, h: float, t) -> np.ndarray:

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import csr_array
 
-from ._dist import pair_distances
-from .curves import SummaryCurve, r_grid
+from ._dist import close_pairs, translation_weights
+from .curves import SummaryCurve, default_r
 from .errors import NumericalError, ValidationError
 from .intensity import kernel1d_pdf, kernel1d_support
 from .pattern import MarkedPointPattern, mark_moments
@@ -83,25 +84,25 @@ def default_smoothing(p: MarkedPointPattern) -> SmoothingSpec1D:
     return SmoothingSpec1D(float(h))
 
 
+def _tf_values(tf: TestFunction, a, b, mu: float):
+    """Built-in test function values tf(a, b), elementwise with broadcasting."""
+    if tf.name == "stoyan":
+        return a * b
+    if tf.name == "beisbart_kerscher":
+        return a + b
+    if tf.name == "variogram":
+        return 0.5 * (a - b) ** 2
+    return (a - mu) * (b - mu)
+
+
 def pair_weights(tf: TestFunction, marks, mu: float, var: float) -> np.ndarray:
     """Full matrix of tf(m_i, m_j); the diagonal is never used by callers."""
     m = np.asarray(marks, dtype=float)
-    if tf.name == "stoyan":
-        return np.outer(m, m)
-    if tf.name == "beisbart_kerscher":
-        return m[:, None] + m[None, :]
-    if tf.name == "variogram":
-        return 0.5 * (m[:, None] - m[None, :]) ** 2
-    if tf.name == "shimantani_i":
-        if var <= 0:
-            raise NumericalError("shimantani_i requires positive mark variance")
-        c = m - mu
-        return np.outer(c, c)
-    out = np.empty((len(m), len(m)))
-    for i in range(len(m)):
-        for j in range(len(m)):
-            out[i, j] = tf.fn(m[i], m[j])
-    return out
+    if tf.name == "shimantani_i" and var <= 0:
+        raise NumericalError("shimantani_i requires positive mark variance")
+    if tf.name != "custom":
+        return _tf_values(tf, m[:, None], m[None, :], mu)
+    return np.array([[tf.fn(a, b) for b in m] for a in m], dtype=float).reshape(len(m), len(m))
 
 
 def normalization(tf: TestFunction, marks, stoyan_rule: str = "pairs") -> float:
@@ -132,10 +133,7 @@ def normalization(tf: TestFunction, marks, stoyan_rule: str = "pairs") -> float:
         if var <= 0:
             raise NumericalError("shimantani_i normalization: zero mark variance")
         return var
-    mu = float(m.mean())
-    var = float(np.mean((m - mu) ** 2))
-    w = pair_weights(tf, m, mu, var)
-    return float((w.sum() - np.trace(w)) / npairs)
+    return pair_average(tf, m)
 
 
 def pair_average(tf: TestFunction, marks) -> float:
@@ -150,60 +148,67 @@ def pair_average(tf: TestFunction, marks) -> float:
     return float((w.sum() - np.trace(w)) / (n * (n - 1)))
 
 
-def _edge_weights(p: MarkedPointPattern, ec: str) -> np.ndarray | None:
-    if ec == "none":
-        return None
-    if ec != "symmetricWeight":
+def _kernel_matrix(p: MarkedPointPattern, smoothing: SmoothingSpec1D, r: np.ndarray, ec: str):
+    """Sparse (len(r), pairs) matrix K with K[k, q] = 2 K_h(d_q - r_k) e_q over
+    the unordered pairs q = (i, j) with r_k - supp <= d_q <= r_k + supp, plus
+    the pair indices i, j.
+
+    For symmetric per-pair values v, (K @ v)[k] is the kernel sum over
+    ordered pairs i != j; e is the symmetricWeight edge correction or 1.
+    """
+    if p.n < 2:
+        raise ValidationError("mark correlation needs at least 2 marked points")
+    if ec not in ("none", "symmetricWeight"):
         raise ValidationError(f"unknown edge correction {ec!r} for mark correlation")
-    if p.is_network:
+    if ec == "symmetricWeight" and p.is_network:
         raise ValidationError("symmetricWeight edge correction is planar-only")
-    w = p.domain
-    xy = p.coords()
-    dx = np.abs(xy[:, 0][:, None] - xy[:, 0][None, :])
-    dy = np.abs(xy[:, 1][:, None] - xy[:, 1][None, :])
-    overlap = (w.width - dx) * (w.height - dy)
-    if np.any(overlap <= 0):
-        raise ValidationError("point pair separation exceeds the window size")
-    return w.area / overlap
+    supp = kernel1d_support(smoothing.kernel, smoothing.bandwidth)
+    r_lo, r_hi = r - supp, r + supp
+    i, j, d = close_pairs(p, r_hi.max())
+    keep = np.nonzero(d >= r_lo.min())[0]
+    keep = keep[np.argsort(d[keep], kind="stable")]
+    i, j, d = i[keep], j[keep], d[keep]
+    lo = np.searchsorted(d, r_lo, side="left")
+    counts = np.searchsorted(d, r_hi, side="right") - lo
+    nnz = int(counts.sum())
+    itype = np.int32 if max(nnz, len(d)) < np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(len(r) + 1, dtype=itype)
+    np.cumsum(counts, out=indptr[1:])
+    # entries of row k are the consecutive sorted pairs lo[k] .. lo[k] + counts[k] - 1
+    cols = np.arange(nnz, dtype=itype)
+    cols += np.repeat((lo - indptr[:-1]).astype(itype), counts)
+    t = d[cols]
+    t -= np.repeat(r, counts)
+    kv = kernel1d_pdf(smoothing.kernel, smoothing.bandwidth, t)
+    kv *= 2.0
+    if ec == "symmetricWeight":
+        xy = p.coords()
+        kv *= translation_weights(p.domain, xy[i], xy[j])[cols]
+    return csr_array((kv, cols, indptr), shape=(len(r), len(d))), i, j
 
 
-class _PairSmoother:
-    """Shared machinery: pair distances sorted once, then kernel-windowed
-    sums of any per-pair weight vector on each r of the grid."""
-
-    def __init__(self, p: MarkedPointPattern, smoothing: SmoothingSpec1D, r: np.ndarray, ec: str):
-        if p.n < 2:
-            raise ValidationError("mark correlation needs at least 2 marked points")
-        d = pair_distances(p)
-        mask = ~np.eye(p.n, dtype=bool)
-        ecw = _edge_weights(p, ec)
-        flat_w = np.ones(mask.sum()) if ecw is None else ecw[mask]
-        flat_d = d[mask]
-        order = np.argsort(flat_d, kind="stable")
-        self.d_sorted = flat_d[order]
-        self.w_sorted = flat_w[order]
-        self.order = order
-        self.mask = mask
-        self.r = r
-        self.smoothing = smoothing
-        supp = kernel1d_support(smoothing.kernel, smoothing.bandwidth)
-        self.lo = np.searchsorted(self.d_sorted, r - supp, side="left")
-        self.hi = np.searchsorted(self.d_sorted, r + supp, side="right")
-        self._kslices = []
-        for k in range(len(r)):
-            sl = slice(self.lo[k], self.hi[k])
-            kv = kernel1d_pdf(smoothing.kernel, smoothing.bandwidth, self.d_sorted[sl] - r[k])
-            self._kslices.append(kv * self.w_sorted[sl])
-        self.denominator = np.array([kv.sum() for kv in self._kslices])
-
-    def sort_pairs(self, weight_matrix: np.ndarray) -> np.ndarray:
-        return weight_matrix[self.mask][self.order]
-
-    def smoothed_sum(self, sorted_pair_values: np.ndarray) -> np.ndarray:
-        out = np.empty(len(self.r))
-        for k, kv in enumerate(self._kslices):
-            out[k] = sorted_pair_values[self.lo[k] : self.hi[k]] @ kv
-        return out
+def _raw_ratios(p: MarkedPointPattern, tfs, smoothing, r, ec: str):
+    """Resolved r grid and smoothing, the marks, and the unnormalized ratio
+    curve of each test function, all from one product with the kernel matrix."""
+    r = default_r(p.domain) if r is None else np.asarray(r, dtype=float)
+    if len(r) == 0:
+        raise ValidationError("empty r grid")
+    if smoothing is None:
+        smoothing = default_smoothing(p)
+    stats = mark_moments(p)
+    if stats.count != p.n:
+        raise ValidationError("every point needs a mark for mark correlation")
+    K, i, j = _kernel_matrix(p, smoothing, r, ec)
+    marks = p.marks()
+    mi, mj = marks[i], marks[j]
+    cols = []
+    for tf in tfs:
+        if tf.name == "custom":  # symmetrized: K counts each unordered pair for both orders
+            cols.append([0.5 * (tf.fn(a, b) + tf.fn(b, a)) for a, b in zip(mi, mj)])
+        else:  # constant marks give exact zeros for shimantani_i, whose c_tf is then 0
+            cols.append(_tf_values(tf, mi, mj, stats.mean_mark))
+    sums = K @ np.column_stack(cols + [np.ones(len(mi))])
+    return r, smoothing, marks, [_ratio(sums[:, s], sums[:, -1]) for s in range(len(tfs))]
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -232,19 +237,7 @@ def mark_corr(
     A zero normalization constant raises NumericalError unless
     degenerate="nan", in which case the normalized curve is all-NaN.
     """
-    if r is None:
-        r = _default_r(p)
-    if len(r) == 0:
-        raise ValidationError("empty r grid")
-    if smoothing is None:
-        smoothing = default_smoothing(p)
-    stats = mark_moments(p)
-    if stats.count != p.n:
-        raise ValidationError("every point needs a mark for mark correlation")
-    sm = _PairSmoother(p, smoothing, np.asarray(r, dtype=float), ec)
-    marks = p.marks()
-    w = pair_weights(tf, marks, stats.mean_mark, stats.var_mark)
-    raw = _ratio(sm.smoothed_sum(sm.sort_pairs(w)), sm.denominator)
+    r, smoothing, marks, (raw,) = _raw_ratios(p, [tf], smoothing, r, ec)
     try:
         c = normalization(tf, marks, stoyan_rule)
     except NumericalError:
@@ -258,7 +251,7 @@ def mark_corr(
     meta = {"tf": tf.name, "bandwidth": smoothing.bandwidth, "kernel": smoothing.kernel, "ec": ec}
     theo = _THEORETICAL.get(tf.name)
     curve = SummaryCurve(
-        sm.r,
+        r,
         curve_vals,
         f"markcorr_{tf.name}",
         None if theo is None else np.full_like(raw, theo),
@@ -266,7 +259,7 @@ def mark_corr(
     )
     if not return_numerator:
         return curve
-    numer = SummaryCurve(sm.r, raw, f"markcorr_raw_{tf.name}", None, dict(meta))
+    numer = SummaryCurve(r, raw, f"markcorr_raw_{tf.name}", None, dict(meta))
     return curve, numer
 
 
@@ -290,22 +283,9 @@ def mark_corr_suite(
     Degenerate normalizations (e.g. the variogram under constant marks)
     yield an all-NaN normalized curve; the raw numerator is still reported.
     """
-    if r is None:
-        r = _default_r(p)
-    if smoothing is None:
-        smoothing = default_smoothing(p)
-    stats = mark_moments(p)
-    if stats.count != p.n:
-        raise ValidationError("every point needs a mark for mark correlation")
-    sm = _PairSmoother(p, smoothing, np.asarray(r, dtype=float), ec)
-    marks = p.marks()
+    r, smoothing, marks, raws = _raw_ratios(p, _SUITE, smoothing, r, ec)
     curves, numerators, cs = {}, {}, {}
-    for tf in _SUITE:
-        try:
-            w = pair_weights(tf, marks, stats.mean_mark, stats.var_mark)
-        except NumericalError:
-            w = np.zeros((p.n, p.n))
-        raw = _ratio(sm.smoothed_sum(sm.sort_pairs(w)), sm.denominator)
+    for tf, raw in zip(_SUITE, raws):
         try:
             c = normalization(tf, marks)
         except NumericalError:
@@ -314,14 +294,9 @@ def mark_corr_suite(
         vals = raw / c if c != 0.0 else np.full_like(raw, np.nan)
         theo = _THEORETICAL[tf.name]
         curves[tf.name] = SummaryCurve(
-            sm.r, vals, f"markcorr_{tf.name}", np.full_like(raw, theo), meta
+            r, vals, f"markcorr_{tf.name}", np.full_like(raw, theo), meta
         )
-        numerators[tf.name] = SummaryCurve(sm.r, raw, f"markcorr_raw_{tf.name}", None, dict(meta))
+        numerators[tf.name] = SummaryCurve(r, raw, f"markcorr_raw_{tf.name}", None, dict(meta))
         cs[tf.name] = c
     return MarkCorrSuite(curves, numerators, cs)
 
-
-def _default_r(p: MarkedPointPattern) -> np.ndarray:
-    if p.is_network:
-        return r_grid(min(250.0, p.domain.total_length / 4.0))
-    return r_grid(min(p.domain.width, p.domain.height) / 4.0)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._dist import cross_distances, pair_distances
-from .curves import SummaryCurve, r_grid
+from ._dist import cross_distances, pair_distances, translation_weights
+from .curves import SummaryCurve, default_r
 from .errors import NumericalError, ValidationError
 from .geometry import (
     border_distances,
@@ -50,39 +50,25 @@ def _positive_intensities(lam, p, what) -> np.ndarray:
     return vals
 
 
-def translation_weights(window, xy_a, xy_b) -> np.ndarray:
-    """Translation edge correction |W| / |W intersect W shifted by (x - y)|."""
-    dx = np.abs(xy_a[:, 0][:, None] - xy_b[:, 0][None, :])
-    dy = np.abs(xy_a[:, 1][:, None] - xy_b[:, 1][None, :])
-    ox = window.width - dx
-    oy = window.height - dy
-    if np.any(ox <= 0) or np.any(oy <= 0):
-        raise ValidationError("pair separation exceeds the window size")
-    return window.area / (ox * oy)
+def _k_step_curve(d, w, r, ec, pa, pb) -> np.ndarray:
+    """Nondecreasing step function sum_{pairs with d <= r} w on the r grid,
+    from the (na, nb) pair matrices d and w.
 
-
-def _edge_correction_matrix(ec, pa, pb):
-    if ec == "none":
-        return None
-    if ec != "translation":
+    Pairs beyond max(r) never enter a step, so they are dropped before the
+    sort and get no translation weight.
+    """
+    if ec not in ("none", "translation"):
         raise ValidationError(f"unknown edge correction {ec!r}")
-    if pa.is_network:
+    if ec == "translation" and pa.is_network:
         raise ValidationError("translation correction is defined for planar rectangles only")
-    return translation_weights(pa.domain, pa.coords(), pb.coords())
-
-
-def _step_curve(d_flat, w_flat, r) -> np.ndarray:
-    """Nondecreasing step function sum_{pairs with d <= r} w, on the r grid."""
-    order = np.argsort(d_flat, kind="stable")
-    ds = d_flat[order]
-    cw = np.concatenate([[0.0], np.cumsum(w_flat[order])])
-    return cw[np.searchsorted(ds, r, side="right")]
-
-
-def _default_r(p: MarkedPointPattern) -> np.ndarray:
-    if p.is_network:
-        return r_grid(min(250.0, p.domain.total_length / 4.0))
-    return r_grid(min(p.domain.width, p.domain.height) / 4.0)
+    ia, ib = np.nonzero(d <= np.max(r, initial=-np.inf))
+    wk = w[ia, ib]
+    if ec == "translation":
+        wk = wk * translation_weights(pa.domain, pa.coords()[ia], pb.coords()[ib])
+    dk = d[ia, ib]
+    order = np.argsort(dk, kind="stable")
+    cw = np.concatenate([[0.0], np.cumsum(wk[order])])
+    return cw[np.searchsorted(dk[order], r, side="right")]
 
 
 def k_cross_inhom(
@@ -96,9 +82,7 @@ def k_cross_inhom(
     """Cross-type inhomogeneous K: intensity-reweighted pair counts between
     two sub-patterns, scaled by the domain size."""
     _check_same_domain(pi, pj)
-    if r is None:
-        r = _default_r(pi)
-    r = np.asarray(r, dtype=float)
+    r = default_r(pi.domain) if r is None else np.asarray(r, dtype=float)
     size = pi.domain_size
     theo = None if pi.is_network else np.pi * r**2
     if pi.n == 0 or pj.n == 0:
@@ -107,10 +91,7 @@ def k_cross_inhom(
     lj = _positive_intensities(lam_j, pj, "type-j")
     d = cross_distances(pi, pj)
     w = 1.0 / np.outer(li, lj) / size
-    e = _edge_correction_matrix(ec, pi, pj)
-    if e is not None:
-        w = w * e
-    vals = _step_curve(d.ravel(), w.ravel(), r)
+    vals = _k_step_curve(d, w, r, ec, pi, pj)
     return SummaryCurve(r, vals, "kcross", theo, {"ec": ec})
 
 
@@ -180,9 +161,7 @@ def h_cross_inhom(
     border are dropped at that r; the value is NaN when no point survives.
     """
     _check_same_domain(pi, pj)
-    if r is None:
-        r = _default_r(pi)
-    r = np.asarray(r, dtype=float)
+    r = default_r(pi.domain) if r is None else np.asarray(r, dtype=float)
     if pi.n == 0:
         return SummaryCurve(r, np.full_like(r, np.nan), "hcross", None, {})
     li = _positive_intensities(lam_i, pi, "type-i")
@@ -216,9 +195,7 @@ def f_inhom(
 ) -> SummaryCurve:
     """Inhomogeneous empty-space function, evaluated on a fine deterministic
     grid over the domain with the same r-reduction as the H estimator."""
-    if r is None:
-        r = _default_r(pj)
-    r = np.asarray(r, dtype=float)
+    r = default_r(pj.domain) if r is None else np.asarray(r, dtype=float)
     if pj.is_network:
         net = pj.domain
         if grid_spacing is None:
@@ -280,9 +257,7 @@ def mark_weighted_k(
 ) -> SummaryCurve:
     """Mark-weighted inhomogeneous K: pair contributions weighted by a mark
     test function and normalized by its sample average over ordered pairs."""
-    if r is None:
-        r = _default_r(p)
-    r = np.asarray(r, dtype=float)
+    r = default_r(p.domain) if r is None else np.asarray(r, dtype=float)
     if p.n < 2:
         raise ValidationError("mark-weighted K needs at least 2 marked points")
     marks = p.marks()
@@ -292,13 +267,10 @@ def mark_weighted_k(
         raise NumericalError("degenerate mark normalization: pair average is zero")
     lamv = _positive_intensities(lam, p, "")
     d = pair_distances(p)
+    np.fill_diagonal(d, np.inf)
     tfw = pair_weights(tf, marks, stats.mean_mark, stats.var_mark)
     w = tfw / np.outer(lamv, lamv) / (p.domain_size * c)
-    e = _edge_correction_matrix(ec, p, p)
-    if e is not None:
-        w = w * e
-    mask = ~np.eye(p.n, dtype=bool)
-    vals = _step_curve(d[mask], w[mask], r)
+    vals = _k_step_curve(d, w, r, ec, p, p)
     return SummaryCurve(r, vals, "kweighted", None, {"tf": tf.name, "ec": ec})
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -201,3 +202,15 @@ def test_rerun_reproduces(tmp_path, tree_file):
     first = read_bytes(out / "pattern.csv")
     assert main(["rerun", str(out / "simulate_metadata.json")]) == 0
     assert read_bytes(out / "pattern.csv") == first
+
+
+def test_envelope_zero_intensity_exits_3(tmp_path, tree_file):
+    # every draw is empty, so the n >= 2 redraw loop must give up, not hang
+    for stat in ("suite", "stoyan"):
+        t0 = time.perf_counter()
+        rc = main(
+            ["envelope", "--model", "modelI", "--stat", stat, "--n-expected", "0",
+             "--network", tree_file, "--nsim", "19", "--out-dir", str(tmp_path / stat)]
+        )
+        assert rc == 3
+        assert time.perf_counter() - t0 < 60.0

@@ -3,9 +3,15 @@ direct double-loop oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from markedpoints import (
     BEISBART_KERSCHER,
+    MarkedPoint,
+    MarkedPointPattern,
+    NetworkLocation,
+    PlanarWindow,
     NumericalError,
     SHIMANTANI_I,
     STOYAN,
@@ -14,14 +20,16 @@ from markedpoints import (
     ValidationError,
     mark_corr,
     mark_corr_suite,
+    network_distance,
     normalization,
     pair_average,
     pair_weights,
 )
 from markedpoints import TestFunction as MarkTestFunction
-from markedpoints.intensity import kernel1d_pdf
+from markedpoints._dist import close_pairs, pair_distances
+from markedpoints.intensity import kernel1d_pdf, kernel1d_support
 
-from conftest import planar_pattern
+from conftest import planar_pattern, random_connected_network
 
 
 def mark_corr_oracle(xy, marks, tf_fn, h, kernel, r_values):
@@ -85,6 +93,16 @@ def test_two_point_box_kernel_hand_value(unit_square):
     curve = mark_corr(p, STOYAN, sm, r)
     assert np.isnan(curve.values[0])  # no pairs within the kernel window at r=0
     assert curve.values[1] == pytest.approx(1.0)  # numerator 8, c_tf 8
+
+
+def test_box_kernel_counts_pairs_at_the_support_edges(unit_square):
+    p = planar_pattern(unit_square, [(0.25, 0.5), (0.5, 0.5)], marks=[2.0, 4.0])
+    sm = SmoothingSpec1D(0.125, "box")
+    r = np.array([0.0, 0.125, 0.25, 0.375, 0.5])
+    curve, raw = mark_corr(p, STOYAN, sm, r, return_numerator=True)
+    # d = 0.25 lies exactly at r - h for r = 0.375 and at r + h for r = 0.125
+    assert np.array_equal(np.isnan(raw.values), [True, False, False, False, True])
+    assert np.all(raw.values[1:4] == 8.0)
 
 
 def test_degenerate_variogram_constant_marks(unit_square):
@@ -213,3 +231,170 @@ def test_needs_two_marked_points(unit_square):
     p = planar_pattern(unit_square, [(0.5, 0.5)], marks=[1.0])
     with pytest.raises(ValidationError):
         mark_corr(p, STOYAN, SmoothingSpec1D(0.1), np.array([0.0, 0.1]))
+
+
+def test_degenerate_shimantani_constant_marks(unit_square):
+    p = planar_pattern(unit_square, [(0.4, 0.5), (0.6, 0.5), (0.5, 0.7)], marks=[3.0, 3.0, 3.0])
+    sm = SmoothingSpec1D(0.1, "box")
+    r = np.array([0.0, 0.2])
+    with pytest.raises(NumericalError, match="degenerate"):
+        mark_corr(p, SHIMANTANI_I, sm, r)
+    curve, raw = mark_corr(p, SHIMANTANI_I, sm, r, degenerate="nan", return_numerator=True)
+    assert np.all(np.isnan(curve.values))
+    assert raw.values[1] == 0.0
+    suite = mark_corr_suite(p, sm, r)
+    assert np.array_equal(suite.numerators["shimantani_i"].values, raw.values, equal_nan=True)
+
+
+def test_symmetric_weight_points_on_opposite_window_edges(unit_square):
+    xy = [(0.0, 0.5), (1.0, 0.5), (0.3, 0.4), (0.45, 0.6), (0.6, 0.55)]
+    marks = [1.0, 2.0, 1.5, 2.5, 3.0]
+    p = planar_pattern(unit_square, xy, marks=marks)
+    sm = SmoothingSpec1D(0.1)
+    r = np.linspace(0, 0.3, 16)
+    got = mark_corr(p, STOYAN, sm, r, ec="symmetricWeight").values
+    dist = lambda a, b: float(np.hypot(xy[a][0] - xy[b][0], xy[a][1] - xy[b][1]))
+    want, _ = ordered_pair_oracle(dist, marks, lambda a, b: a * b, sm, r, _sym_weight(unit_square, xy))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(got)
+    assert np.allclose(got[ok], want[ok] / normalization(STOYAN, marks), rtol=1e-12)
+
+
+# ---------------- differential test of the pair engine ----------------
+
+
+def _sym_weight(window, xy):
+    def e(a, b):
+        dx, dy = abs(xy[a][0] - xy[b][0]), abs(xy[a][1] - xy[b][1])
+        return window.area / ((window.width - dx) * (window.height - dy))
+
+    return e
+
+
+def ordered_pair_oracle(dist, marks, fn, smoothing, r, edge_weight=None):
+    """Nadaraya-Watson ratio by a plain double loop over ordered pairs i != j,
+    counting a pair at r_k when r_k - support <= d <= r_k + support.
+
+    Returns (ratio, scale): scale is sum |fn| K / sum K, the magnitude the
+    numerator's rounding error is relative to when fn changes sign.
+    """
+    supp = kernel1d_support(smoothing.kernel, smoothing.bandwidth)
+    n = len(marks)
+    num, absnum, den = (np.zeros(len(r)) for _ in range(3))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            d = dist(i, j)
+            inside = (r - supp <= d) & (d <= r + supp)
+            kv = np.where(inside, kernel1d_pdf(smoothing.kernel, smoothing.bandwidth, d - r), 0.0)
+            if edge_weight is not None and inside.any():
+                kv = kv * edge_weight(i, j)
+            f = fn(marks[i], marks[j])
+            num += f * kv
+            absnum += abs(f) * kv
+            den += kv
+    ratio, scale = np.full(len(r), np.nan), np.full(len(r), np.nan)
+    ok = den >= 1e-12
+    ratio[ok], scale[ok] = num[ok] / den[ok], absnum[ok] / den[ok]
+    return ratio, scale
+
+
+_ORACLE_FNS = {
+    "stoyan": lambda a, b: a * b,
+    "variogram": lambda a, b: 0.5 * (a - b) ** 2,
+    "beisbart_kerscher": lambda a, b: a + b,
+}
+
+
+@st.composite
+def _pair_engine_cases(draw):
+    """(pattern, oracle distance, edge weight, smoothing, r grid, ec)."""
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["network", "lattice", "uniform"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        marks = [float(draw(st.integers(1, 4)))] * n
+    else:
+        marks = [float(m) for m in rng.uniform(-1.0, 3.0, size=n)]
+    kernel = draw(st.sampled_from(["epanechnikov", "gaussian", "box"]))
+    ec, edge_weight = "none", None
+    if kind == "network":
+        net = random_connected_network(rng, draw(st.integers(2, 6)))
+        locs = [NetworkLocation(int(rng.integers(net.n_segments)), float(rng.uniform())) for _ in range(n)]
+        p = MarkedPointPattern(net, [MarkedPoint(loc, mark=m) for loc, m in zip(locs, marks)])
+        dist = lambda a, b: network_distance(net, locs[a], locs[b])
+        scale = 4.0
+    else:
+        if kind == "lattice":
+            # dyadic points on one or two rows, dyadic bandwidth and grid: many
+            # pairs sit exactly at r_k +- support
+            rows = draw(st.lists(st.integers(0, 16), min_size=1, max_size=2))
+            xy = [(draw(st.integers(0, 16)) / 16.0, draw(st.sampled_from(rows)) / 16.0) for _ in range(n)]
+            scale = 1.0 / 16.0
+        else:
+            xy = [tuple(v) for v in rng.uniform(0.0, 1.0, size=(n, 2))]
+            scale = 0.05
+        window = PlanarWindow(0.0, 1.0, 0.0, 1.0)
+        p = planar_pattern(window, xy, marks=marks)
+        dist = lambda a, b: float(np.sqrt((xy[a][0] - xy[b][0]) ** 2 + (xy[a][1] - xy[b][1]) ** 2))
+        if draw(st.booleans()):
+            ec, edge_weight = "symmetricWeight", _sym_weight(window, xy)
+    h = scale * draw(st.integers(1, 3))
+    if kind == "lattice":
+        steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    else:
+        steps = draw(st.lists(st.floats(0.05, 1.5), min_size=1, max_size=8))
+    r = np.concatenate([[0.0], np.cumsum(steps)]) * scale
+    if ec == "symmetricWeight":
+        # pairs on opposite window edges have no overlap; keep them beyond every r + support
+        h = scale if kernel == "gaussian" else h
+        r = r[r + kernel1d_support(kernel, h) < 1.0]
+        assume(len(r) >= 2)
+    return p, dist, edge_weight, SmoothingSpec1D(h, kernel), r, ec
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_pair_engine_cases())
+def test_pair_engine_matches_ordered_pair_oracle(case):
+    p, dist, edge_weight, sm, r, ec = case
+    marks = list(p.marks())
+    mu = float(np.mean(marks))
+    custom = MarkTestFunction("custom", fn=lambda a, b: a * a - b)
+    fns = dict(_ORACLE_FNS, shimantani_i=lambda a, b: (a - mu) * (b - mu), custom=custom.fn)
+    suite = mark_corr_suite(p, sm, r, ec)
+    for tf in (STOYAN, VARIOGRAM, SHIMANTANI_I, BEISBART_KERSCHER, custom):
+        want, scale = ordered_pair_oracle(dist, marks, fns[tf.name], sm, r, edge_weight)
+        ok = ~np.isnan(want)
+        curve, raw = mark_corr(p, tf, sm, r, ec, degenerate="nan", return_numerator=True)
+        raws = [raw.values] + ([suite.numerators[tf.name].values] if tf.name in suite.numerators else [])
+        for got in raws:
+            assert np.array_equal(np.isnan(got), ~ok)
+            assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * scale[ok])
+        try:
+            c = normalization(tf, marks)
+        except NumericalError:
+            c = 0.0
+        expect = raw.values / c if c != 0.0 else np.full(len(r), np.nan)
+        assert np.array_equal(curve.values, expect, equal_nan=True)
+        if tf.name in suite.curves:
+            assert np.array_equal(suite.curves[tf.name].values, raws[1] / c if c != 0.0 else expect, equal_nan=True)
+
+
+def test_close_pairs_agree_with_dense_distances(unit_square):
+    rng = np.random.default_rng(4)
+    net = random_connected_network(rng, 7)
+    locs = [NetworkLocation(int(rng.integers(net.n_segments)), float(rng.uniform())) for _ in range(40)]
+    patterns = [
+        planar_pattern(unit_square, rng.uniform(size=(300, 2))),
+        planar_pattern(unit_square, (np.floor(rng.uniform(size=(120, 2)) * 8)) / 8),
+        MarkedPointPattern(net, [MarkedPoint(loc) for loc in locs]),
+    ]
+    for p in patterns:
+        dense = pair_distances(p)
+        for cutoff in (0.125, 0.25, 0.3, 3.0):
+            i, j, d = close_pairs(p, cutoff)
+            assert np.all(i < j)
+            wi, wj = np.nonzero(np.triu(dense <= cutoff, 1))
+            assert sorted(zip(i.tolist(), j.tolist())) == list(zip(wi.tolist(), wj.tolist()))
+            assert np.array_equal(d, dense[i, j])

@@ -364,8 +364,23 @@ def test_network_h_uses_border_reduction():
 def test_translation_weight_values(unit_square):
     xy_a = np.array([[0.1, 0.1]])
     xy_b = np.array([[0.6, 0.1]])
-    w = translation_weights(unit_square, xy_a, xy_b)
+    w = translation_weights(unit_square, xy_a[:, None], xy_b[None, :])
     assert w[0, 0] == pytest.approx(1.0 / 0.5)
+
+
+def test_translation_on_opposite_window_edges(unit_square):
+    # the closed window admits points on x = 0 and x = 1; their zero overlap
+    # is never needed because the pair lies beyond every r
+    xy = [(0.0, 0.5), (1.0, 0.5), (0.3, 0.4), (0.45, 0.6), (0.6, 0.55), (0.2, 0.3)]
+    p = planar_pattern(unit_square, xy, labels=["i"] * len(xy))
+    li = np.full(p.n, 6.0)
+    r = np.linspace(0, 0.25, 11)
+    got = k_cross_inhom(p, p, 6.0, 6.0, "translation", r).values
+    with np.errstate(divide="ignore"):
+        want = k_cross_oracle(p, p, li, li, r, translation=True)
+    assert np.allclose(got, want, rtol=1e-12)
+    with pytest.raises(ValidationError, match="exceeds the window"):
+        k_cross_inhom(p, p, 6.0, 6.0, "translation", np.linspace(0, 1.0, 11))
 
 
 def test_translation_rejected_on_networks():
