@@ -95,7 +95,10 @@ def _threads(args) -> int:
     env = os.environ.get("MARKEDPOINTS_THREADS")
     if env is None:
         return 1
-    cap = int(env)
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValidationError(f"MARKEDPOINTS_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1 if cap == 0 else max(1, cap)
 
 
@@ -171,6 +174,12 @@ def _summary_r(args, domain):
     return default_r(domain, args.bins)
 
 
+def _type_group(groups, label, flag):
+    if label not in groups:
+        raise ValidationError(f"{flag} must name one of {sorted(groups)}")
+    return groups[label]
+
+
 def _cmd_summary(args):
     out = _out_dir(args)
     domain = _load_domain(args)
@@ -184,16 +193,12 @@ def _cmd_summary(args):
 
     if args.stat in ("kcross", "kdot", "hcross", "jcross"):
         groups = split_by_type(p)
-        if args.type_i is None or args.type_i not in groups:
-            raise ValidationError(f"--type-i must name one of {sorted(groups)}")
-        pi = groups[args.type_i]
+        pi = _type_group(groups, args.type_i, "--type-i")
         if args.stat == "kdot":
             others = [pt for pt in p.points if pt.type_label != args.type_i]
             pj = type(p)(p.domain, others)
         else:
-            if args.type_j is None or args.type_j not in groups:
-                raise ValidationError(f"--type-j must name one of {sorted(groups)}")
-            pj = groups[args.type_j]
+            pj = _type_group(groups, args.type_j, "--type-j")
         li, lj = lam_for(pi), lam_for(pj)
         if args.stat == "kcross":
             curve = k_cross_inhom(pi, pj, li, lj, args.ec, r)
@@ -206,8 +211,7 @@ def _cmd_summary(args):
             f = f_inhom(pj, lj, grid_spacing=args.grid_spacing, r=r)
             curve = j_cross_inhom(h, f)
     elif args.stat == "f":
-        groups = split_by_type(p) if args.type_j else {None: p}
-        pj = groups[args.type_j] if args.type_j else p
+        pj = _type_group(split_by_type(p), args.type_j, "--type-j") if args.type_j else p
         curve = f_inhom(pj, lam_for(pj), grid_spacing=args.grid_spacing, r=r)
     elif args.stat == "kweighted":
         curve = mark_weighted_k(p, _TF[args.tf], lam_for(p), args.ec, r)
@@ -495,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["poisson", "modelI", "modelII", "modelIII"],
         required=True,
     )
-    sp.add_argument("--stat", default="suite", help="suite | stoyan | bk | vario | shimantani")
+    sp.add_argument("--stat", choices=["suite"] + sorted(_TF), default="suite")
     sp.add_argument("--nsim", type=int, default=199)
     sp.add_argument("--level", type=float, default=0.95)
     sp.add_argument("--rate", type=float)

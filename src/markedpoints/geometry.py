@@ -8,11 +8,12 @@ threads; randomized operations take an explicit numpy Generator.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import ValidationError
 
@@ -143,16 +144,13 @@ class LinearNetwork:
             raise ValidationError("every segment length must be positive")
         self.total_length = float(self.seg_lengths.sum())
 
-        self._adjacency = [[] for _ in range(nv)]
-        for k, (a, b) in enumerate(self.segments):
-            w = float(self.seg_lengths[k])
-            self._adjacency[int(a)].append((int(b), w))
-            self._adjacency[int(b)].append((int(a), w))
-        # neighbor lists sorted by vertex index so Dijkstra ties resolve deterministically
-        for lst in self._adjacency:
-            lst.sort()
-
-        self._check_connected()
+        ends = np.concatenate([self.segments, self.segments[:, ::-1]])
+        w = np.concatenate([self.seg_lengths, self.seg_lengths])
+        self._graph = csr_array((w, (ends[:, 0], ends[:, 1])), shape=(nv, nv))
+        _, comp = connected_components(self._graph, directed=False)
+        reached = int(np.count_nonzero(comp == comp[0]))
+        if reached != nv:
+            raise ValidationError(f"network is disconnected ({reached}/{nv} vertices reachable)")
         self._vertex_dist = None
 
     @property
@@ -163,44 +161,12 @@ class LinearNetwork:
     def n_segments(self) -> int:
         return len(self.segments)
 
-    def _check_connected(self):
-        seen = np.zeros(self.n_vertices, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v, _ in self._adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        if not seen.all():
-            raise ValidationError(
-                f"network is disconnected ({int(seen.sum())}/{self.n_vertices} vertices reachable)"
-            )
-
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self._adjacency], dtype=int)
+        return np.bincount(self.segments.ravel(), minlength=self.n_vertices)
 
     def border_vertices(self) -> np.ndarray:
         """Degree-1 vertices; the network analog of the window border."""
         return np.nonzero(self.degrees() == 1)[0]
-
-    def _dijkstra(self, source: int) -> np.ndarray:
-        dist = np.full(self.n_vertices, np.inf)
-        dist[source] = 0.0
-        heap = [(0.0, source)]
-        done = np.zeros(self.n_vertices, dtype=bool)
-        while heap:
-            d, u = heapq.heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            for v, w in self._adjacency[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
 
     def vertex_distances(self) -> np.ndarray:
         """Shortest-path distance matrix between all vertex pairs (cached).
@@ -210,7 +176,7 @@ class LinearNetwork:
         per pair.
         """
         if self._vertex_dist is None:
-            D = np.vstack([self._dijkstra(s) for s in range(self.n_vertices)])
+            D = dijkstra(self._graph, directed=False)
             il = np.tril_indices(self.n_vertices, k=-1)
             D[il] = D.T[il]
             self._vertex_dist = D
@@ -328,9 +294,10 @@ def _covered_length(length, dist_end_a, dist_end_b, r):
 def network_disc_measure(net: LinearNetwork, u: NetworkLocation, r: float) -> float:
     """Total network length within shortest-path distance r of u.
 
-    Computed from the per-vertex distances of a truncated-Dijkstra sweep:
-    each segment contributes the merged reach from its two endpoints,
-    capped at the segment length; the segment carrying u is split at u.
+    Computed from u's distances to every vertex, read off the cached vertex
+    distance matrix: each segment contributes the merged reach from its two
+    endpoints, capped at the segment length; the segment carrying u is
+    split at u.
     """
     net.validate_location(u)
     if r < 0:
@@ -370,6 +337,16 @@ def uniform_points_on_network(net: LinearNetwork, n: int, rng: np.random.Generat
     return [NetworkLocation(int(s), float(np.clip(o, 0.0, 1.0))) for s, o in zip(seg, off)]
 
 
+def _arc_cells(net: LinearNetwork, spacing: float):
+    """Arc-length discretization: segment k is cut into m_k = max(1, ceil(L_k/spacing))
+    equal cells. Returns per-cell arrays (segment, index i along it, m of its
+    segment), in segment order."""
+    m = np.maximum(1, np.ceil(net.seg_lengths / spacing).astype(int))
+    seg = np.repeat(np.arange(net.n_segments), m)
+    i = np.arange(len(seg)) - np.repeat(np.cumsum(m) - m, m)
+    return seg, i, m[seg]
+
+
 def network_arc_mesh(net: LinearNetwork, spacing: float):
     """Quadrature mesh along the network: cell-center locations and cell lengths.
 
@@ -378,15 +355,9 @@ def network_arc_mesh(net: LinearNetwork, spacing: float):
     """
     if spacing <= 0:
         raise ValidationError("mesh spacing must be positive")
-    locs, wts = [], []
-    for k in range(net.n_segments):
-        ln = net.seg_lengths[k]
-        m = max(1, int(np.ceil(ln / spacing)))
-        cell = ln / m
-        for i in range(m):
-            locs.append(NetworkLocation(k, (i + 0.5) / m))
-            wts.append(cell)
-    return locs, np.asarray(wts)
+    seg, i, m = _arc_cells(net, spacing)
+    locs = [NetworkLocation(k, t) for k, t in zip(seg.tolist(), ((i + 0.5) / m).tolist())]
+    return locs, net.seg_lengths[seg] / m
 
 
 def save_network(net: LinearNetwork, path):

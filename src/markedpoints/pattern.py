@@ -209,7 +209,7 @@ def load_pattern_csv(path, domain) -> MarkedPointPattern:
             header = [h.strip().lower() for h in next(rd)]
         except StopIteration:
             raise ValidationError(f"empty pattern file {path}") from None
-        rows = [r for r in rd if r]
+        rows = [(rd.line_num, r) for r in rd if r]
 
     def col(name):
         return header.index(name) if name in header else None
@@ -227,16 +227,19 @@ def load_pattern_csv(path, domain) -> MarkedPointPattern:
 
     ti, mi = col("type"), col("mark")
     pts = []
-    for r in rows:
-        if network:
-            loc = NetworkLocation(int(r[col("segment")]), float(r[col("offset")]))
-        else:
-            loc = (float(r[col("x")]), float(r[col("y")]))
+    for line, r in rows:
+        try:
+            if network:
+                loc = NetworkLocation(int(r[col("segment")]), float(r[col("offset")]))
+            else:
+                loc = (float(r[col("x")]), float(r[col("y")]))
+            mark = None
+            if mi is not None and mi < len(r) and r[mi].strip() != "":
+                mark = float(r[mi])
+        except (ValueError, IndexError):
+            raise ValidationError(f"{path} line {line}: malformed or missing field in {r}") from None
         lab = None
         if ti is not None and ti < len(r) and r[ti].strip() != "":
             lab = r[ti].strip()
-        mark = None
-        if mi is not None and mi < len(r) and r[mi].strip() != "":
-            mark = float(r[mi])
         pts.append(MarkedPoint(loc, lab, mark))
     return validate_pattern(MarkedPointPattern(domain, pts))

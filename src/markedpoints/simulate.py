@@ -20,6 +20,7 @@ from .geometry import (
     LinearNetwork,
     NetworkLocation,
     PlanarWindow,
+    _arc_cells,
     all_pairs_network_distances,
     border_distances,
     network_cross_distances,
@@ -183,18 +184,6 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _network_cells(net: LinearNetwork, step: float):
-    """Arc-length discretization: per-cell (location of center, segment, t0, t1)."""
-    cells = []
-    for k in range(net.n_segments):
-        ln = net.seg_lengths[k]
-        m = max(1, int(np.ceil(ln / step)))
-        for i in range(m):
-            t0, t1 = i / m, (i + 1) / m
-            cells.append((NetworkLocation(k, (t0 + t1) / 2.0), k, t0, t1))
-    return cells
-
-
 def lgcp_network(
     spec: GaussianFieldSpec,
     net: LinearNetwork,
@@ -214,8 +203,9 @@ def lgcp_network(
         step = net.total_length / 500.0
     if step <= 0:
         raise ValidationError("discretization step must be positive")
-    cells = _network_cells(net, step)
-    locs = [c[0] for c in cells]
+    seg, i, m = _arc_cells(net, step)
+    t0, t1 = i / m, (i + 1) / m
+    locs = [NetworkLocation(k, t) for k, t in zip(seg.tolist(), ((t0 + t1) / 2.0).tolist())]
     d0 = network_cross_distances(net, locs, [spec.anchor])[:, 0]
 
     probe = rng.uniform(0.0, d0.max() if len(d0) else 1.0, size=(8, 2))
@@ -228,14 +218,12 @@ def lgcp_network(
         raise ValidationError("induced covariance matrix is asymmetric")
     jitter = spec.nugget * max(1.0, float(np.abs(np.diag(cov)).max()))
     factor = _psd_factor(cov + jitter * np.eye(len(cov)))
-    z = spec.mean_at(locs) + factor @ rng.standard_normal(len(cells))
-    lam = np.exp(z)
+    z = spec.mean_at(locs) + factor @ rng.standard_normal(len(locs))
+    mu = np.exp(z) * ((t1 - t0) * net.seg_lengths[seg])
 
     pts = []
-    for (loc, k, t0, t1), lam_c in zip(cells, lam):
-        cell_len = (t1 - t0) * net.seg_lengths[k]
-        cnt = rng.poisson(lam_c * cell_len)
-        for t in rng.uniform(t0, t1, size=cnt):
+    for k, a, b, mu_c in zip(seg.tolist(), t0, t1, mu):
+        for t in rng.uniform(a, b, size=rng.poisson(mu_c)):
             pts.append(MarkedPoint(NetworkLocation(k, float(t))))
     return MarkedPointPattern(net, pts)
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -15,6 +17,7 @@ from markedpoints import (
     save_pattern_csv,
     synthetic_tree_network,
 )
+import markedpoints
 from markedpoints.cli import main
 
 
@@ -214,3 +217,48 @@ def test_envelope_zero_intensity_exits_3(tmp_path, tree_file):
         )
         assert rc == 3
         assert time.perf_counter() - t0 < 60.0
+
+
+BAD_PATTERN_CSV = {
+    "non_numeric": "x,y\n0.5,abc\n",
+    "short_row": "x,y\n0.5\n",
+    "non_integer_segment": "segment,offset\n1.5,0.3\n",
+}
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("non_numeric", 3),
+        ("short_row", 3),
+        ("non_integer_segment", 3),
+        ("envelope_bad_stat", 2),
+        ("summary_missing_type_j", 3),
+        ("threads_not_integer", 3),
+    ],
+)
+def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, case, code):
+    env = dict(os.environ)
+    env.pop("MARKEDPOINTS_THREADS", None)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(markedpoints.__file__))
+    out = ["--out-dir", str(tmp_path / "out")]
+    if case in BAD_PATTERN_CSV:
+        bad = tmp_path / "bad.csv"
+        bad.write_text(BAD_PATTERN_CSV[case])
+        domain = ["--network", tree_file] if case == "non_integer_segment" else ["--window", "0,1,0,1"]
+        argv = ["markcorr", "--pattern", str(bad)] + domain
+    elif case == "envelope_bad_stat":
+        argv = ["envelope", "--model", "modelI", "--stat", "foo", "--network", tree_file]
+    elif case == "summary_missing_type_j":
+        argv = ["summary", "--pattern", planar_csv, "--window", "0,1,0,1", "--stat", "f",
+                "--type-j", "zzz", "--lambda-const", "30"]
+    else:
+        env["MARKEDPOINTS_THREADS"] = "two"
+        argv = ["envelope", "--model", "modelI", "--stat", "stoyan", "--network", tree_file,
+                "--nsim", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "markedpoints.cli"] + argv + out,
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr

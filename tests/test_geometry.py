@@ -1,6 +1,7 @@
 """Window, network, distance, measure, and sampling primitives."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -153,13 +154,19 @@ def test_all_pairs_matches_pairwise_calls():
 def test_vertex_distances_match_enumeration_sample():
     # distances accumulate from the smaller vertex index; enumerate likewise
     rng = np.random.default_rng(5)
+    nets = []
     for _ in range(20):
-        nv = int(rng.integers(3, 8))
-        net = random_connected_network(rng, nv)
-        a, b = sorted(int(v) for v in rng.integers(0, nv, size=2))
-        got = net.vertex_distances()[a, b]
-        want = shortest_path_by_enumeration(net, a, b) if a != b else 0.0
-        assert got == want
+        net = random_connected_network(rng, int(rng.integers(3, 8)))
+        nets.append(net)
+        lengths = rng.uniform(0.5, 5.0, size=net.n_segments)
+        nets.append(LinearNetwork(net.vertices, net.segments, lengths=lengths))
+    for net in nets:
+        D = net.vertex_distances()
+        assert np.array_equal(D, D.T)
+        assert np.all(np.diag(D) == 0.0)
+        for a in range(net.n_vertices):
+            for b in range(a + 1, net.n_vertices):
+                assert D[a, b] == shortest_path_by_enumeration(net, a, b)
 
 
 @settings(max_examples=30, deadline=None)
@@ -212,6 +219,21 @@ def test_disc_measure_monotone_and_saturates():
     assert np.all(np.diff(vals) >= -1e-12)
     assert vals[-1] == pytest.approx(net.total_length)
     assert max(vals) <= net.total_length + 1e-9
+
+
+def test_arc_mesh_cells_per_segment_and_total_weight():
+    rng = np.random.default_rng(8)
+    net = random_connected_network(rng, 7)
+    for spacing in (0.3, 1.0, 2.5, 100.0):
+        locs, wts = network_arc_mesh(net, spacing)
+        want_locs, want_wts = [], []
+        for k, ln in enumerate(net.seg_lengths):
+            m = math.ceil(ln / spacing)
+            want_locs += [NetworkLocation(k, (i + 0.5) / m) for i in range(m)]
+            want_wts += [ln / m] * m
+        assert locs == want_locs
+        assert np.array_equal(wts, want_wts)
+        assert abs(wts.sum() - net.total_length) <= 1e-12
 
 
 def test_disc_measure_against_dense_sampling():
