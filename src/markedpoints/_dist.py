@@ -1,33 +1,25 @@
-"""Domain-aware pairwise distance helpers shared by the estimator modules."""
+"""Radius-bounded pair engine shared by the estimator modules: the pairs
+within a cutoff and their distances, Euclidean or shortest-path."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
-from .geometry import network_cross_distances
+from .geometry import LinearNetwork, network_cross_distances
 from .pattern import MarkedPointPattern
 
-
-def pair_distances(p: MarkedPointPattern) -> np.ndarray:
-    """(n, n) matrix of interpoint distances, Euclidean or shortest-path."""
-    if p.is_network:
-        if p.n == 0:
-            return np.zeros((0, 0))
-        d = network_cross_distances(p.domain, p.locations(), p.locations())
-        np.fill_diagonal(d, 0.0)
-        return d
-    xy = p.coords()
-    return cdist(xy, xy) if p.n else np.zeros((0, 0))
+# rows of the dense network distance matrix formed at once
+_CHUNK = 2048
 
 
 def close_pairs(p: MarkedPointPattern, cutoff: float):
     """Unordered pairs i < j at distance d <= cutoff, as arrays (i, j, d).
 
-    Distances are bit-identical to the matching entries of pair_distances,
-    so the cutoff test agrees with a filter on the dense matrix.
+    Distances are bit-identical to the matching entries of cdist or
+    network_cross_distances, so the cutoff test agrees with a filter on the
+    dense matrix.
     """
     if p.is_network:
         i, j = np.triu_indices(p.n, 1)
@@ -37,9 +29,55 @@ def close_pairs(p: MarkedPointPattern, cutoff: float):
         # the tree rounds differently from cdist: search a hair wider, filter exactly
         ij = cKDTree(xy).query_pairs(cutoff * (1.0 + 1e-9), output_type="ndarray")
         i, j = ij[:, 0], ij[:, 1]
-        dx = xy[i, 0] - xy[j, 0]
-        dy = xy[i, 1] - xy[j, 1]
-        d = np.sqrt(dx * dx + dy * dy)
+        d = _euclidean(xy, xy, i, j)
+    keep = d <= cutoff
+    return i[keep], j[keep], d[keep]
+
+
+def _euclidean(xy_a, xy_b, i, j) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy) for the row pairs (i, j), in the order cdist uses."""
+    dx = xy_a[i, 0] - xy_b[j, 0]
+    dy = xy_a[i, 1] - xy_b[j, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def _points_on(domain, side):
+    """Planar coordinates or network locations of one side of cross_pairs."""
+    if not isinstance(side, MarkedPointPattern):
+        return side
+    if side.domain is not domain:
+        raise ValidationError("patterns must share one domain object")
+    return side.locations() if side.is_network else side.coords()
+
+
+def cross_pairs(domain, a, b, cutoff: float):
+    """Pairs (i, j) of a point of a and a point of b at distance d <= cutoff,
+    as arrays (i, j, d).
+
+    a and b are patterns on domain itself, or raw planar coordinates (n, 2)
+    or network locations on it. Distances are bit-identical to the matching
+    entries of cdist or network_cross_distances.
+    """
+    a, b = _points_on(domain, a), _points_on(domain, b)
+    if len(a) == 0 or len(b) == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    if isinstance(domain, LinearNetwork):
+        parts = []
+        for lo in range(0, len(a), _CHUNK):
+            dc = network_cross_distances(domain, a[lo : lo + _CHUNK], b)
+            i, j = np.nonzero(dc <= cutoff)
+            parts.append((i + lo, j, dc[i, j]))
+        return tuple(np.concatenate(c) for c in zip(*parts))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # the tree rounds differently from cdist: search a hair wider, filter exactly
+    ijv = cKDTree(a).sparse_distance_matrix(
+        cKDTree(b), cutoff * (1.0 + 1e-9), output_type="ndarray"
+    )
+    i, j = ijv["i"], ijv["j"]
+    d = _euclidean(a, b, i, j)
     keep = d <= cutoff
     return i[keep], j[keep], d[keep]
 
@@ -53,14 +91,3 @@ def translation_weights(window, xy_a, xy_b) -> np.ndarray:
     if np.any(ox <= 0) or np.any(oy <= 0):
         raise ValidationError("point pair separation exceeds the window size")
     return window.area / (ox * oy)
-
-
-def cross_distances(pa: MarkedPointPattern, pb: MarkedPointPattern) -> np.ndarray:
-    """(na, nb) distances between two patterns sharing one domain."""
-    if pa.domain is not pb.domain and pa.is_network != pb.is_network:
-        raise ValidationError("patterns live on different domain kinds")
-    if pa.n == 0 or pb.n == 0:
-        return np.zeros((pa.n, pb.n))
-    if pa.is_network:
-        return network_cross_distances(pa.domain, pa.locations(), pb.locations())
-    return cdist(pa.coords(), pb.coords())

@@ -13,6 +13,14 @@ from .geometry import LinearNetwork
 __all__ = ["SummaryCurve", "r_grid"]
 
 
+def check_r_grid(r) -> np.ndarray:
+    """r as a float array; raises unless it is a strictly increasing 1-D grid from 0."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 1 or len(r) < 2 or r[0] != 0.0 or np.any(np.diff(r) <= 0):
+        raise ValidationError("r grid must be strictly increasing and start at 0")
+    return r
+
+
 def r_grid(r_max: float, bins: int = 512) -> np.ndarray:
     """Uniform grid of bins+1 values from 0 to r_max inclusive."""
     if r_max <= 0 or bins < 1:
@@ -43,8 +51,7 @@ class SummaryCurve:
         self.values = np.asarray(self.values, dtype=float)
         if self.r.ndim != 1 or self.r.shape != self.values.shape:
             raise ValidationError("r and values must be 1-D arrays of equal length")
-        if len(self.r) < 2 or self.r[0] != 0.0 or np.any(np.diff(self.r) <= 0):
-            raise ValidationError("r grid must be strictly increasing and start at 0")
+        check_r_grid(self.r)
         if self.theoretical is not None:
             self.theoretical = np.asarray(self.theoretical, dtype=float)
             if self.theoretical.shape != self.r.shape:

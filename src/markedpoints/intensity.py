@@ -221,20 +221,21 @@ def intensity_jones_diggle(p: MarkedPointPattern, k: KernelSpec, dims=(128, 128)
     return IntensityEstimate(p.domain, raw, "jonesDiggle", k.bandwidth)
 
 
-def _kernel_sum_raster(p, k, nx, ny, per_point_weights):
+def _kernel_sum_raster(p, k, nx, ny, per_point_weights, chunk=4096):
+    """Sum over points of the separable kernel on the cell centers: one
+    (nx, points) @ (points, ny) product per chunk of points, with per-point
+    weights folded into the x factors."""
     w = p.domain
     xs = w.xmin + (np.arange(nx) + 0.5) * (w.width / nx)
     ys = w.ymin + (np.arange(ny) + 0.5) * (w.height / ny)
     out = np.zeros((nx, ny))
-    if p.n == 0:
-        return out
     xy = p.coords()
-    for i in range(p.n):
-        kx = kernel1d_pdf(k.family, k.bandwidth, xs - xy[i, 0])
-        ky = kernel1d_pdf(k.family, k.bandwidth, ys - xy[i, 1])
+    for lo in range(0, p.n, chunk):
+        kx = kernel1d_pdf(k.family, k.bandwidth, xs[None, :] - xy[lo : lo + chunk, 0:1])
+        ky = kernel1d_pdf(k.family, k.bandwidth, ys[None, :] - xy[lo : lo + chunk, 1:2])
         if per_point_weights is not None:
-            kx = kx * per_point_weights[i]
-        out += np.outer(kx, ky)
+            kx *= per_point_weights[lo : lo + chunk, None]
+        out += kx.T @ ky
     return out
 
 
@@ -428,11 +429,20 @@ def eval_intensity(lam, p: MarkedPointPattern) -> np.ndarray:
         if p.is_network:
             return np.array([float(lam(loc)) for loc in p.locations()])
         xy = p.coords()
-        try:
-            vals = np.asarray(lam(xy[:, 0], xy[:, 1]), dtype=float)
-            if vals.shape == (n,):
-                return vals
-        except Exception:
-            pass
-        return np.array([float(lam(x, y)) for x, y in xy])
+        return _elementwise(lam, xy[:, 0], xy[:, 1])
     raise ValidationError(f"cannot interpret {type(lam).__name__} as an intensity")
+
+
+def _elementwise(f, *args) -> np.ndarray:
+    """f over the broadcast arguments, as floats: one vectorized call, or one
+    scalar call per element when f rejects arrays (TypeError, ValueError) or
+    returns the wrong shape. Any other exception from f propagates."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    try:
+        vals = np.asarray(f(*args), dtype=float)
+        if vals.shape == shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    flat = [a.ravel() for a in np.broadcast_arrays(*args)]
+    return np.array([float(f(*v)) for v in zip(*flat)]).reshape(shape)

@@ -95,6 +95,15 @@ def _tf_values(tf: TestFunction, a, b, mu: float):
     return (a - mu) * (b - mu)
 
 
+def _pair_values(tf: TestFunction, mi, mj, mu: float) -> np.ndarray:
+    """tf on unordered pairs of marks, each pair standing for both of its
+    orders: a custom function is symmetrized as (f(a, b) + f(b, a)) / 2."""
+    if tf.name == "custom":
+        return np.array([0.5 * (tf.fn(a, b) + tf.fn(b, a)) for a, b in zip(mi, mj)], dtype=float)
+    # constant marks give exact zeros for shimantani_i, whose c_tf is then 0
+    return _tf_values(tf, mi, mj, mu)
+
+
 def pair_weights(tf: TestFunction, marks, mu: float, var: float) -> np.ndarray:
     """Full matrix of tf(m_i, m_j); the diagonal is never used by callers."""
     m = np.asarray(marks, dtype=float)
@@ -201,12 +210,7 @@ def _raw_ratios(p: MarkedPointPattern, tfs, smoothing, r, ec: str):
     K, i, j = _kernel_matrix(p, smoothing, r, ec)
     marks = p.marks()
     mi, mj = marks[i], marks[j]
-    cols = []
-    for tf in tfs:
-        if tf.name == "custom":  # symmetrized: K counts each unordered pair for both orders
-            cols.append([0.5 * (tf.fn(a, b) + tf.fn(b, a)) for a, b in zip(mi, mj)])
-        else:  # constant marks give exact zeros for shimantani_i, whose c_tf is then 0
-            cols.append(_tf_values(tf, mi, mj, stats.mean_mark))
+    cols = [_pair_values(tf, mi, mj, stats.mean_mark) for tf in tfs]
     sums = K @ np.column_stack(cols + [np.ones(len(mi))])
     return r, smoothing, marks, [_ratio(sums[:, s], sums[:, -1]) for s in range(len(tfs))]
 

@@ -26,6 +26,7 @@ from .geometry import (
     network_cross_distances,
     uniform_points_on_network,
 )
+from .intensity import _elementwise
 from .pattern import MarkedPoint, MarkedPointPattern
 
 __all__ = [
@@ -71,16 +72,6 @@ def replicate_rng(spec: SeedSpec) -> np.random.Generator:
     return np.random.default_rng(replicate_seed(spec.master_seed, spec.replicate_index))
 
 
-def _eval_planar_field(f, xs, ys) -> np.ndarray:
-    try:
-        vals = np.asarray(f(xs, ys), dtype=float)
-        if vals.shape == xs.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([float(f(x, y)) for x, y in zip(xs, ys)])
-
-
 def poisson_planar(
     lam, w: PlanarWindow, rng: np.random.Generator, lam_max: float | None = None
 ) -> MarkedPointPattern:
@@ -93,7 +84,7 @@ def poisson_planar(
         xs = rng.uniform(w.xmin, w.xmax, size=n)
         ys = rng.uniform(w.ymin, w.ymax, size=n)
         if n:
-            vals = _eval_planar_field(lam, xs, ys)
+            vals = _elementwise(lam, xs, ys)
             if np.any(vals > lam_max * (1 + 1e-9)):
                 raise ValidationError("intensity exceeds the declared bound lam_max")
             keep = rng.uniform(size=n) <= vals / lam_max
@@ -150,18 +141,7 @@ class GaussianFieldSpec:
         return np.full(len(locs), float(self.mean))
 
     def cov_matrix(self, d_anchor: np.ndarray) -> np.ndarray:
-        try:
-            m = np.asarray(self.cov(d_anchor[:, None], d_anchor[None, :]), dtype=float)
-            if m.shape == (len(d_anchor), len(d_anchor)):
-                return m
-        except Exception:
-            pass
-        n = len(d_anchor)
-        m = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                m[i, j] = self.cov(d_anchor[i], d_anchor[j])
-        return m
+        return _elementwise(self.cov, d_anchor[:, None], d_anchor[None, :])
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -322,16 +302,16 @@ def linked_balanced_cox(
     xs = np.linspace(w.xmin, w.xmax, check_grid)
     ys = np.linspace(w.ymin, w.ymax, check_grid)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    vals2 = _eval_planar_field(z2, gx.ravel(), gy.ravel())
+    vals2 = _elementwise(z2, gx.ravel(), gy.ravel())
     if np.any(vals2 < 0):
         raise ValidationError("base field is negative on the evaluation grid")
     if kind == "balanced":
         if np.any(vals2 > nu):
             raise ValidationError("balanced construction needs base field <= nu everywhere")
-        z1 = lambda x, y: nu - _eval_planar_field(z2, np.asarray(x, float), np.asarray(y, float))
+        z1 = lambda x, y: nu - _elementwise(z2, np.asarray(x, float), np.asarray(y, float))
         bound1 = nu
     else:
-        z1 = lambda x, y: nu * _eval_planar_field(z2, np.asarray(x, float), np.asarray(y, float))
+        z1 = lambda x, y: nu * _elementwise(z2, np.asarray(x, float), np.asarray(y, float))
         bound1 = nu * bound2
     p1 = poisson_planar(z1, w, rng, lam_max=max(bound1, 1e-300))
     p2 = poisson_planar(z2, w, rng, lam_max=max(bound2, 1e-300))

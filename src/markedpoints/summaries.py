@@ -12,19 +12,13 @@ network without degree-1 vertices has no border and nothing is discarded.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from ._dist import cross_distances, pair_distances, translation_weights
-from .curves import SummaryCurve, default_r
+from ._dist import close_pairs, cross_pairs, translation_weights
+from .curves import SummaryCurve, check_r_grid, default_r
 from .errors import NumericalError, ValidationError
-from .geometry import (
-    border_distances,
-    boundary_distance,
-    network_arc_mesh,
-    network_cross_distances,
-)
+from .geometry import LinearNetwork, border_distances, boundary_distance, network_arc_mesh
 from .intensity import eval_intensity
-from .markcorr import TestFunction, pair_average, pair_weights
+from .markcorr import TestFunction, _pair_values, pair_average
 from .pattern import MarkedPointPattern, mark_moments
 
 __all__ = [
@@ -50,25 +44,22 @@ def _positive_intensities(lam, p, what) -> np.ndarray:
     return vals
 
 
-def _k_step_curve(d, w, r, ec, pa, pb) -> np.ndarray:
-    """Nondecreasing step function sum_{pairs with d <= r} w on the r grid,
-    from the (na, nb) pair matrices d and w.
+def _r_values(domain, r) -> np.ndarray:
+    return check_r_grid(default_r(domain) if r is None else r)
 
-    Pairs beyond max(r) never enter a step, so they are dropped before the
-    sort and get no translation weight.
-    """
+
+def _k_step_curve(i, j, d, w, r, ec, pa, pb) -> np.ndarray:
+    """Nondecreasing step function sum_{pairs with d <= r} w on the r grid,
+    from the pairs (i, j, d) with d <= max(r) and their weights w: one
+    bincount on the r bins and a cumulative sum, O(pairs)."""
     if ec not in ("none", "translation"):
         raise ValidationError(f"unknown edge correction {ec!r}")
     if ec == "translation" and pa.is_network:
         raise ValidationError("translation correction is defined for planar rectangles only")
-    ia, ib = np.nonzero(d <= np.max(r, initial=-np.inf))
-    wk = w[ia, ib]
     if ec == "translation":
-        wk = wk * translation_weights(pa.domain, pa.coords()[ia], pb.coords()[ib])
-    dk = d[ia, ib]
-    order = np.argsort(dk, kind="stable")
-    cw = np.concatenate([[0.0], np.cumsum(wk[order])])
-    return cw[np.searchsorted(dk[order], r, side="right")]
+        w = w * translation_weights(pa.domain, pa.coords()[i], pb.coords()[j])
+    # pair q enters every r_k >= d_q, from its bin k = searchsorted(r, d_q) on
+    return np.cumsum(np.bincount(np.searchsorted(r, d), weights=w, minlength=len(r)))
 
 
 def k_cross_inhom(
@@ -82,16 +73,15 @@ def k_cross_inhom(
     """Cross-type inhomogeneous K: intensity-reweighted pair counts between
     two sub-patterns, scaled by the domain size."""
     _check_same_domain(pi, pj)
-    r = default_r(pi.domain) if r is None else np.asarray(r, dtype=float)
+    r = _r_values(pi.domain, r)
     size = pi.domain_size
     theo = None if pi.is_network else np.pi * r**2
     if pi.n == 0 or pj.n == 0:
         return SummaryCurve(r, np.zeros_like(r), "kcross", theo, {"ec": ec})
     li = _positive_intensities(lam_i, pi, "type-i")
     lj = _positive_intensities(lam_j, pj, "type-j")
-    d = cross_distances(pi, pj)
-    w = 1.0 / np.outer(li, lj) / size
-    vals = _k_step_curve(d, w, r, ec, pi, pj)
+    i, j, d = cross_pairs(pi.domain, pi, pj, r[-1])
+    vals = _k_step_curve(i, j, d, 1.0 / (li[i] * lj[j]) / size, r, ec, pi, pj)
     return SummaryCurve(r, vals, "kcross", theo, {"ec": ec})
 
 
@@ -109,38 +99,34 @@ def k_dot_inhom(
     return curve
 
 
-def _reduced_domain_distances(p: MarkedPointPattern) -> np.ndarray:
-    """Distance of each point to the domain border, for r-reduction."""
-    if p.is_network:
-        return border_distances(p.domain, p.locations())
-    xy = p.coords()
-    return boundary_distance(p.domain, xy[:, 0], xy[:, 1])
+def _retention_product_sums(domain, rows, cols, g, row_weights, r, chunk=2048):
+    """For P_u(r) = product of g_j over the points j of cols within distance
+    r of row point u, accumulate sum_u w_u P_u(r), sum_u w_u and the count
+    over rows retained at r (border distance bdist_u >= r).
 
-
-def _retention_product_sums(d, g, bdist, row_weights, r, chunk=2048):
-    """For P_u(r) = prod over columns with d[u, :] <= r of g, accumulate
-    sum_u w_u P_u(r), sum_u w_u and count over rows retained at each r
-    (bdist_u >= r). Streams over row chunks to bound memory."""
+    Each pair's factor goes into the first bin r_k >= d, and a cumulative
+    product along r forms P_u. Pairs beyond min(max r, bdist_u) never count
+    and are dropped. Rows stream in chunks, so memory is O(chunk x len(r) +
+    pairs of a chunk).
+    """
     nr = len(r)
     psums = np.zeros(nr)
     wsums = np.zeros(nr)
     counts = np.zeros(nr, dtype=np.int64)
-    n = d.shape[0]
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        dc = d[lo:hi]
-        order = np.argsort(dc, axis=1, kind="stable")
-        dsort = np.take_along_axis(dc, order, axis=1)
-        gsort = g[order]
-        cp = np.concatenate(
-            [np.ones((hi - lo, 1)), np.cumprod(gsort, axis=1)], axis=1
-        )
-        cnt = np.empty((hi - lo, nr), dtype=np.int32)
-        for u in range(hi - lo):
-            cnt[u] = np.searchsorted(dsort[u], r, side="right")
-        prod = np.take_along_axis(cp, cnt, axis=1)
-        ret = bdist[lo:hi, None] >= r[None, :]
-        wts = row_weights[lo:hi, None]
+    for lo in range(0, len(rows), chunk):
+        part = rows[lo : lo + chunk]
+        if isinstance(domain, LinearNetwork):
+            bdist = border_distances(domain, part)
+        else:
+            bdist = boundary_distance(domain, part[:, 0], part[:, 1])
+        i, j, d = cross_pairs(domain, part, cols, min(r[-1], bdist.max()))
+        keep = d <= bdist[i]
+        i, j, d = i[keep], j[keep], d[keep]
+        prod = np.ones((len(part), nr))
+        np.multiply.at(prod.reshape(-1), i * nr + np.searchsorted(r, d), g[j])
+        np.cumprod(prod, axis=1, out=prod)
+        ret = bdist[:, None] >= r[None, :]
+        wts = row_weights[lo : lo + chunk, None]
         psums += (wts * prod * ret).sum(axis=0)
         wsums += (wts * ret).sum(axis=0)
         counts += ret.sum(axis=0)
@@ -161,7 +147,7 @@ def h_cross_inhom(
     border are dropped at that r; the value is NaN when no point survives.
     """
     _check_same_domain(pi, pj)
-    r = default_r(pi.domain) if r is None else np.asarray(r, dtype=float)
+    r = _r_values(pi.domain, r)
     if pi.n == 0:
         return SummaryCurve(r, np.full_like(r, np.nan), "hcross", None, {})
     li = _positive_intensities(lam_i, pi, "type-i")
@@ -174,12 +160,10 @@ def h_cross_inhom(
                 f"inf_lam_j={inf_lam_j} exceeds the observed minimum {lj.min()}"
             )
         g = 1.0 - inf_lam_j / lj
-        d = cross_distances(pi, pj)
     else:
         g = np.zeros(0)
-        d = np.zeros((pi.n, 0))
-    bdist = _reduced_domain_distances(pi)
-    psums, wsums, counts = _retention_product_sums(d, g, bdist, 1.0 / li, r)
+    rows = pi.locations() if pi.is_network else pi.coords()
+    psums, wsums, counts = _retention_product_sums(pi.domain, rows, pj, g, 1.0 / li, r)
     vals = np.full_like(r, np.nan)
     ok = counts > 0
     vals[ok] = 1.0 - psums[ok] / wsums[ok]
@@ -195,17 +179,12 @@ def f_inhom(
 ) -> SummaryCurve:
     """Inhomogeneous empty-space function, evaluated on a fine deterministic
     grid over the domain with the same r-reduction as the H estimator."""
-    r = default_r(pj.domain) if r is None else np.asarray(r, dtype=float)
+    r = _r_values(pj.domain, r)
     if pj.is_network:
         net = pj.domain
         if grid_spacing is None:
             grid_spacing = net.total_length / 1024.0
-        locs, _ = network_arc_mesh(net, grid_spacing)
-        bdist = border_distances(net, locs)
-        if pj.n:
-            d = network_cross_distances(net, locs, pj.locations())
-        else:
-            d = np.zeros((len(locs), 0))
+        rows, _ = network_arc_mesh(net, grid_spacing)
     else:
         w = pj.domain
         if grid_spacing is None:
@@ -213,11 +192,9 @@ def f_inhom(
         xs = np.arange(w.xmin + grid_spacing / 2.0, w.xmax, grid_spacing)
         ys = np.arange(w.ymin + grid_spacing / 2.0, w.ymax, grid_spacing)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        gxy = np.column_stack([gx.ravel(), gy.ravel()])
-        if len(gxy) == 0:
+        rows = np.column_stack([gx.ravel(), gy.ravel()])
+        if len(rows) == 0:
             raise ValidationError("empty evaluation grid: spacing too large for the window")
-        bdist = boundary_distance(w, gxy[:, 0], gxy[:, 1])
-        d = cdist(gxy, pj.coords()) if pj.n else np.zeros((len(gxy), 0))
     if pj.n:
         lj = _positive_intensities(lam_j, pj, "type-j")
         if inf_lam_j is None:
@@ -229,8 +206,7 @@ def f_inhom(
         g = 1.0 - inf_lam_j / lj
     else:
         g = np.zeros(0)
-    ones = np.ones(d.shape[0])
-    psums, _, counts = _retention_product_sums(d, g, bdist, ones, r)
+    psums, _, counts = _retention_product_sums(pj.domain, rows, pj, g, np.ones(len(rows)), r)
     vals = np.full_like(r, np.nan)
     ok = counts > 0
     vals[ok] = 1.0 - psums[ok] / counts[ok]
@@ -257,7 +233,7 @@ def mark_weighted_k(
 ) -> SummaryCurve:
     """Mark-weighted inhomogeneous K: pair contributions weighted by a mark
     test function and normalized by its sample average over ordered pairs."""
-    r = default_r(p.domain) if r is None else np.asarray(r, dtype=float)
+    r = _r_values(p.domain, r)
     if p.n < 2:
         raise ValidationError("mark-weighted K needs at least 2 marked points")
     marks = p.marks()
@@ -266,11 +242,10 @@ def mark_weighted_k(
     if c == 0.0:
         raise NumericalError("degenerate mark normalization: pair average is zero")
     lamv = _positive_intensities(lam, p, "")
-    d = pair_distances(p)
-    np.fill_diagonal(d, np.inf)
-    tfw = pair_weights(tf, marks, stats.mean_mark, stats.var_mark)
-    w = tfw / np.outer(lamv, lamv) / (p.domain_size * c)
-    vals = _k_step_curve(d, w, r, ec, p, p)
+    # each unordered pair i < j stands for both of its orders
+    i, j, d = close_pairs(p, r[-1])
+    w = _pair_values(tf, marks[i], marks[j], stats.mean_mark) / (lamv[i] * lamv[j])
+    vals = _k_step_curve(i, j, d, 2.0 * (w / (p.domain_size * c)), r, ec, p, p)
     return SummaryCurve(r, vals, "kweighted", None, {"tf": tf.name, "ec": ec})
 
 
@@ -280,11 +255,9 @@ def mark_sum_measure(p: MarkedPointPattern, radius: float) -> np.ndarray:
     if radius < 0:
         raise ValidationError(f"radius must be nonnegative, got {radius}")
     marks = p.marks()
-    d = pair_distances(p)
-    np.fill_diagonal(d, np.inf)
-    inside = d <= radius
-    counts = inside.sum(axis=1)
-    sums = inside @ marks
+    i, j, _ = close_pairs(p, radius)
+    counts = np.bincount(i, minlength=p.n) + np.bincount(j, minlength=p.n)
+    sums = np.bincount(i, marks[j], p.n) + np.bincount(j, marks[i], p.n)
     out = np.full(p.n, np.nan)
     ok = counts > 0
     out[ok] = sums[ok] / counts[ok]

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from markedpoints import LinearNetwork, MarkedPoint, MarkedPointPattern, PlanarWindow
+from markedpoints.geometry import network_cross_distances
 
 
 @pytest.fixture
@@ -71,3 +73,14 @@ def planar_pattern(window, xy, marks=None, labels=None):
             )
         )
     return MarkedPointPattern(window, pts)
+
+
+def dense_distances(pa, pb=None):
+    """Full (na, nb) distance matrix between two patterns on one domain:
+    cdist on planar windows, network_cross_distances on networks."""
+    pb = pa if pb is None else pb
+    if pa.n == 0 or pb.n == 0:
+        return np.zeros((pa.n, pb.n))
+    if pa.is_network:
+        return network_cross_distances(pa.domain, pa.locations(), pb.locations())
+    return cdist(pa.coords(), pb.coords())

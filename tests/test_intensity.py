@@ -1,5 +1,7 @@
 """Kernel masses, the three planar estimators, bandwidth rules, network smoothing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,12 @@ from markedpoints import (
     MarkedPointPattern,
     NetworkLocation,
     PlanarWindow,
+    GaussianFieldSpec,
     ValidationError,
     bandwidth_cvl,
     bandwidth_scott,
     cvl_criterion,
+    eval_intensity,
     intensity_heat,
     intensity_jones_diggle,
     intensity_network,
@@ -21,7 +25,7 @@ from markedpoints import (
     kernel_mass,
     poisson_planar,
 )
-from markedpoints.intensity import heat_evolve, kernel1d_pdf
+from markedpoints.intensity import _kernel_sum_raster, heat_evolve, kernel1d_pdf
 
 from conftest import planar_pattern
 
@@ -234,3 +238,55 @@ def test_three_estimators_agree_in_interior(unit_square):
     vu, vj, vh = u.evaluate(probe), j.evaluate(probe), h.evaluate(probe)
     assert np.max(np.abs(vu - vj) / vu) < 0.02
     assert np.max(np.abs(vu - vh) / vu) < 0.02
+
+
+@pytest.mark.parametrize("family", ["gaussian", "epanechnikov", "box"])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("chunk", [4096, 16])
+def test_kernel_sum_raster_matches_point_loop(unit_square, family, weighted, chunk):
+    rng = np.random.default_rng(23)
+    p = planar_pattern(unit_square, rng.uniform(size=(40, 2)))
+    k = KernelSpec(0.08, family)
+    wts = rng.uniform(0.5, 2.0, size=p.n) if weighted else None
+    got = _kernel_sum_raster(p, k, 32, 24, wts, chunk)
+    xs, ys = (np.arange(32) + 0.5) / 32, (np.arange(24) + 0.5) / 24
+    want = np.zeros((32, 24))
+    for i, (x, y) in enumerate(p.coords()):
+        kx = kernel1d_pdf(family, 0.08, xs - x) * (1.0 if wts is None else wts[i])
+        want += np.outer(kx, kernel1d_pdf(family, 0.08, ys - y))
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * want.max())
+
+
+def _fails_on_arrays(*args):
+    """Works on scalars; its vectorized path has a real bug."""
+    if any(np.ndim(a) for a in args):
+        raise ZeroDivisionError("bug in the vectorized path")
+    return 1.0
+
+
+_SPEC = dict(mean=0.0, anchor=NetworkLocation(0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, w: eval_intensity(f, planar_pattern(w, [(0.2, 0.3), (0.6, 0.5)])),
+        lambda f, w: poisson_planar(f, w, np.random.default_rng(0), lam_max=50.0),
+        lambda f, w: GaussianFieldSpec(cov=f, **_SPEC).cov_matrix(np.array([0.0, 1.0, 2.5])),
+    ],
+    ids=["eval_intensity", "poisson_planar", "cov_matrix"],
+)
+def test_vectorized_error_is_not_hidden_by_scalar_retry(unit_square, call):
+    with pytest.raises(ZeroDivisionError, match="vectorized path"):
+        call(_fails_on_arrays, unit_square)
+
+
+def test_scalar_only_callables_still_work(unit_square):
+    p = planar_pattern(unit_square, [(0.2, 0.3), (0.6, 0.5)])
+    vals = eval_intensity(lambda x, y: math.exp(x + y), p)
+    assert np.array_equal(vals, [math.exp(0.2 + 0.3), math.exp(0.6 + 0.5)])
+    assert poisson_planar(lambda x, y: 20.0 * math.exp(-x), unit_square,
+                          np.random.default_rng(1), lam_max=20.0).n > 0
+    spec = GaussianFieldSpec(cov=lambda a, b: math.exp(-abs(a - b)), **_SPEC)
+    d = np.array([0.0, 1.0, 2.5])
+    assert np.allclose(spec.cov_matrix(d), np.exp(-np.abs(d[:, None] - d[None, :])), rtol=1e-15, atol=0)

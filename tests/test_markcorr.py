@@ -26,10 +26,10 @@ from markedpoints import (
     pair_weights,
 )
 from markedpoints import TestFunction as MarkTestFunction
-from markedpoints._dist import close_pairs, pair_distances
+from markedpoints._dist import close_pairs
 from markedpoints.intensity import kernel1d_pdf, kernel1d_support
 
-from conftest import planar_pattern, random_connected_network
+from conftest import dense_distances, planar_pattern, random_connected_network
 
 
 def mark_corr_oracle(xy, marks, tf_fn, h, kernel, r_values):
@@ -391,7 +391,7 @@ def test_close_pairs_agree_with_dense_distances(unit_square):
         MarkedPointPattern(net, [MarkedPoint(loc) for loc in locs]),
     ]
     for p in patterns:
-        dense = pair_distances(p)
+        dense = dense_distances(p)
         for cutoff in (0.125, 0.25, 0.3, 3.0):
             i, j, d = close_pairs(p, cutoff)
             assert np.all(i < j)

@@ -1,14 +1,20 @@
 """K/H/F/J and mark-weighted estimators against hand values and direct
 double-loop oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from markedpoints import (
     LinearNetwork,
     MarkedPoint,
     MarkedPointPattern,
     NetworkLocation,
+    PlanarWindow,
     STOYAN,
     SummaryCurve,
     ValidationError,
@@ -21,9 +27,12 @@ from markedpoints import (
     mark_weighted_k,
     split_by_type,
 )
+from markedpoints import TestFunction as MarkTestFunction
+from markedpoints._dist import cross_pairs
+from markedpoints.geometry import border_distances, network_arc_mesh, network_cross_distances
 from markedpoints.summaries import translation_weights
 
-from conftest import planar_pattern
+from conftest import dense_distances, planar_pattern, random_connected_network
 
 
 # ---------------- oracles (independent code paths) ----------------
@@ -413,3 +422,196 @@ def test_curve_csv_roundtrip(tmp_path, unit_square):
     assert loaded.statistic == "kcross"
     assert np.allclose(loaded.values, curve.values)
     assert np.allclose(loaded.theoretical, curve.theoretical)
+
+
+def test_cross_pairs_rejects_patterns_on_two_networks():
+    # two networks built from identical arrays are still two domains
+    verts, segs = [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]], [[0, 1], [1, 2]]
+    net_a, net_b = LinearNetwork(verts, segs), LinearNetwork(verts, segs)
+    pa = MarkedPointPattern(net_a, [MarkedPoint(NetworkLocation(0, 0.5))])
+    pb = MarkedPointPattern(net_b, [MarkedPoint(NetworkLocation(1, 0.5))])
+    with pytest.raises(ValidationError, match="one domain"):
+        cross_pairs(net_a, pa, pb, 100.0)
+    with pytest.raises(ValidationError, match="one domain"):
+        cross_pairs(net_b, pb, pa, 100.0)
+    pb_on_a = MarkedPointPattern(net_a, pb.points)
+    i, j, d = cross_pairs(net_a, pa, pb_on_a, 100.0)
+    assert (i.tolist(), j.tolist(), d.tolist()) == ([0], [0], [10.0])
+
+
+# ---------------- pair engine against dense brute-force oracles ----------------
+
+
+def _grid_rows(domain, spacing):
+    """The F evaluation grid, built independently of f_inhom."""
+    if isinstance(domain, LinearNetwork):
+        return network_arc_mesh(domain, spacing)[0]
+    xs = np.arange(domain.xmin + spacing / 2.0, domain.xmax, spacing)
+    ys = np.arange(domain.ymin + spacing / 2.0, domain.ymax, spacing)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def _rows_to(domain, rows, p):
+    if p.n == 0:
+        return np.zeros((len(rows), 0))
+    if p.is_network:
+        return network_cross_distances(domain, rows, p.locations())
+    return cdist(rows, p.coords())
+
+
+def _border(domain, rows):
+    if isinstance(domain, LinearNetwork):
+        return border_distances(domain, rows)
+    x, y = rows[:, 0], rows[:, 1]
+    return np.minimum.reduce([x - domain.xmin, domain.xmax - x, y - domain.ymin, domain.ymax - y])
+
+
+def _pair_sum_oracle(d, w, r):
+    """Sum of w over the pairs with d <= r_k, and the sum of |w| as its scale."""
+    inside = d[..., None] <= r
+    return (w[..., None] * inside).sum(axis=(0, 1)), (np.abs(w)[..., None] * inside).sum(axis=(0, 1))
+
+
+def _retention_oracle(d, g, bdist, wts, r):
+    """1 - weighted mean over rows with bdist >= r_k of prod_{d <= r_k} g."""
+    prod = np.where(d[:, :, None] <= r, g[None, :, None], 1.0).prod(axis=1)
+    ret = bdist[:, None] >= r
+    out = np.full(len(r), np.nan)
+    ok = ret.any(axis=0)
+    num = (wts[:, None] * prod * ret).sum(axis=0)
+    out[ok] = 1.0 - num[ok] / (wts[:, None] * ret).sum(axis=0)[ok]
+    return out
+
+
+def _assert_close(got, want, scale):
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * np.broadcast_to(scale, want.shape)[ok])
+
+
+@st.composite
+def _summary_cases(draw):
+    """(type-i pattern, type-j pattern, intensities, r grid, F grid spacing, ec)."""
+    kind = draw(st.sampled_from(["lattice", "uniform", "network", "loop"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ni, nj = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    ec = "none"
+    if kind in ("network", "loop"):
+        if kind == "loop":  # every vertex has degree 2: no border
+            m = draw(st.integers(3, 6))
+            ang = 2.0 * np.pi * np.arange(m) / m
+            net = LinearNetwork(np.column_stack([5 * np.cos(ang), 5 * np.sin(ang)]),
+                                [[k, (k + 1) % m] for k in range(m)])
+        else:
+            net = random_connected_network(rng, draw(st.integers(2, 6)))
+
+        def pattern(n):
+            locs = [NetworkLocation(int(rng.integers(net.n_segments)), float(rng.uniform())) for _ in range(n)]
+            return MarkedPointPattern(net, [MarkedPoint(loc, mark=float(m)) for loc, m in zip(locs, rng.uniform(1, 3, n))])
+
+        scale = 2.0
+        # 3000 mesh cells is more than one row chunk of the retention products
+        spacing = net.total_length / draw(st.sampled_from([64, 3000]))
+    else:
+        window = PlanarWindow(0.0, 1.0, 0.0, 1.0)
+        if kind == "lattice":
+            # dyadic points, edges included, and a dyadic r grid: pairs sit exactly at r_k
+            scale = 1.0 / 16.0
+            coords = lambda n: rng.integers(0, 17, size=(n, 2)) / 16.0
+        else:
+            scale = 0.05
+            coords = lambda n: rng.uniform(size=(n, 2))
+
+        def pattern(n):
+            return planar_pattern(window, coords(n), marks=rng.integers(1, 4, size=n) * 1.0)
+
+        spacing = draw(st.sampled_from([1.0 / 8.0, 1.0 / 64.0]))  # 64 x 64 = two row chunks
+        if draw(st.booleans()):
+            ec = "translation"
+    if kind == "lattice":
+        steps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    else:
+        steps = draw(st.lists(st.floats(0.05, 1.5), min_size=1, max_size=8))
+    r = np.concatenate([[0.0], np.cumsum(steps)]) * scale
+    if kind in ("lattice", "uniform"):
+        r = r[r < 1.0]  # the translation weight needs a window overlap
+        assume(len(r) >= 2)
+    pi = pattern(ni)
+    pj = pi if draw(st.booleans()) else pattern(nj)
+    if draw(st.booleans()):  # constant intensities: every factor g_j is 0
+        li, lj = np.full(pi.n, 2.0), np.full(pj.n, 2.0)
+    else:
+        li, lj = rng.uniform(0.5, 2.0, size=pi.n), rng.uniform(0.5, 2.0, size=pj.n)
+    return pi, pj, li, lj, r, spacing, ec
+
+
+def _translation(domain, xa, xb, d, r_max):
+    """Translation weights of the pairs within r_max, 0 beyond (where points
+    on opposite window edges have no overlap)."""
+    dx = np.abs(xa[:, None, 0] - xb[None, :, 0])
+    dy = np.abs(xa[:, None, 1] - xb[None, :, 1])
+    with np.errstate(divide="ignore"):
+        return np.where(d <= r_max, domain.area / ((domain.width - dx) * (domain.height - dy)), 0.0)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_summary_cases())
+def test_summaries_match_dense_oracles(case):
+    pi, pj, li, lj, r, spacing, ec = case
+    domain = pi.domain
+    size = pi.domain_size
+    d = dense_distances(pi, pj)
+
+    # K: ordered pairs, self pairs included when pi is pj
+    w = 1.0 / np.outer(li, lj) / size
+    if ec == "translation" and pi.n and pj.n:
+        w = w * _translation(domain, pi.coords(), pj.coords(), d, r[-1])
+    want, sc = _pair_sum_oracle(d, w, r)
+    _assert_close(k_cross_inhom(pi, pj, li, lj, ec, r).values, want, sc)
+
+    # H and F: the point at the infimum of lam_j has g_j = 0
+    g = 1.0 - lj.min() / lj if pj.n else np.zeros(0)
+    if pi.n:
+        rows = pi.locations() if pi.is_network else pi.coords()
+        want = _retention_oracle(d, g, _border(domain, rows), 1.0 / li, r)
+        _assert_close(h_cross_inhom(pi, pj, li, lj, r=r).values, want, 1.0)
+    rows = _grid_rows(domain, spacing)
+    want = _retention_oracle(_rows_to(domain, rows, pj), g, _border(domain, rows), np.ones(len(rows)), r)
+    _assert_close(f_inhom(pj, lj, grid_spacing=spacing, r=r).values, want, 1.0)
+
+    # mark-weighted K and the mark-sum measure on the union: ordered pairs i != j
+    p = MarkedPointPattern(domain, pi.points + pj.points)
+    assume(p.n >= 2)
+    lam = np.concatenate([li, lj])
+    m = p.marks()
+    d = dense_distances(p)
+    off = ~np.eye(p.n, dtype=bool)
+    custom = MarkTestFunction("custom", fn=lambda a, b: a * a + b)
+    for tf, f in ((STOYAN, np.multiply), (custom, lambda a, b: a * a + b)):
+        fv = f(m[:, None], m[None, :])
+        w = np.where(off, fv / np.outer(lam, lam) / (size * fv[off].mean()), 0.0)
+        if ec == "translation":
+            w = w * _translation(domain, p.coords(), p.coords(), d, r[-1])
+        want, sc = _pair_sum_oracle(d, w, r)
+        _assert_close(mark_weighted_k(p, tf, lam, ec, r).values, want, sc)
+    radius = r[len(r) // 2]
+    inside = (d <= radius) & off
+    with np.errstate(invalid="ignore"):
+        want = (inside @ m) / inside.sum(axis=1)
+    _assert_close(mark_sum_measure(p, radius), want, (inside @ np.abs(m)) / np.maximum(inside.sum(axis=1), 1))
+
+
+def test_f_memory_stays_below_the_dense_matrix(unit_square):
+    # the dense 16384 x 3000 distance matrix alone would take 375 MiB
+    rng = np.random.default_rng(12)
+    p = planar_pattern(unit_square, rng.uniform(size=(3000, 2)))
+    lam = rng.uniform(2000.0, 4000.0, size=3000)
+    tracemalloc.start()
+    try:
+        curve = f_inhom(p, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve.r) == 513
+    assert peak < 150 * 2**20
