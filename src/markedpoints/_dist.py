@@ -7,7 +7,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ValidationError
-from .geometry import LinearNetwork, network_cross_distances
+from .geometry import LinearNetwork, _cross_dist, _sp_dist
 from .pattern import MarkedPointPattern
 
 # rows of the dense network distance matrix formed at once
@@ -23,7 +23,7 @@ def close_pairs(p: MarkedPointPattern, cutoff: float):
     """
     if p.is_network:
         i, j = np.triu_indices(p.n, 1)
-        d = network_cross_distances(p.domain, p.locations(), p.locations())[i, j]
+        d = _sp_dist(p.domain, p.seg_off(), p.seg_off(), i, j)
     else:
         xy = p.coords()
         # the tree rounds differently from cdist: search a hair wider, filter exactly
@@ -45,12 +45,13 @@ def _euclidean(xy_a, xy_b, i, j) -> np.ndarray:
 
 
 def _points_on(domain, side):
-    """Planar coordinates or network locations of one side of cross_pairs."""
+    """Planar coordinates or network (segment, offset) columns of one side
+    of cross_pairs."""
     if not isinstance(side, MarkedPointPattern):
         return side
     if side.domain is not domain:
         raise ValidationError("patterns must share one domain object")
-    return side.locations() if side.is_network else side.coords()
+    return side.seg_off() if side.is_network else side.coords()
 
 
 def cross_pairs(domain, a, b, cutoff: float):
@@ -58,16 +59,18 @@ def cross_pairs(domain, a, b, cutoff: float):
     as arrays (i, j, d).
 
     a and b are patterns on domain itself, or raw planar coordinates (n, 2)
-    or network locations on it. Distances are bit-identical to the matching
-    entries of cdist or network_cross_distances.
+    or network (segment, offset) columns on it. Distances are bit-identical
+    to the matching entries of cdist or network_cross_distances.
     """
     a, b = _points_on(domain, a), _points_on(domain, b)
-    if len(a) == 0 or len(b) == 0:
+    network = isinstance(domain, LinearNetwork)
+    na, nb = (len(a[0]), len(b[0])) if network else (len(a), len(b))
+    if na == 0 or nb == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    if isinstance(domain, LinearNetwork):
+    if network:
         parts = []
-        for lo in range(0, len(a), _CHUNK):
-            dc = network_cross_distances(domain, a[lo : lo + _CHUNK], b)
+        for lo in range(0, na, _CHUNK):
+            dc = _cross_dist(domain, (a[0][lo : lo + _CHUNK], a[1][lo : lo + _CHUNK]), b)
             i, j = np.nonzero(dc <= cutoff)
             parts.append((i + lo, j, dc[i, j]))
         return tuple(np.concatenate(c) for c in zip(*parts))

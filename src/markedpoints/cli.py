@@ -195,8 +195,7 @@ def _cmd_summary(args):
         groups = split_by_type(p)
         pi = _type_group(groups, args.type_i, "--type-i")
         if args.stat == "kdot":
-            others = [pt for pt in p.points if pt.type_label != args.type_i]
-            pj = type(p)(p.domain, others)
+            pj = p.subset([k for k, lab in enumerate(p.labels()) if lab != args.type_i])
         else:
             pj = _type_group(groups, args.type_j, "--type-j")
         li, lj = lam_for(pi), lam_for(pj)

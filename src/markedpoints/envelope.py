@@ -97,13 +97,15 @@ def _assemble_band(r, matrix, nsim, level, statistic="", k=None) -> EnvelopeBand
     return EnvelopeBand(r, lo, hi, mean, nsim, level, k, n_eff, statistic)
 
 
-def _resolve_jobs(n_jobs) -> int:
-    if n_jobs is None:
-        return 1
-    n_jobs = int(n_jobs)
-    if n_jobs == 0:
-        return os.cpu_count() or 1
-    return max(1, n_jobs)
+def _replicates(one, nsim: int, n_jobs) -> list:
+    """[one(i) for i in range(nsim)], on a thread pool of n_jobs workers
+    (None: serial, 0: one per CPU); results stay in replicate order."""
+    jobs = 1 if n_jobs is None else int(n_jobs)
+    jobs = (os.cpu_count() or 1) if jobs == 0 else max(1, jobs)
+    if jobs == 1:
+        return [one(i) for i in range(nsim)]
+    with ThreadPoolExecutor(max_workers=jobs) as ex:
+        return list(ex.map(one, range(nsim)))
 
 
 def envelopes(
@@ -127,12 +129,7 @@ def envelopes(
         rng = replicate_rng(SeedSpec(master_seed, i))
         return statistic(generator(rng))
 
-    jobs = _resolve_jobs(n_jobs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            curves = list(ex.map(one, range(nsim)))
-    else:
-        curves = [one(i) for i in range(nsim)]
+    curves = _replicates(one, nsim, n_jobs)
 
     r = curves[0].r
     for c in curves[1:]:
@@ -204,12 +201,7 @@ def mark_correlation_study(
         suite = mark_corr_suite(marked, smoothing, r)
         return [suite.curves[name].values for name in _STUDY_STATS]
 
-    jobs = _resolve_jobs(n_jobs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(one, range(nsim)))
-    else:
-        rows = [one(i) for i in range(nsim)]
+    rows = _replicates(one, nsim, n_jobs)
 
     bands = {}
     for s, name in enumerate(_STUDY_STATS):

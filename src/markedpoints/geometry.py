@@ -182,19 +182,6 @@ class LinearNetwork:
             self._vertex_dist = D
         return self._vertex_dist
 
-    def validate_location(self, loc: NetworkLocation):
-        if not (0 <= loc.segment < self.n_segments):
-            raise ValidationError(f"invalid segment index {loc.segment}")
-        if not (0.0 <= loc.offset <= 1.0):
-            raise ValidationError(f"offset {loc.offset} outside [0, 1]")
-
-    def location_xy(self, locs) -> np.ndarray:
-        """Planar embedding of network locations, as an (n, 2) array."""
-        seg, off = _loc_arrays(self, locs)
-        a = self.vertices[self.segments[seg, 0]]
-        b = self.vertices[self.segments[seg, 1]]
-        return a + off[:, None] * (b - a)
-
     def diameter_upper_bound(self) -> float:
         """Cheap upper bound on the largest point-to-point distance."""
         D = self.vertex_distances()
@@ -202,20 +189,73 @@ class LinearNetwork:
 
 
 def _loc_arrays(net: LinearNetwork, locs) -> tuple[np.ndarray, np.ndarray]:
+    """(segment, offset) columns of NetworkLocation objects, range-checked:
+    the one conversion from location objects to columns."""
     seg = np.array([l.segment for l in locs], dtype=int)
     off = np.array([l.offset for l in locs], dtype=float)
-    if len(seg):
-        if seg.min() < 0 or seg.max() >= net.n_segments:
-            raise ValidationError("invalid segment index in locations")
-        if off.min() < 0.0 or off.max() > 1.0:
-            raise ValidationError("offset outside [0, 1] in locations")
+    _check_seg_off(net, seg, off)
     return seg, off
+
+
+def _check_seg_off(net: LinearNetwork, seg, off):
+    """Raise for the first location off the network's segments or offsets."""
+    bad = np.nonzero((seg < 0) | (seg >= net.n_segments))[0]
+    if len(bad):
+        raise ValidationError(f"location {bad[0]}: invalid segment index {seg[bad[0]]}")
+    bad = np.nonzero(~((off >= 0.0) & (off <= 1.0)))[0]
+    if len(bad):
+        raise ValidationError(f"location {bad[0]}: offset {off[bad[0]]} outside [0, 1]")
+
+
+def _locations(seg, off) -> list:
+    """NetworkLocation objects for (segment, offset) columns."""
+    return [NetworkLocation(s, t) for s, t in zip(seg.tolist(), off.tolist())]
+
+
+def _embed(net: LinearNetwork, seg, off) -> np.ndarray:
+    """Planar embedding of (segment, offset) columns, as an (n, 2) array."""
+    a = net.vertices[net.segments[seg, 0]]
+    b = net.vertices[net.segments[seg, 1]]
+    return a + off[:, None] * (b - a)
 
 
 def _end_distances(net: LinearNetwork, seg, off):
     """Arc distance from each location to its segment's two endpoints."""
     ln = net.seg_lengths[seg]
     return off * ln, (1.0 - off) * ln
+
+
+def _sp_dist(net: LinearNetwork, a, b, ia, ib) -> np.ndarray:
+    """Shortest-path distances between the locations a[ia] and b[ib] of the
+    (segment, offset) columns a and b, elementwise over the broadcast index
+    arrays ia and ib.
+
+    Each location is a temporary degree-2 vertex on its segment, so offsets
+    are honored exactly. Each sum is formed symmetrically in a and b, so
+    swapping the operands gives bit-identical distances.
+    """
+    D = net.vertex_distances().ravel()
+    nv = net.n_vertices
+    (sa, oa), (sb, ob) = a, b
+    da, db = _end_distances(net, sa, oa), _end_distances(net, sb, ob)
+    ends_a = [(da[e][ia], (net.segments[sa, e] * nv)[ia]) for e in (0, 1)]
+    ends_b = [(db[e][ib], net.segments[sb, e][ib]) for e in (0, 1)]
+    best = None
+    for ea, va in ends_a:
+        for eb, vb in ends_b:
+            cand = (ea + eb) + D.take(va + vb)
+            best = cand if best is None else np.minimum(best, cand, out=best)
+    # two locations on one segment may also meet directly along it
+    same = sa[ia] == sb[ib]
+    if same.any():
+        ka, kb = (np.broadcast_to(k, same.shape)[same] for k in (ia, ib))
+        best[same] = np.minimum(best[same], np.abs(oa[ka] - ob[kb]) * net.seg_lengths[sa[ka]])
+    return best
+
+
+def _cross_dist(net: LinearNetwork, a, b) -> np.ndarray:
+    """Dense (len a, len b) shortest-path matrix between (segment, offset) columns."""
+    return _sp_dist(net, a, b, np.arange(len(a[0]))[:, None], np.arange(len(b[0]))[None, :])
 
 
 def network_cross_distances(net: LinearNetwork, locs_a, locs_b) -> np.ndarray:
@@ -226,34 +266,11 @@ def network_cross_distances(net: LinearNetwork, locs_a, locs_b) -> np.ndarray:
     symmetrically, which makes the full matrix exactly symmetric when
     locs_a is locs_b.
     """
-    sa, oa = _loc_arrays(net, locs_a)
-    sb, ob = _loc_arrays(net, locs_b)
-    if len(sa) == 0 or len(sb) == 0:
-        return np.zeros((len(sa), len(sb)))
-    D = net.vertex_distances()
-    ends = net.segments
-    da0, da1 = _end_distances(net, sa, oa)
-    db0, db1 = _end_distances(net, sb, ob)
-    va0, va1 = ends[sa, 0], ends[sa, 1]
-    vb0, vb1 = ends[sb, 0], ends[sb, 1]
-
-    best = None
-    for ea, va in ((da0, va0), (da1, va1)):
-        for eb, vb in ((db0, vb0), (db1, vb1)):
-            cand = (ea[:, None] + eb[None, :]) + D[np.ix_(va, vb)]
-            best = cand if best is None else np.minimum(best, cand)
-
-    same = sa[:, None] == sb[None, :]
-    if same.any():
-        direct = np.abs(oa[:, None] - ob[None, :]) * net.seg_lengths[sa][:, None]
-        best = np.where(same, np.minimum(best, direct), best)
-    return best
+    return _cross_dist(net, _loc_arrays(net, locs_a), _loc_arrays(net, locs_b))
 
 
 def network_distance(net: LinearNetwork, a: NetworkLocation, b: NetworkLocation) -> float:
     """Shortest-path distance between two locations on the network."""
-    net.validate_location(a)
-    net.validate_location(b)
     return float(network_cross_distances(net, [a], [b])[0, 0])
 
 
@@ -266,9 +283,8 @@ def all_pairs_network_distances(net: LinearNetwork, locs) -> np.ndarray:
     return M
 
 
-def point_vertex_distances(net: LinearNetwork, locs) -> np.ndarray:
-    """(n, V) shortest-path distances from locations to every vertex."""
-    seg, off = _loc_arrays(net, locs)
+def point_vertex_distances(net: LinearNetwork, seg, off) -> np.ndarray:
+    """(n, V) shortest-path distances from (segment, offset) columns to every vertex."""
     D = net.vertex_distances()
     d0, d1 = _end_distances(net, seg, off)
     v0, v1 = net.segments[seg, 0], net.segments[seg, 1]
@@ -277,18 +293,14 @@ def point_vertex_distances(net: LinearNetwork, locs) -> np.ndarray:
 
 def border_distances(net: LinearNetwork, locs) -> np.ndarray:
     """Distance from each location to the nearest degree-1 vertex (inf if none)."""
+    return _border_dist(net, *_loc_arrays(net, locs))
+
+
+def _border_dist(net: LinearNetwork, seg, off) -> np.ndarray:
     border = net.border_vertices()
     if len(border) == 0:
-        return np.full(len(locs), np.inf)
-    dv = point_vertex_distances(net, locs)
-    return dv[:, border].min(axis=1)
-
-
-def _covered_length(length, dist_end_a, dist_end_b, r):
-    """Measure of {t in [0, length] : min(dist_end_a + t, dist_end_b + length - t) <= r}."""
-    ra = min(max(r - dist_end_a, 0.0), length)
-    rb = min(max(r - dist_end_b, 0.0), length)
-    return min(length, ra + rb)
+        return np.full(len(seg), np.inf)
+    return point_vertex_distances(net, seg, off)[:, border].min(axis=1)
 
 
 def network_disc_measure(net: LinearNetwork, u: NetworkLocation, r: float) -> float:
@@ -297,28 +309,21 @@ def network_disc_measure(net: LinearNetwork, u: NetworkLocation, r: float) -> fl
     Computed from u's distances to every vertex, read off the cached vertex
     distance matrix: each segment contributes the merged reach from its two
     endpoints, capped at the segment length; the segment carrying u is
-    split at u.
+    split at u into two pieces that reach u at distance 0.
     """
-    net.validate_location(u)
+    seg, off = _loc_arrays(net, [u])
     if r < 0:
         raise ValidationError(f"radius must be nonnegative, got {r}")
-    if r == 0.0:
-        return 0.0
-    dv = point_vertex_distances(net, [u])[0]
-    total = 0.0
-    s = u.segment
-    for k in range(net.n_segments):
-        if k == s:
-            continue
-        a, b = net.segments[k]
-        total += _covered_length(net.seg_lengths[k], dv[a], dv[b], r)
-    # own segment: two sub-intervals meeting at u
+    dv = point_vertex_distances(net, seg, off)[0]
+    s = seg[0]
     a, b = net.segments[s]
-    la = u.offset * net.seg_lengths[s]
-    lb = net.seg_lengths[s] - la
-    total += _covered_length(la, dv[a], 0.0, r)
-    total += _covered_length(lb, 0.0, dv[b], r)
-    return float(total)
+    la = off[0] * net.seg_lengths[s]
+    length = np.append(net.seg_lengths, [la, net.seg_lengths[s] - la])
+    length[s] = 0.0
+    da = np.append(dv[net.segments[:, 0]], [dv[a], 0.0])
+    db = np.append(dv[net.segments[:, 1]], [0.0, dv[b]])
+    reach = np.clip(r - da, 0.0, length) + np.clip(r - db, 0.0, length)
+    return float(np.minimum(length, reach).sum())
 
 
 def uniform_point_on_network(net: LinearNetwork, rng: np.random.Generator) -> NetworkLocation:
@@ -328,13 +333,18 @@ def uniform_point_on_network(net: LinearNetwork, rng: np.random.Generator) -> Ne
 
 def uniform_points_on_network(net: LinearNetwork, n: int, rng: np.random.Generator):
     """n i.i.d. arc-length-uniform locations."""
+    return _locations(*_uniform_seg_off(net, n, rng))
+
+
+def _uniform_seg_off(net: LinearNetwork, n: int, rng: np.random.Generator):
+    """(segment, offset) columns of n i.i.d. arc-length-uniform locations."""
     cum = np.cumsum(net.seg_lengths)
     x = rng.uniform(0.0, net.total_length, size=n)
     seg = np.searchsorted(cum, x, side="right")
     seg = np.minimum(seg, net.n_segments - 1)
     prev = cum[seg] - net.seg_lengths[seg]
-    off = (x - prev) / net.seg_lengths[seg]
-    return [NetworkLocation(int(s), float(np.clip(o, 0.0, 1.0))) for s, o in zip(seg, off)]
+    off = np.clip((x - prev) / net.seg_lengths[seg], 0.0, 1.0)
+    return seg, off
 
 
 def _arc_cells(net: LinearNetwork, spacing: float):
@@ -347,17 +357,22 @@ def _arc_cells(net: LinearNetwork, spacing: float):
     return seg, i, m[seg]
 
 
+def _arc_mesh(net: LinearNetwork, spacing: float):
+    """Cell-center (segment, offset) columns and cell lengths of the arc mesh."""
+    if spacing <= 0:
+        raise ValidationError("mesh spacing must be positive")
+    seg, i, m = _arc_cells(net, spacing)
+    return (seg, (i + 0.5) / m), net.seg_lengths[seg] / m
+
+
 def network_arc_mesh(net: LinearNetwork, spacing: float):
     """Quadrature mesh along the network: cell-center locations and cell lengths.
 
     Each segment is cut into ceil(length/spacing) equal cells; returns
     (locations, weights) with weights summing to the total length.
     """
-    if spacing <= 0:
-        raise ValidationError("mesh spacing must be positive")
-    seg, i, m = _arc_cells(net, spacing)
-    locs = [NetworkLocation(k, t) for k, t in zip(seg.tolist(), ((i + 0.5) / m).tolist())]
-    return locs, net.seg_lengths[seg] / m
+    cols, weights = _arc_mesh(net, spacing)
+    return _locations(*cols), weights
 
 
 def save_network(net: LinearNetwork, path):

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dctn, idctn
 from scipy.special import ndtr
 
 from .errors import NumericalError, ValidationError
-from .geometry import LinearNetwork, PlanarWindow, network_arc_mesh, network_cross_distances
+from .geometry import LinearNetwork, PlanarWindow, _arc_mesh, _cross_dist, _loc_arrays, _locations
 from .pattern import MarkedPointPattern
 
 __all__ = [
@@ -315,14 +316,14 @@ class NetworkIntensityEstimate:
         net: LinearNetwork = p.domain
         self.net = net
         self.kernel = k
-        self.data_locs = p.locations()
         self.method = "networkJD"
         self.sigma = k.bandwidth
         if mesh_spacing is None:
             mesh_spacing = max(k.bandwidth / 4.0, net.total_length / 20000.0)
-        self.mesh_locs, self.mesh_weights = network_arc_mesh(net, mesh_spacing)
+        self._mesh, self.mesh_weights = _arc_mesh(net, mesh_spacing)
+        self._data = p.seg_off()
         if p.n:
-            d = network_cross_distances(net, self.data_locs, self.mesh_locs)
+            d = _cross_dist(net, self._data, self._mesh)
             vals = kernel1d_pdf(k.family, k.bandwidth, d)
             self.norms = vals @ self.mesh_weights
             if np.any(self.norms <= 0):
@@ -331,24 +332,43 @@ class NetworkIntensityEstimate:
             self.norms = np.zeros(0)
         self.floor = 1e-12 * p.n / net.total_length
 
+    @cached_property
+    def mesh_locs(self) -> list:
+        """Cell-center NetworkLocations of the mesh, built on first request."""
+        return _locations(*self._mesh)
+
     def evaluate(self, locs) -> np.ndarray:
-        if len(self.data_locs) == 0:
-            return np.zeros(len(locs))
-        d = network_cross_distances(self.net, locs, self.data_locs)
+        return self._evaluate(_loc_arrays(self.net, locs))
+
+    def _evaluate(self, cols) -> np.ndarray:
+        if len(self._data[0]) == 0:
+            return np.zeros(len(cols[0]))
+        d = _cross_dist(self.net, cols, self._data)
         vals = kernel1d_pdf(self.kernel.family, self.kernel.bandwidth, d)
         return np.maximum(vals @ (1.0 / self.norms), self.floor)
 
+    @cached_property
+    def _at_data(self) -> np.ndarray:
+        return self._evaluate(self._data)
+
+    def _at(self, cols) -> np.ndarray:
+        """Values at (segment, offset) columns; at the estimate's own data
+        points they are computed once and handed out as copies."""
+        if all(np.array_equal(a, b) for a, b in zip(cols, self._data)):
+            return self._at_data.copy()
+        return self._evaluate(cols)
+
     def integral(self) -> float:
-        return float(self.evaluate(self.mesh_locs) @ self.mesh_weights)
+        return float(self._evaluate(self._mesh) @ self.mesh_weights)
 
     def to_csv(self, path):
-        vals = self.evaluate(self.mesh_locs)
+        vals = self._evaluate(self._mesh)
         with open(path, "w", newline="") as fh:
             fh.write(f"# method={self.method} sigma={format(self.sigma, '.12g')}\n")
             wr = csv.writer(fh)
             wr.writerow(["segment", "offset", "value"])
-            for loc, v in zip(self.mesh_locs, vals):
-                wr.writerow([str(loc.segment), format(loc.offset, ".12g"), format(v, ".12g")])
+            for s, t, v in zip(self._mesh[0].tolist(), self._mesh[1].tolist(), vals):
+                wr.writerow([str(s), format(t, ".12g"), format(v, ".12g")])
 
 
 def intensity_network(
@@ -424,7 +444,7 @@ def eval_intensity(lam, p: MarkedPointPattern) -> np.ndarray:
     if isinstance(lam, IntensityEstimate):
         return lam.evaluate(p.coords()) if n else np.zeros(0)
     if isinstance(lam, NetworkIntensityEstimate):
-        return lam.evaluate(p.locations()) if n else np.zeros(0)
+        return lam._at(p.seg_off()) if n else np.zeros(0)
     if callable(lam):
         if p.is_network:
             return np.array([float(lam(loc)) for loc in p.locations()])

@@ -18,7 +18,7 @@ from scipy.sparse import csr_array
 from ._dist import close_pairs, translation_weights
 from .curves import SummaryCurve, default_r
 from .errors import NumericalError, ValidationError
-from .intensity import kernel1d_pdf, kernel1d_support
+from .intensity import _elementwise, kernel1d_pdf, kernel1d_support
 from .pattern import MarkedPointPattern, mark_moments
 
 __all__ = [
@@ -99,7 +99,7 @@ def _pair_values(tf: TestFunction, mi, mj, mu: float) -> np.ndarray:
     """tf on unordered pairs of marks, each pair standing for both of its
     orders: a custom function is symmetrized as (f(a, b) + f(b, a)) / 2."""
     if tf.name == "custom":
-        return np.array([0.5 * (tf.fn(a, b) + tf.fn(b, a)) for a, b in zip(mi, mj)], dtype=float)
+        return 0.5 * (_elementwise(tf.fn, mi, mj) + _elementwise(tf.fn, mj, mi))
     # constant marks give exact zeros for shimantani_i, whose c_tf is then 0
     return _tf_values(tf, mi, mj, mu)
 
@@ -111,7 +111,7 @@ def pair_weights(tf: TestFunction, marks, mu: float, var: float) -> np.ndarray:
         raise NumericalError("shimantani_i requires positive mark variance")
     if tf.name != "custom":
         return _tf_values(tf, m[:, None], m[None, :], mu)
-    return np.array([[tf.fn(a, b) for b in m] for a in m], dtype=float).reshape(len(m), len(m))
+    return _elementwise(tf.fn, m[:, None], m[None, :])
 
 
 def normalization(tf: TestFunction, marks, stoyan_rule: str = "pairs") -> float:

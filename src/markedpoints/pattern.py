@@ -8,13 +8,20 @@ Patterns are immutable by convention once validated.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import LinearNetwork, NetworkLocation, PlanarWindow
+from .geometry import (
+    LinearNetwork,
+    NetworkLocation,
+    PlanarWindow,
+    _check_seg_off,
+    _embed,
+    _loc_arrays,
+    _locations,
+)
 
 __all__ = [
     "MarkedPoint",
@@ -47,21 +54,74 @@ class MarkSummaryStats:
 
 
 class MarkedPointPattern:
-    """Finite marked point pattern on a planar window or a linear network."""
+    """Finite marked point pattern on a planar window or a linear network.
+
+    Stored as columns: planar coordinates xy (n, 2), or network segment
+    and offset arrays; marks as floats with a presence mask; type labels.
+    `points` and `locations()` are views built from the columns on request.
+    A point list given to the constructor is kept as it is until a column
+    is first needed, so that validate_pattern can report a malformed point.
+    """
 
     def __init__(self, domain, points):
         if not isinstance(domain, (PlanarWindow, LinearNetwork)):
             raise ValidationError(f"unsupported domain type {type(domain).__name__}")
         self.domain = domain
-        self.points = list(points)
-        self._coords = None
+        self._points = list(points)
+        self._n = len(self._points)
+        self._cols = None
+
+    @classmethod
+    def from_columns(cls, domain, loc, marks=None, labels=None, has_mark=None):
+        """Pattern from columns: loc is an (n, 2) coordinate array on a window
+        or a (segment, offset) pair of arrays on a network; marks is a float
+        array, present where has_mark is true (everywhere by default);
+        labels holds a str or None per point."""
+        p = cls(domain, ())
+        if p.is_network:
+            loc = (np.array(loc[0], dtype=int), np.array(loc[1], dtype=float))
+            _check_seg_off(domain, *loc)
+        else:
+            loc = np.array(loc, dtype=float).reshape(-1, 2)
+        n = len(loc[0]) if p.is_network else len(loc)
+        has = np.full(n, marks is not None) if has_mark is None else np.array(has_mark, dtype=bool)
+        marks = np.full(n, np.nan) if marks is None else np.array(marks, dtype=float)
+        labels = np.array([None] * n if labels is None else list(labels), dtype=object)
+        if not len(marks) == len(has) == len(labels) == n:
+            raise ValidationError("column lengths do not match the pattern size")
+        p._points, p._n, p._cols = None, n, (loc, marks, has, labels)
+        return p
+
+    def _columns(self):
+        """(loc, marks, has_mark, labels), converted from the point list on first use."""
+        if self._cols is None:
+            pts = self._points
+            if self.is_network:
+                loc = _loc_arrays(self.domain, [pt.location for pt in pts])
+            else:
+                loc = np.array([(pt.location[0], pt.location[1]) for pt in pts], dtype=float)
+            has = np.array([pt.mark is not None for pt in pts], dtype=bool)
+            marks = np.array([np.nan if pt.mark is None else pt.mark for pt in pts], dtype=float)
+            labels = [pt.type_label for pt in pts]
+            self._cols = MarkedPointPattern.from_columns(self.domain, loc, marks, labels, has)._cols
+        return self._cols
+
+    @property
+    def points(self) -> list:
+        """MarkedPoint view of the pattern, built once on request."""
+        if self._points is None:
+            loc, marks, has, labels = self._cols
+            locs = _locations(*loc) if self.is_network else [tuple(xy) for xy in loc.tolist()]
+            mk = [m if h else None for m, h in zip(marks.tolist(), has.tolist())]
+            self._points = [MarkedPoint(*v) for v in zip(locs, labels.tolist(), mk)]
+        return self._points
 
     def __len__(self):
-        return len(self.points)
+        return self._n
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return self._n
 
     @property
     def is_network(self) -> bool:
@@ -75,51 +135,47 @@ class MarkedPointPattern:
     def locations(self):
         return [p.location for p in self.points]
 
+    def seg_off(self) -> tuple[np.ndarray, np.ndarray]:
+        """(segment, offset) columns of a network pattern."""
+        if not self.is_network:
+            raise ValidationError("segment/offset columns exist for network patterns only")
+        return self._columns()[0]
+
     def coords(self) -> np.ndarray:
         """(n, 2) planar coordinates; network locations are embedded in the plane."""
-        if self._coords is None:
-            if self.is_network:
-                self._coords = self.domain.location_xy(self.locations())
-            else:
-                self._coords = np.array(
-                    [(p.location[0], p.location[1]) for p in self.points], dtype=float
-                ).reshape(-1, 2)
-        return self._coords
+        loc = self._columns()[0]
+        return _embed(self.domain, *loc) if self.is_network else loc
 
     def marks(self) -> np.ndarray:
         """Marks as a float array; raises if any point lacks one."""
-        vals = [p.mark for p in self.points]
-        if any(v is None for v in vals):
+        _, marks, has, _ = self._columns()
+        if not has.all():
             raise ValidationError("pattern has points without marks")
-        return np.asarray(vals, dtype=float)
+        return marks.copy()
 
     def has_marks(self) -> bool:
-        return self.n > 0 and all(p.mark is not None for p in self.points)
+        return self.n > 0 and bool(self._columns()[2].all())
 
     def labels(self) -> list:
-        return [p.type_label for p in self.points]
+        return self._columns()[3].tolist()
 
     def subset(self, indices) -> "MarkedPointPattern":
-        return MarkedPointPattern(self.domain, [self.points[i] for i in indices])
+        idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+        loc, marks, has, labels = self._columns()
+        loc = (loc[0][idx], loc[1][idx]) if self.is_network else loc[idx]
+        return MarkedPointPattern.from_columns(self.domain, loc, marks[idx], labels[idx], has[idx])
 
     def with_marks(self, marks) -> "MarkedPointPattern":
-        marks = np.asarray(marks, dtype=float)
         if len(marks) != self.n:
             raise ValidationError("marks length does not match pattern size")
-        pts = [
-            MarkedPoint(p.location, p.type_label, float(m))
-            for p, m in zip(self.points, marks)
-        ]
-        return MarkedPointPattern(self.domain, pts)
+        loc, _, _, labels = self._columns()
+        return MarkedPointPattern.from_columns(self.domain, loc, marks, labels)
 
     def with_labels(self, labels) -> "MarkedPointPattern":
         if len(labels) != self.n:
             raise ValidationError("labels length does not match pattern size")
-        pts = [
-            MarkedPoint(p.location, str(lab), p.mark)
-            for p, lab in zip(self.points, labels)
-        ]
-        return MarkedPointPattern(self.domain, pts)
+        loc, marks, has, _ = self._columns()
+        return MarkedPointPattern.from_columns(self.domain, loc, marks, map(str, labels), has)
 
 
 def validate_pattern(p: MarkedPointPattern) -> MarkedPointPattern:
@@ -129,41 +185,38 @@ def validate_pattern(p: MarkedPointPattern) -> MarkedPointPattern:
     non-finite marks, and mixed location kinds.
     """
     network = p.is_network
-    for i, pt in enumerate(p.points):
-        loc = pt.location
-        if network:
-            if not isinstance(loc, NetworkLocation):
-                raise ValidationError(f"point {i}: planar location in a network pattern")
-            try:
-                p.domain.validate_location(loc)
-            except ValidationError as e:
-                raise ValidationError(f"point {i} outside domain: {e}") from e
-        else:
-            if isinstance(loc, NetworkLocation):
-                raise ValidationError(f"point {i}: network location in a planar pattern")
-            x, y = float(loc[0]), float(loc[1])
-            if not bool(p.domain.contains(x, y)):
-                raise ValidationError(f"point {i} at ({x}, {y}) outside window")
-        if pt.mark is not None and not math.isfinite(pt.mark):
-            raise ValidationError(f"point {i} has non-finite mark {pt.mark}")
+    # only a point list can mix location kinds; columns have one kind
+    for i, pt in enumerate(p._points if p._cols is None else ()):
+        if isinstance(pt.location, NetworkLocation) != network:
+            kinds = ("planar", "network") if network else ("network", "planar")
+            raise ValidationError(f"point {i}: {kinds[0]} location in a {kinds[1]} pattern")
+    # network locations are range-checked when their columns are formed
+    loc, marks, has, _ = p._columns()
+    if not network:
+        bad = np.nonzero(~p.domain.contains(loc[:, 0], loc[:, 1]))[0]
+        if len(bad):
+            x, y = loc[bad[0]].tolist()
+            raise ValidationError(f"point {bad[0]} at ({x}, {y}) outside window")
+    bad = np.nonzero(has & ~np.isfinite(marks))[0]
+    if len(bad):
+        raise ValidationError(f"point {bad[0]} has non-finite mark {marks[bad[0]]}")
     return p
 
 
 def split_by_type(p: MarkedPointPattern) -> dict:
     """Partition by type label, lexicographic label order; sub-patterns keep the full domain."""
-    groups: dict[str, list] = {}
-    for i, pt in enumerate(p.points):
-        if pt.type_label is None:
-            raise ValidationError(f"point {i} has no type label")
-        groups.setdefault(pt.type_label, []).append(pt)
-    return {
-        lab: MarkedPointPattern(p.domain, groups[lab]) for lab in sorted(groups)
-    }
+    labels = p._columns()[3]
+    missing = np.nonzero(labels == None)[0]  # noqa: E711 -- elementwise test on an object array
+    if len(missing):
+        raise ValidationError(f"point {missing[0]} has no type label")
+    keys, inv = np.unique(labels, return_inverse=True)
+    return {lab: p.subset(np.nonzero(inv == k)[0]) for k, lab in enumerate(keys.tolist())}
 
 
 def mark_moments(p: MarkedPointPattern) -> MarkSummaryStats:
     """Mean and population (1/N) variance of the marks that are present."""
-    vals = np.asarray([pt.mark for pt in p.points if pt.mark is not None], dtype=float)
+    _, marks, has, _ = p._columns()
+    vals = marks[has]
     if len(vals) == 0:
         raise ValidationError("pattern has no marks")
     mu = float(vals.mean())
@@ -226,20 +279,20 @@ def load_pattern_csv(path, domain) -> MarkedPointPattern:
         raise ValidationError(f"pattern file {path} is planar but domain is a network")
 
     ti, mi = col("type"), col("mark")
-    pts = []
+    ca, cb = (col("segment"), col("offset")) if network else (col("x"), col("y"))
+    first, second, marks, has, labels = [], [], [], [], []
     for line, r in rows:
         try:
-            if network:
-                loc = NetworkLocation(int(r[col("segment")]), float(r[col("offset")]))
-            else:
-                loc = (float(r[col("x")]), float(r[col("y")]))
-            mark = None
-            if mi is not None and mi < len(r) and r[mi].strip() != "":
-                mark = float(r[mi])
+            first.append(int(r[ca]) if network else float(r[ca]))
+            second.append(float(r[cb]))
+            present = mi is not None and mi < len(r) and r[mi].strip() != ""
+            marks.append(float(r[mi]) if present else np.nan)
         except (ValueError, IndexError):
             raise ValidationError(f"{path} line {line}: malformed or missing field in {r}") from None
+        has.append(present)
         lab = None
         if ti is not None and ti < len(r) and r[ti].strip() != "":
             lab = r[ti].strip()
-        pts.append(MarkedPoint(loc, lab, mark))
-    return validate_pattern(MarkedPointPattern(domain, pts))
+        labels.append(lab)
+    loc = (first, second) if network else np.column_stack([first, second])
+    return validate_pattern(MarkedPointPattern.from_columns(domain, loc, marks, labels, has))

@@ -16,18 +16,22 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from ._dist import close_pairs
 from .geometry import (
     LinearNetwork,
     NetworkLocation,
     PlanarWindow,
     _arc_cells,
-    all_pairs_network_distances,
-    border_distances,
+    _border_dist,
+    _cross_dist,
+    _loc_arrays,
+    _locations,
+    _uniform_seg_off,
     network_cross_distances,
     uniform_points_on_network,
 )
 from .intensity import _elementwise
-from .pattern import MarkedPoint, MarkedPointPattern
+from .pattern import MarkedPointPattern
 
 __all__ = [
     "SeedSpec",
@@ -95,7 +99,7 @@ def poisson_planar(
         n = rng.poisson(lam * w.area)
         xs = rng.uniform(w.xmin, w.xmax, size=n)
         ys = rng.uniform(w.ymin, w.ymax, size=n)
-    return MarkedPointPattern(w, [MarkedPoint((float(x), float(y))) for x, y in zip(xs, ys)])
+    return MarkedPointPattern.from_columns(w, np.column_stack([xs, ys]))
 
 
 def poisson_network(
@@ -106,19 +110,19 @@ def poisson_network(
         if lam_max is None:
             raise ValidationError("an intensity bound lam_max is required for callable intensities")
         n = rng.poisson(lam_max * net.total_length)
-        locs = uniform_points_on_network(net, n, rng)
+        seg, off = _uniform_seg_off(net, n, rng)
         if n:
-            vals = np.array([float(lam(l)) for l in locs])
+            vals = np.array([float(lam(l)) for l in _locations(seg, off)])
             if np.any(vals > lam_max * (1 + 1e-9)):
                 raise ValidationError("intensity exceeds the declared bound lam_max")
-            u = rng.uniform(size=n)
-            locs = [l for l, v, ui in zip(locs, vals, u) if ui <= v / lam_max]
+            keep = rng.uniform(size=n) <= vals / lam_max
+            seg, off = seg[keep], off[keep]
     else:
         if lam < 0:
             raise ValidationError(f"intensity must be nonnegative, got {lam}")
         n = rng.poisson(lam * net.total_length)
-        locs = uniform_points_on_network(net, n, rng)
-    return MarkedPointPattern(net, [MarkedPoint(l) for l in locs])
+        seg, off = _uniform_seg_off(net, n, rng)
+    return MarkedPointPattern.from_columns(net, (seg, off))
 
 
 @dataclass(frozen=True)
@@ -185,8 +189,8 @@ def lgcp_network(
         raise ValidationError("discretization step must be positive")
     seg, i, m = _arc_cells(net, step)
     t0, t1 = i / m, (i + 1) / m
-    locs = [NetworkLocation(k, t) for k, t in zip(seg.tolist(), ((t0 + t1) / 2.0).tolist())]
-    d0 = network_cross_distances(net, locs, [spec.anchor])[:, 0]
+    mid = (t0 + t1) / 2.0
+    d0 = _cross_dist(net, (seg, mid), _loc_arrays(net, [spec.anchor]))[:, 0]
 
     probe = rng.uniform(0.0, d0.max() if len(d0) else 1.0, size=(8, 2))
     for a, b in probe:
@@ -198,14 +202,13 @@ def lgcp_network(
         raise ValidationError("induced covariance matrix is asymmetric")
     jitter = spec.nugget * max(1.0, float(np.abs(np.diag(cov)).max()))
     factor = _psd_factor(cov + jitter * np.eye(len(cov)))
-    z = spec.mean_at(locs) + factor @ rng.standard_normal(len(locs))
+    z = spec.mean_at(_locations(seg, mid)) + factor @ rng.standard_normal(len(seg))
     mu = np.exp(z) * ((t1 - t0) * net.seg_lengths[seg])
 
-    pts = []
-    for k, a, b, mu_c in zip(seg.tolist(), t0, t1, mu):
-        for t in rng.uniform(a, b, size=rng.poisson(mu_c)):
-            pts.append(MarkedPoint(NetworkLocation(k, float(t))))
-    return MarkedPointPattern(net, pts)
+    # one poisson and then one uniform draw per cell, in cell order
+    offs = [rng.uniform(a, b, size=rng.poisson(mu_c)) for a, b, mu_c in zip(t0, t1, mu)]
+    counts = [len(o) for o in offs]
+    return MarkedPointPattern.from_columns(net, (np.repeat(seg, counts), np.concatenate(offs)))
 
 
 @dataclass(frozen=True)
@@ -315,10 +318,8 @@ def linked_balanced_cox(
         bound1 = nu * bound2
     p1 = poisson_planar(z1, w, rng, lam_max=max(bound1, 1e-300))
     p2 = poisson_planar(z2, w, rng, lam_max=max(bound2, 1e-300))
-    pts = [MarkedPoint(pt.location, "1") for pt in p1.points] + [
-        MarkedPoint(pt.location, "2") for pt in p2.points
-    ]
-    return MarkedPointPattern(w, pts)
+    xy = np.concatenate([p1.coords(), p2.coords()])
+    return MarkedPointPattern.from_columns(w, xy, labels=["1"] * p1.n + ["2"] * p2.n)
 
 
 def model_marks(
@@ -353,11 +354,10 @@ def model_marks(
     elif kind == "II":
         if len(p.domain.border_vertices()) == 0:
             raise ValidationError("model II needs at least one degree-1 vertex")
-        marks = border_distances(p.domain, p.locations())
+        marks = _border_dist(p.domain, *p.seg_off())
     else:
         if radius < 0:
             raise ValidationError(f"radius must be nonnegative, got {radius}")
-        d = all_pairs_network_distances(p.domain, p.locations())
-        np.fill_diagonal(d, np.inf)
-        marks = (d <= radius).sum(axis=1).astype(float)
+        i, j, _ = close_pairs(p, radius)
+        marks = (np.bincount(i, minlength=n) + np.bincount(j, minlength=n)).astype(float)
     return p.with_marks(marks)

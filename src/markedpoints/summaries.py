@@ -16,7 +16,7 @@ import numpy as np
 from ._dist import close_pairs, cross_pairs, translation_weights
 from .curves import SummaryCurve, check_r_grid, default_r
 from .errors import NumericalError, ValidationError
-from .geometry import LinearNetwork, border_distances, boundary_distance, network_arc_mesh
+from .geometry import LinearNetwork, _arc_mesh, _border_dist, boundary_distance
 from .intensity import eval_intensity
 from .markcorr import TestFunction, _pair_values, pair_average
 from .pattern import MarkedPointPattern, mark_moments
@@ -99,10 +99,24 @@ def k_dot_inhom(
     return curve
 
 
-def _retention_product_sums(domain, rows, cols, g, row_weights, r, chunk=2048):
-    """For P_u(r) = product of g_j over the points j of cols within distance
-    r of row point u, accumulate sum_u w_u P_u(r), sum_u w_u and the count
-    over rows retained at r (border distance bdist_u >= r).
+def _retention_factors(lam_j, pj: MarkedPointPattern, inf_lam_j):
+    """Factors g_j = 1 - inf_lam_j / lambda_j of the type-j points, and
+    inf_lam_j (the observed minimum of lambda_j when None)."""
+    if pj.n == 0:
+        return np.zeros(0), inf_lam_j
+    lj = _positive_intensities(lam_j, pj, "type-j")
+    if inf_lam_j is None:
+        inf_lam_j = float(lj.min())
+    elif inf_lam_j > lj.min() * (1 + 1e-12):
+        raise ValidationError(f"inf_lam_j={inf_lam_j} exceeds the observed minimum {lj.min()}")
+    return 1.0 - inf_lam_j / lj, inf_lam_j
+
+
+def _retention_curve(domain, rows, cols, g, row_weights, r, chunk=2048):
+    """1 - sum_u w_u P_u(r) / sum_u w_u over the rows u retained at r (border
+    distance bdist_u >= r), NaN where none is, for P_u(r) = product of g_j
+    over the points j of cols within distance r of row point u (rows:
+    planar coordinates or network (segment, offset) columns).
 
     Each pair's factor goes into the first bin r_k >= d, and a cumulative
     product along r forms P_u. Pairs beyond min(max r, bdist_u) never count
@@ -113,16 +127,17 @@ def _retention_product_sums(domain, rows, cols, g, row_weights, r, chunk=2048):
     psums = np.zeros(nr)
     wsums = np.zeros(nr)
     counts = np.zeros(nr, dtype=np.int64)
-    for lo in range(0, len(rows), chunk):
-        part = rows[lo : lo + chunk]
+    for lo in range(0, len(row_weights), chunk):
         if isinstance(domain, LinearNetwork):
-            bdist = border_distances(domain, part)
+            part = (rows[0][lo : lo + chunk], rows[1][lo : lo + chunk])
+            bdist = _border_dist(domain, *part)
         else:
+            part = rows[lo : lo + chunk]
             bdist = boundary_distance(domain, part[:, 0], part[:, 1])
         i, j, d = cross_pairs(domain, part, cols, min(r[-1], bdist.max()))
         keep = d <= bdist[i]
         i, j, d = i[keep], j[keep], d[keep]
-        prod = np.ones((len(part), nr))
+        prod = np.ones((len(bdist), nr))
         np.multiply.at(prod.reshape(-1), i * nr + np.searchsorted(r, d), g[j])
         np.cumprod(prod, axis=1, out=prod)
         ret = bdist[:, None] >= r[None, :]
@@ -130,7 +145,10 @@ def _retention_product_sums(domain, rows, cols, g, row_weights, r, chunk=2048):
         psums += (wts * prod * ret).sum(axis=0)
         wsums += (wts * ret).sum(axis=0)
         counts += ret.sum(axis=0)
-    return psums, wsums, counts
+    vals = np.full(nr, np.nan)
+    ok = counts > 0
+    vals[ok] = 1.0 - psums[ok] / wsums[ok]
+    return vals
 
 
 def h_cross_inhom(
@@ -151,22 +169,9 @@ def h_cross_inhom(
     if pi.n == 0:
         return SummaryCurve(r, np.full_like(r, np.nan), "hcross", None, {})
     li = _positive_intensities(lam_i, pi, "type-i")
-    if pj.n:
-        lj = _positive_intensities(lam_j, pj, "type-j")
-        if inf_lam_j is None:
-            inf_lam_j = float(lj.min())
-        elif inf_lam_j > lj.min() * (1 + 1e-12):
-            raise ValidationError(
-                f"inf_lam_j={inf_lam_j} exceeds the observed minimum {lj.min()}"
-            )
-        g = 1.0 - inf_lam_j / lj
-    else:
-        g = np.zeros(0)
-    rows = pi.locations() if pi.is_network else pi.coords()
-    psums, wsums, counts = _retention_product_sums(pi.domain, rows, pj, g, 1.0 / li, r)
-    vals = np.full_like(r, np.nan)
-    ok = counts > 0
-    vals[ok] = 1.0 - psums[ok] / wsums[ok]
+    g, inf_lam_j = _retention_factors(lam_j, pj, inf_lam_j)
+    rows = pi.seg_off() if pi.is_network else pi.coords()
+    vals = _retention_curve(pi.domain, rows, pj, g, 1.0 / li, r)
     return SummaryCurve(r, vals, "hcross", None, {"inf_lam_j": inf_lam_j})
 
 
@@ -184,7 +189,8 @@ def f_inhom(
         net = pj.domain
         if grid_spacing is None:
             grid_spacing = net.total_length / 1024.0
-        rows, _ = network_arc_mesh(net, grid_spacing)
+        rows, _ = _arc_mesh(net, grid_spacing)
+        n_rows = len(rows[0])
     else:
         w = pj.domain
         if grid_spacing is None:
@@ -193,23 +199,11 @@ def f_inhom(
         ys = np.arange(w.ymin + grid_spacing / 2.0, w.ymax, grid_spacing)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         rows = np.column_stack([gx.ravel(), gy.ravel()])
-        if len(rows) == 0:
+        n_rows = len(rows)
+        if n_rows == 0:
             raise ValidationError("empty evaluation grid: spacing too large for the window")
-    if pj.n:
-        lj = _positive_intensities(lam_j, pj, "type-j")
-        if inf_lam_j is None:
-            inf_lam_j = float(lj.min())
-        elif inf_lam_j > lj.min() * (1 + 1e-12):
-            raise ValidationError(
-                f"inf_lam_j={inf_lam_j} exceeds the observed minimum {lj.min()}"
-            )
-        g = 1.0 - inf_lam_j / lj
-    else:
-        g = np.zeros(0)
-    psums, _, counts = _retention_product_sums(pj.domain, rows, pj, g, np.ones(len(rows)), r)
-    vals = np.full_like(r, np.nan)
-    ok = counts > 0
-    vals[ok] = 1.0 - psums[ok] / counts[ok]
+    g, inf_lam_j = _retention_factors(lam_j, pj, inf_lam_j)
+    vals = _retention_curve(pj.domain, rows, pj, g, np.ones(n_rows), r)
     return SummaryCurve(r, vals, "f", None, {"inf_lam_j": inf_lam_j, "spacing": grid_spacing})
 
 

@@ -18,10 +18,13 @@ from markedpoints import (
     bandwidth_scott,
     cvl_criterion,
     eval_intensity,
+    f_inhom,
+    h_cross_inhom,
     intensity_heat,
     intensity_jones_diggle,
     intensity_network,
     intensity_uniform,
+    k_cross_inhom,
     kernel_mass,
     poisson_planar,
 )
@@ -217,6 +220,53 @@ def test_network_intensity_integrates_to_n():
     assert est.integral() == pytest.approx(p.n, rel=0.01)
     vals = est.evaluate(p.locations())
     assert np.all(vals > 0)
+
+
+def _network_and_pattern():
+    net = LinearNetwork([[0, 0], [50, 0], [50, 40], [100, 40], [0, 30]], [[0, 1], [1, 2], [2, 3], [0, 4]])
+    rng = np.random.default_rng(12)
+    seg = rng.integers(0, net.n_segments, 40)
+    return net, MarkedPointPattern.from_columns(net, (seg, rng.uniform(size=40)))
+
+
+def test_network_intensity_at_own_points_matches_fresh_estimate():
+    net, p = _network_and_pattern()
+    r = np.linspace(0.0, 30.0, 16)
+    est = intensity_network(p, KernelSpec(8.0))
+    first = [k_cross_inhom(p, p, est, est, r=r), h_cross_inhom(p, p, est, est, r=r), f_inhom(p, est, r=r)]
+    for _ in range(2):  # the values kept at the data points serve every later call
+        fresh = intensity_network(p, KernelSpec(8.0)).evaluate(p.locations())
+        again = [k_cross_inhom(p, p, est, est, r=r), h_cross_inhom(p, p, est, est, r=r), f_inhom(p, est, r=r)]
+        want = [k_cross_inhom(p, p, fresh, fresh, r=r), h_cross_inhom(p, p, fresh, fresh, r=r),
+                f_inhom(p, fresh, r=r)]
+        for a, b, c in zip(first, again, want):
+            assert np.array_equal(a.values, c.values, equal_nan=True)
+            assert np.array_equal(b.values, c.values, equal_nan=True)
+    # the same locations held by another pattern object read the same values
+    same = MarkedPointPattern(net, [MarkedPoint(loc) for loc in p.locations()])
+    assert np.array_equal(eval_intensity(est, same), fresh)
+
+
+def test_network_intensity_moved_point_evaluated_afresh():
+    net, p = _network_and_pattern()
+    est = intensity_network(p, KernelSpec(8.0))
+    kept = eval_intensity(est, p)
+    seg, off = p.seg_off()
+    moved = off.copy()
+    moved[7] = 0.5 * moved[7] + 0.25
+    q = MarkedPointPattern.from_columns(net, (seg, moved))
+    got = eval_intensity(est, q)
+    assert np.array_equal(got, est.evaluate(q.locations()))
+    assert got[7] != kept[7]
+
+
+def test_network_intensity_returned_values_are_copies():
+    _, p = _network_and_pattern()
+    est = intensity_network(p, KernelSpec(8.0))
+    want = est.evaluate(p.locations())
+    vals = eval_intensity(est, p)
+    vals[:] = -1.0
+    assert np.array_equal(eval_intensity(est, p), want)
 
 
 def test_network_intensity_rejects_planar(unit_square):

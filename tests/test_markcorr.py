@@ -204,6 +204,29 @@ def test_custom_test_function(unit_square):
     assert np.isfinite(curve.values[-1])
 
 
+def test_vectorizable_custom_function_called_on_arrays(unit_square):
+    rng = np.random.default_rng(21)
+    p = planar_pattern(unit_square, rng.uniform(size=(400, 2)), marks=rng.uniform(1.0, 2.0, size=400))
+    calls = []
+
+    def vec_min(a, b):
+        calls.append(np.ndim(a))
+        return np.minimum(a, b)
+
+    scalar = MarkTestFunction("custom", fn=lambda a, b: min(a, b))
+    vec = MarkTestFunction("custom", fn=vec_min)
+    sm, r = SmoothingSpec1D(0.02), np.linspace(0.0, 0.2, 41)
+    for ec in ("none", "symmetricWeight"):
+        want, got = mark_corr(p, scalar, sm, r, ec=ec), mark_corr(p, vec, sm, r, ec=ec)
+        assert np.array_equal(np.isnan(got.values), np.isnan(want.values))
+        ok = ~np.isnan(want.values)
+        assert np.all(np.abs(got.values[ok] - want.values[ok]) <= 1e-12 * np.abs(want.values[ok]))
+    m = p.marks()
+    assert normalization(vec, m) == pytest.approx(normalization(scalar, m), rel=1e-12)
+    # one call on arrays per evaluation site, none per pair
+    assert calls and min(calls) > 0 and len(calls) <= 8
+
+
 def test_symmetric_weight_ec(unit_square):
     rng = np.random.default_rng(20)
     xy = rng.uniform(size=(10, 2))
