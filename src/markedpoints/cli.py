@@ -92,14 +92,12 @@ def _load_domain(args):
 
 
 def _threads(args) -> int:
+    """MARKEDPOINTS_THREADS as an n_jobs count; unset reads 0 (one per CPU)."""
     env = os.environ.get("MARKEDPOINTS_THREADS")
-    if env is None:
-        return 1
     try:
-        cap = int(env)
+        return 0 if env is None else int(env)
     except ValueError:
         raise ValidationError(f"MARKEDPOINTS_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1 if cap == 0 else max(1, cap)
 
 
 def _write_metadata(args, out_dir, extra=None):
@@ -352,6 +350,7 @@ def _cmd_envelope(args):
             _write_metadata(args, out, {"k": k})
             return
         tf = _TF[args.stat]
+        net.vertex_distances()  # fill the cache before the workers share it
         lam = args.n_expected / net.total_length
         r = r_grid(args.rmax if args.rmax is not None else 250.0, args.bins)
         smoothing = SmoothingSpec1D(args.bandwidth if args.bandwidth is not None else 10.0)

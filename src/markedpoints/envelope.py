@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SummaryCurve, r_grid
+from ._dist import close_pairs
+from .curves import SummaryCurve, check_r_grid, r_grid
 from .errors import ValidationError
 from .geometry import LinearNetwork
-from .markcorr import SmoothingSpec1D, mark_corr_suite
+from .markcorr import _SUITE, SmoothingSpec1D, _normalized, _reach
 from .pattern import MarkedPointPattern
-from .simulate import SeedSpec, model_marks, poisson_network, replicate_rng
+from .simulate import SeedSpec, _neighbour_counts, model_marks, poisson_network, replicate_rng
 
 __all__ = ["EnvelopeBand", "envelopes", "mark_correlation_study", "envelope_rank"]
 
@@ -99,10 +100,12 @@ def _assemble_band(r, matrix, nsim, level, statistic="", k=None) -> EnvelopeBand
 
 def _replicates(one, nsim: int, n_jobs) -> list:
     """[one(i) for i in range(nsim)], on a thread pool of n_jobs workers
-    (None: serial, 0: one per CPU); results stay in replicate order."""
+    (0: one per CPU available to this process; None, 1 or a negative count:
+    serial); results stay in replicate order."""
     jobs = 1 if n_jobs is None else int(n_jobs)
-    jobs = (os.cpu_count() or 1) if jobs == 0 else max(1, jobs)
-    if jobs == 1:
+    if jobs == 0:
+        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if jobs <= 1:
         return [one(i) for i in range(nsim)]
     with ThreadPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(one, range(nsim)))
@@ -122,6 +125,10 @@ def envelopes(
     generator(rng) must produce a pattern; statistic(pattern) must return a
     SummaryCurve on a fixed r grid. NaN values are excluded pointwise with
     the effective replicate count reported per r.
+
+    Serial by default, since generator and statistic need not be
+    thread-safe; n_jobs=k runs k threads (0: one per available CPU) and
+    gives the same band.
     """
     k = envelope_rank(nsim, level)
 
@@ -146,7 +153,7 @@ def envelopes(
     return band
 
 
-_STUDY_STATS = ("stoyan", "variogram", "shimantani_i", "beisbart_kerscher")
+_STUDY_STATS = tuple(tf.name for tf in _SUITE)
 
 _MAX_REDRAWS = 1000
 
@@ -173,7 +180,7 @@ def mark_correlation_study(
     bins: int = 250,
     bandwidth: float = 10.0,
     radius: float = 80.0,
-    n_jobs: int | None = None,
+    n_jobs: int | None = 0,
     write_plot: bool = True,
 ) -> dict:
     """Simulation study runner: Poisson points on the network, marks from
@@ -181,14 +188,19 @@ def mark_correlation_study(
     replicate, and 95% pointwise envelopes of each.
 
     Writes one band CSV per statistic plus a stacked four-panel SVG, and
-    returns the bands keyed by statistic name.
+    returns the bands keyed by statistic name. Replicates run on one thread
+    per available CPU by default (n_jobs=0); every worker count gives the
+    same bytes.
     """
     if model not in ("I", "II", "III"):
         raise ValidationError(f"model must be I, II or III, got {model!r}")
+    envelope_rank(nsim, level)
     os.makedirs(out_dir, exist_ok=True)
     lam = n_expected / net.total_length
-    r = r_grid(r_max, bins)
+    r = check_r_grid(r_grid(r_max, bins))
     smoothing = SmoothingSpec1D(bandwidth)
+    reach = _reach(smoothing, r)
+    net.vertex_distances()  # fill the cache before the workers share it
 
     # trend marks are shifted positive so product-type correlations read cleanly
     score = net.vertices.sum(axis=1)
@@ -197,9 +209,15 @@ def mark_correlation_study(
     def one(i):
         rng = replicate_rng(SeedSpec(master_seed, i))
         p = poisson_network_min2(lam, net, rng)
-        marked = model_marks(model, p, rng, a=trend_a, b=1.0, radius=radius)
-        suite = mark_corr_suite(marked, smoothing, r)
-        return [suite.curves[name].values for name in _STUDY_STATS]
+        pairs = None
+        if model == "III" and 0 <= radius <= reach:
+            # one pair sweep serves the model III counts and the kernel matrix
+            pairs = close_pairs(p, reach)
+            near = pairs[2] <= radius
+            marked = p.with_marks(_neighbour_counts(pairs[0][near], pairs[1][near], p.n))
+        else:
+            marked = model_marks(model, p, rng, a=trend_a, b=1.0, radius=radius)
+        return [vals for vals, _, _ in _normalized(_SUITE, marked, smoothing, r, "none", pairs=pairs)]
 
     rows = _replicates(one, nsim, n_jobs)
 

@@ -157,13 +157,19 @@ def pair_average(tf: TestFunction, marks) -> float:
     return float((w.sum() - np.trace(w)) / (n * (n - 1)))
 
 
-def _kernel_matrix(p: MarkedPointPattern, smoothing: SmoothingSpec1D, r: np.ndarray, ec: str):
+def _reach(smoothing: SmoothingSpec1D, r: np.ndarray) -> float:
+    """Largest pair distance the kernel matrix on grid r can use."""
+    return float(r.max() + kernel1d_support(smoothing.kernel, smoothing.bandwidth))
+
+
+def _kernel_matrix(p: MarkedPointPattern, smoothing: SmoothingSpec1D, r: np.ndarray, ec: str, pairs=None):
     """Sparse (len(r), pairs) matrix K with K[k, q] = 2 K_h(d_q - r_k) e_q over
     the unordered pairs q = (i, j) with r_k - supp <= d_q <= r_k + supp, plus
     the pair indices i, j.
 
     For symmetric per-pair values v, (K @ v)[k] is the kernel sum over
     ordered pairs i != j; e is the symmetricWeight edge correction or 1.
+    pairs, when given, is close_pairs(p, _reach(smoothing, r)).
     """
     if p.n < 2:
         raise ValidationError("mark correlation needs at least 2 marked points")
@@ -173,7 +179,7 @@ def _kernel_matrix(p: MarkedPointPattern, smoothing: SmoothingSpec1D, r: np.ndar
         raise ValidationError("symmetricWeight edge correction is planar-only")
     supp = kernel1d_support(smoothing.kernel, smoothing.bandwidth)
     r_lo, r_hi = r - supp, r + supp
-    i, j, d = close_pairs(p, r_hi.max())
+    i, j, d = close_pairs(p, _reach(smoothing, r)) if pairs is None else pairs
     keep = np.nonzero(d >= r_lo.min())[0]
     keep = keep[np.argsort(d[keep], kind="stable")]
     i, j, d = i[keep], j[keep], d[keep]
@@ -196,23 +202,35 @@ def _kernel_matrix(p: MarkedPointPattern, smoothing: SmoothingSpec1D, r: np.ndar
     return csr_array((kv, cols, indptr), shape=(len(r), len(d))), i, j
 
 
-def _raw_ratios(p: MarkedPointPattern, tfs, smoothing, r, ec: str):
-    """Resolved r grid and smoothing, the marks, and the unnormalized ratio
-    curve of each test function, all from one product with the kernel matrix."""
+def _resolve(p: MarkedPointPattern, smoothing, r):
+    """The r grid and smoothing of a call, with the package defaults for None."""
     r = default_r(p.domain) if r is None else np.asarray(r, dtype=float)
     if len(r) == 0:
         raise ValidationError("empty r grid")
-    if smoothing is None:
-        smoothing = default_smoothing(p)
+    return r, default_smoothing(p) if smoothing is None else smoothing
+
+
+def _normalized(tfs, p: MarkedPointPattern, smoothing, r, ec: str, stoyan_rule="pairs", pairs=None):
+    """(normalized values, raw ratio, c_tf) of each test function, all from
+    one product with the kernel matrix; a degenerate c_tf reads 0.0 and
+    gives all-NaN normalized values."""
     stats = mark_moments(p)
     if stats.count != p.n:
         raise ValidationError("every point needs a mark for mark correlation")
-    K, i, j = _kernel_matrix(p, smoothing, r, ec)
+    K, i, j = _kernel_matrix(p, smoothing, r, ec, pairs)
     marks = p.marks()
     mi, mj = marks[i], marks[j]
     cols = [_pair_values(tf, mi, mj, stats.mean_mark) for tf in tfs]
     sums = K @ np.column_stack(cols + [np.ones(len(mi))])
-    return r, smoothing, marks, [_ratio(sums[:, s], sums[:, -1]) for s in range(len(tfs))]
+    out = []
+    for s, tf in enumerate(tfs):
+        raw = _ratio(sums[:, s], sums[:, -1])
+        try:
+            c = normalization(tf, marks, stoyan_rule)
+        except NumericalError:
+            c = 0.0
+        out.append((raw / c if c != 0.0 else np.full_like(raw, np.nan), raw, c))
+    return out
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -241,26 +259,14 @@ def mark_corr(
     A zero normalization constant raises NumericalError unless
     degenerate="nan", in which case the normalized curve is all-NaN.
     """
-    r, smoothing, marks, (raw,) = _raw_ratios(p, [tf], smoothing, r, ec)
-    try:
-        c = normalization(tf, marks, stoyan_rule)
-    except NumericalError:
-        c = 0.0
-    if c == 0.0:
-        if degenerate == "raise":
-            raise NumericalError(f"degenerate normalization for {tf.name}: c_tf = 0")
-        curve_vals = np.full_like(raw, np.nan)
-    else:
-        curve_vals = raw / c
+    r, smoothing = _resolve(p, smoothing, r)
+    ((curve_vals, raw, c),) = _normalized([tf], p, smoothing, r, ec, stoyan_rule)
+    if c == 0.0 and degenerate == "raise":
+        raise NumericalError(f"degenerate normalization for {tf.name}: c_tf = 0")
     meta = {"tf": tf.name, "bandwidth": smoothing.bandwidth, "kernel": smoothing.kernel, "ec": ec}
     theo = _THEORETICAL.get(tf.name)
-    curve = SummaryCurve(
-        r,
-        curve_vals,
-        f"markcorr_{tf.name}",
-        None if theo is None else np.full_like(raw, theo),
-        meta,
-    )
+    theo = None if theo is None else np.full_like(raw, theo)
+    curve = SummaryCurve(r, curve_vals, f"markcorr_{tf.name}", theo, meta)
     if not return_numerator:
         return curve
     numer = SummaryCurve(r, raw, f"markcorr_raw_{tf.name}", None, dict(meta))
@@ -287,19 +293,12 @@ def mark_corr_suite(
     Degenerate normalizations (e.g. the variogram under constant marks)
     yield an all-NaN normalized curve; the raw numerator is still reported.
     """
-    r, smoothing, marks, raws = _raw_ratios(p, _SUITE, smoothing, r, ec)
+    r, smoothing = _resolve(p, smoothing, r)
     curves, numerators, cs = {}, {}, {}
-    for tf, raw in zip(_SUITE, raws):
-        try:
-            c = normalization(tf, marks)
-        except NumericalError:
-            c = 0.0
+    for tf, (vals, raw, c) in zip(_SUITE, _normalized(_SUITE, p, smoothing, r, ec)):
         meta = {"tf": tf.name, "bandwidth": smoothing.bandwidth, "kernel": smoothing.kernel, "ec": ec}
-        vals = raw / c if c != 0.0 else np.full_like(raw, np.nan)
-        theo = _THEORETICAL[tf.name]
-        curves[tf.name] = SummaryCurve(
-            r, vals, f"markcorr_{tf.name}", np.full_like(raw, theo), meta
-        )
+        theo = np.full_like(raw, _THEORETICAL[tf.name])
+        curves[tf.name] = SummaryCurve(r, vals, f"markcorr_{tf.name}", theo, meta)
         numerators[tf.name] = SummaryCurve(r, raw, f"markcorr_raw_{tf.name}", None, dict(meta))
         cs[tf.name] = c
     return MarkCorrSuite(curves, numerators, cs)

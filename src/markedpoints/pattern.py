@@ -223,8 +223,8 @@ def mark_moments(p: MarkedPointPattern) -> MarkSummaryStats:
     return MarkSummaryStats(mu, float(np.mean((vals - mu) ** 2)), int(len(vals)))
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".12g")
+def _fmt(values) -> list:
+    return [format(v, ".12g") for v in values.tolist()]
 
 
 def save_pattern_csv(p: MarkedPointPattern, path):
@@ -232,26 +232,22 @@ def save_pattern_csv(p: MarkedPointPattern, path):
 
     Missing marks are written as empty fields.
     """
-    has_type = any(pt.type_label is not None for pt in p.points)
-    has_mark = any(pt.mark is not None for pt in p.points)
-    cols = (["segment", "offset"] if p.is_network else ["x", "y"])
-    if has_type:
-        cols.append("type")
-    if has_mark:
-        cols.append("mark")
+    loc, marks, has, labels = p._columns()
+    if p.is_network:
+        header, cols = ["segment", "offset"], [[str(s) for s in loc[0].tolist()], _fmt(loc[1])]
+    else:
+        header, cols = ["x", "y"], [_fmt(loc[:, 0]), _fmt(loc[:, 1])]
+    labels = labels.tolist()
+    if any(lab is not None for lab in labels):
+        header.append("type")
+        cols.append(["" if lab is None else lab for lab in labels])
+    if has.any():
+        header.append("mark")
+        cols.append([m if h else "" for m, h in zip(_fmt(marks), has.tolist())])
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(cols)
-        for pt in p.points:
-            if p.is_network:
-                row = [str(pt.location.segment), _fmt(pt.location.offset)]
-            else:
-                row = [_fmt(pt.location[0]), _fmt(pt.location[1])]
-            if has_type:
-                row.append("" if pt.type_label is None else pt.type_label)
-            if has_mark:
-                row.append("" if pt.mark is None else _fmt(pt.mark))
-            wr.writerow(row)
+        wr.writerow(header)
+        wr.writerows(zip(*cols))
 
 
 def load_pattern_csv(path, domain) -> MarkedPointPattern:

@@ -322,6 +322,11 @@ def linked_balanced_cox(
     return MarkedPointPattern.from_columns(w, xy, labels=["1"] * p1.n + ["2"] * p2.n)
 
 
+def _neighbour_counts(i, j, n: int) -> np.ndarray:
+    """Model III marks: the number of pairs (i, j) each of n points is in."""
+    return (np.bincount(i, minlength=n) + np.bincount(j, minlength=n)).astype(float)
+
+
 def model_marks(
     kind: str,
     p: MarkedPointPattern,
@@ -358,6 +363,5 @@ def model_marks(
     else:
         if radius < 0:
             raise ValidationError(f"radius must be nonnegative, got {radius}")
-        i, j, _ = close_pairs(p, radius)
-        marks = (np.bincount(i, minlength=n) + np.bincount(j, minlength=n)).astype(float)
+        marks = _neighbour_counts(*close_pairs(p, radius)[:2], n)
     return p.with_marks(marks)

@@ -235,6 +235,7 @@ BAD_PATTERN_CSV = {
         ("envelope_bad_stat", 2),
         ("summary_missing_type_j", 3),
         ("threads_not_integer", 3),
+        ("envelope_nsim_zero", 3),
     ],
 )
 def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, case, code):
@@ -249,6 +250,8 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
         argv = ["markcorr", "--pattern", str(bad)] + domain
     elif case == "envelope_bad_stat":
         argv = ["envelope", "--model", "modelI", "--stat", "foo", "--network", tree_file]
+    elif case == "envelope_nsim_zero":
+        argv = ["envelope", "--model", "modelI", "--stat", "suite", "--network", tree_file, "--nsim", "0"]
     elif case == "summary_missing_type_j":
         argv = ["summary", "--pattern", planar_csv, "--window", "0,1,0,1", "--stat", "f",
                 "--type-j", "zzz", "--lambda-const", "30"]

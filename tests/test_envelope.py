@@ -1,18 +1,27 @@
 """Rank-envelope assembly, NaN policy, determinism, and the study runner."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from markedpoints import (
     EnvelopeBand,
+    SeedSpec,
+    SmoothingSpec1D,
     SummaryCurve,
     ValidationError,
     envelope_rank,
     envelopes,
+    mark_corr_suite,
+    model_marks,
     poisson_planar,
+    r_grid,
+    replicate_rng,
     synthetic_tree_network,
 )
-from markedpoints.envelope import _assemble_band, mark_correlation_study
+from markedpoints._dist import close_pairs
+from markedpoints.envelope import _assemble_band, mark_correlation_study, poisson_network_min2
 
 
 def test_rank_rule():
@@ -138,3 +147,62 @@ def test_reproduce_runner_small(tmp_path):
     assert (tmp_path / "modelIII_markcorr.svg").exists()
     svg = (tmp_path / "modelIII_markcorr.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+STUDY_SMALL = dict(nsim=39, master_seed=3, n_expected=40, r_max=200.0, bins=40, bandwidth=20.0)
+
+
+def _files(path):
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("model", ["I", "II", "III"])
+def test_study_bytes_identical_across_worker_counts(tmp_path, model):
+    # a fresh network per run, so workers start from an empty distance cache;
+    # 8 workers and a short switch interval stress the shared network
+    outs = []
+    interval = sys.getswitchinterval()
+    try:
+        for jobs in (1, 2, 8, "default"):
+            sys.setswitchinterval(1e-5 if jobs == 8 else interval)
+            out = tmp_path / str(jobs)
+            kw = {} if jobs == "default" else {"n_jobs": jobs}
+            mark_correlation_study(synthetic_tree_network(core_depth=4), model, out, **STUDY_SMALL, **kw)
+            outs.append(_files(out))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outs[0]) == 5  # four band CSVs and the SVG
+    assert all(o == outs[0] for o in outs[1:])
+
+
+@pytest.mark.parametrize("radius", [0.0, 35.0, "tie", 220.0, 500.0])
+def test_study_model_iii_matches_public_calls(tmp_path, radius):
+    # the study shares one pair sweep between the neighbour counts and the
+    # kernel matrix while radius <= r_max + support (220 here); the bands
+    # must equal those built from model_marks and mark_corr_suite
+    net = synthetic_tree_network(core_depth=4)
+    lam = STUDY_SMALL["n_expected"] / net.total_length
+    if radius == "tie":  # a pair of replicate 0 sits exactly at the radius
+        p0 = poisson_network_min2(lam, net, replicate_rng(SeedSpec(STUDY_SMALL["master_seed"], 0)))
+        d = close_pairs(p0, 200.0)[2]
+        radius = float(np.sort(d)[len(d) // 2])
+    bands = mark_correlation_study(net, "III", tmp_path, radius=radius, write_plot=False, **STUDY_SMALL)
+    r = r_grid(STUDY_SMALL["r_max"], STUDY_SMALL["bins"])
+    smoothing = SmoothingSpec1D(STUDY_SMALL["bandwidth"])
+    rows = []
+    for i in range(STUDY_SMALL["nsim"]):
+        rng = replicate_rng(SeedSpec(STUDY_SMALL["master_seed"], i))
+        p = model_marks("III", poisson_network_min2(lam, net, rng), rng, radius=radius)
+        rows.append(mark_corr_suite(p, smoothing, r).curves)
+    for name, band in bands.items():
+        matrix = np.vstack([c[name].values for c in rows])
+        ref = _assemble_band(r, matrix, STUDY_SMALL["nsim"], 0.95, f"markcorr_{name}")
+        band.to_csv(tmp_path / "study.csv")
+        ref.to_csv(tmp_path / "ref.csv")
+        assert (tmp_path / "study.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_study_rejects_small_nsim_before_simulating(tmp_path):
+    with pytest.raises(ValidationError, match="too small"):
+        mark_correlation_study(synthetic_tree_network(core_depth=4), "I", tmp_path / "out", nsim=0)
+    assert not (tmp_path / "out").exists()
