@@ -195,6 +195,8 @@ def mark_correlation_study(
     if model not in ("I", "II", "III"):
         raise ValidationError(f"model must be I, II or III, got {model!r}")
     envelope_rank(nsim, level)
+    if model == "III" and radius < 0:
+        raise ValidationError(f"radius must be nonnegative, got {radius}")
     os.makedirs(out_dir, exist_ok=True)
     lam = n_expected / net.total_length
     r = check_r_grid(r_grid(r_max, bins))
@@ -210,13 +212,13 @@ def mark_correlation_study(
         rng = replicate_rng(SeedSpec(master_seed, i))
         p = poisson_network_min2(lam, net, rng)
         pairs = None
-        if model == "III" and 0 <= radius <= reach:
+        if model == "III":
             # one pair sweep serves the model III counts and the kernel matrix
-            pairs = close_pairs(p, reach)
+            pairs = close_pairs(p, max(radius, reach))
             near = pairs[2] <= radius
             marked = p.with_marks(_neighbour_counts(pairs[0][near], pairs[1][near], p.n))
         else:
-            marked = model_marks(model, p, rng, a=trend_a, b=1.0, radius=radius)
+            marked = model_marks(model, p, rng, a=trend_a, b=1.0)
         return [vals for vals, _, _ in _normalized(_SUITE, marked, smoothing, r, "none", pairs=pairs)]
 
     rows = _replicates(one, nsim, n_jobs)

@@ -169,7 +169,8 @@ def _kernel_matrix(p: MarkedPointPattern, smoothing: SmoothingSpec1D, r: np.ndar
 
     For symmetric per-pair values v, (K @ v)[k] is the kernel sum over
     ordered pairs i != j; e is the symmetricWeight edge correction or 1.
-    pairs, when given, is close_pairs(p, _reach(smoothing, r)).
+    pairs, when given, is close_pairs(p, cutoff) for a cutoff of at least
+    _reach(smoothing, r); farther pairs sort last and get no entry.
     """
     if p.n < 2:
         raise ValidationError("mark correlation needs at least 2 marked points")

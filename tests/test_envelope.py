@@ -177,9 +177,10 @@ def test_study_bytes_identical_across_worker_counts(tmp_path, model):
 
 @pytest.mark.parametrize("radius", [0.0, 35.0, "tie", 220.0, 500.0])
 def test_study_model_iii_matches_public_calls(tmp_path, radius):
-    # the study shares one pair sweep between the neighbour counts and the
-    # kernel matrix while radius <= r_max + support (220 here); the bands
-    # must equal those built from model_marks and mark_corr_suite
+    # the study shares one pair sweep, out to the larger of radius and
+    # r_max + support (220 here), between the neighbour counts and the
+    # kernel matrix; the bands must equal those built from model_marks and
+    # mark_corr_suite
     net = synthetic_tree_network(core_depth=4)
     lam = STUDY_SMALL["n_expected"] / net.total_length
     if radius == "tie":  # a pair of replicate 0 sits exactly at the radius
@@ -205,4 +206,10 @@ def test_study_model_iii_matches_public_calls(tmp_path, radius):
 def test_study_rejects_small_nsim_before_simulating(tmp_path):
     with pytest.raises(ValidationError, match="too small"):
         mark_correlation_study(synthetic_tree_network(core_depth=4), "I", tmp_path / "out", nsim=0)
+    assert not (tmp_path / "out").exists()
+
+
+def test_study_rejects_negative_radius_before_simulating(tmp_path):
+    with pytest.raises(ValidationError, match="nonnegative"):
+        mark_correlation_study(synthetic_tree_network(core_depth=4), "III", tmp_path / "out", radius=-1.0)
     assert not (tmp_path / "out").exists()
