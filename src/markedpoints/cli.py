@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage error, 3 data validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .curves import default_r, r_grid
-from .envelope import envelopes, mark_correlation_study, poisson_network_min2
+from .envelope import _mark_model_bands, envelopes, mark_correlation_study
 from .errors import NumericalError, ValidationError
 from .geometry import PlanarWindow, load_network, synthetic_tree_network
 from .intensity import (
@@ -42,7 +41,7 @@ from .markcorr import (
     mark_corr,
     mark_corr_suite,
 )
-from .pattern import load_pattern_csv, save_pattern_csv, split_by_type
+from .pattern import _fmt, _write_table, load_pattern_csv, save_pattern_csv, split_by_type
 from .simulate import (
     GaussianFieldSpec,
     constant_field_sampler,
@@ -65,6 +64,9 @@ from .summaries import (
 )
 
 _TF = {"stoyan": STOYAN, "bk": BEISBART_KERSCHER, "vario": VARIOGRAM, "shimantani": SHIMANTANI_I}
+
+# model I trend flags and their defaults; the suite study fixes its own trend
+_TREND = {"a": 0.0, "b": 1.0, "tau": None}
 
 
 def _require_file(path, what):
@@ -124,9 +126,20 @@ def _plugin_sigma(args, p) -> float:
     if args.sigma == "cvl":
         return bandwidth_cvl(p, (args.grid, args.grid))
     try:
-        return float(args.sigma)
+        sigma = float(args.sigma)
     except ValueError:
-        raise ValidationError(f"--sigma must be a number, 'scott' or 'cvl', got {args.sigma!r}") from None
+        sigma = np.nan
+    if not np.isfinite(sigma):
+        raise ValidationError(f"--sigma must be a finite number, 'scott' or 'cvl', got {args.sigma!r}")
+    return sigma
+
+
+def _finite(text) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _cmd_intensity(args):
@@ -236,16 +249,10 @@ def _cmd_markcorr(args):
         suite = mark_corr_suite(p, smoothing, r, args.ec)
         for name, curve in suite.curves.items():
             curve.to_csv(os.path.join(out, f"markcorr_{name}.csv"))
-        wide = os.path.join(out, "markcorr_suite.csv")
         names = sorted(suite.curves)
-        with open(wide, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["r"] + names + [f"raw_{n}" for n in names])
-            for i in range(len(r)):
-                row = [format(r[i], ".12g")]
-                row += [format(suite.curves[n].values[i], ".12g") for n in names]
-                row += [format(suite.numerators[n].values[i], ".12g") for n in names]
-                wr.writerow(row)
+        cols = [r] + [suite.curves[n].values for n in names] + [suite.numerators[n].values for n in names]
+        header = ["r"] + names + [f"raw_{n}" for n in names]
+        _write_table(os.path.join(out, "markcorr_suite.csv"), header, map(_fmt, cols))
         from .svgplot import curves_svg
 
         curves_svg(
@@ -331,38 +338,23 @@ def _cmd_envelope(args):
     if args.model in ("modelI", "modelII", "modelIII"):
         net = load_network(_require_file(args.network, "network")) if args.network else synthetic_tree_network()
         kind = args.model[5:]
+        run = dict(
+            nsim=args.nsim, level=args.level, master_seed=args.seed, n_expected=args.n_expected,
+            r_max=args.rmax if args.rmax is not None else 250.0, bins=args.bins,
+            bandwidth=args.bandwidth if args.bandwidth is not None else 10.0, radius=args.radius,
+            n_jobs=jobs,
+        )
         if args.stat == "suite":
-            bands = mark_correlation_study(
-                net,
-                kind,
-                out,
-                nsim=args.nsim,
-                level=args.level,
-                master_seed=args.seed,
-                n_expected=args.n_expected,
-                r_max=args.rmax if args.rmax is not None else 250.0,
-                bins=args.bins,
-                bandwidth=args.bandwidth if args.bandwidth is not None else 10.0,
-                radius=args.radius,
-                n_jobs=jobs,
-            )
-            k = next(iter(bands.values())).k
-            _write_metadata(args, out, {"k": k})
+            set_flags = [f"--{flag}" for flag, default in _TREND.items() if getattr(args, flag) != default]
+            if set_flags:
+                raise ValidationError(
+                    f"{', '.join(set_flags)} cannot be used with --stat suite: the study uses its own trend"
+                )
+            bands = mark_correlation_study(net, kind, out, **run)
+            _write_metadata(args, out, {"k": next(iter(bands.values())).k})
             return
         tf = _TF[args.stat]
-        net.vertex_distances()  # fill the cache before the workers share it
-        lam = args.n_expected / net.total_length
-        r = r_grid(args.rmax if args.rmax is not None else 250.0, args.bins)
-        smoothing = SmoothingSpec1D(args.bandwidth if args.bandwidth is not None else 10.0)
-
-        def gen(rng):
-            p = poisson_network_min2(lam, net, rng)
-            return model_marks(kind, p, rng, a=args.a, b=args.b, tau=args.tau, radius=args.radius)
-
-        def stat(p):
-            return mark_corr(p, tf, smoothing, r, degenerate="nan")
-
-        band = envelopes(gen, stat, args.nsim, args.level, args.seed, n_jobs=jobs)
+        (band,) = _mark_model_bands(net, kind, (tf,), a=args.a, b=args.b, tau=args.tau, **run)
         band.to_csv(os.path.join(out, f"{args.model}_{tf.name}_band.csv"))
         from .svgplot import envelope_panels_svg
 
@@ -416,6 +408,12 @@ def _add_common(sp, with_domain=True):
         sp.add_argument("--network", help="network JSON file")
 
 
+def _add_mark_model(sp):
+    for flag, default in _TREND.items():
+        sp.add_argument(f"--{flag}", type=float, default=default)
+    sp.add_argument("--radius", type=float, default=80.0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="markedpoints",
@@ -447,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", default="scott")
     sp.add_argument("--kernel", choices=["gaussian", "epanechnikov", "box"], default="gaussian")
     sp.add_argument("--intensity-method", dest="intensity_method", choices=["uniform", "jd"], default="uniform")
-    sp.add_argument("--lambda-const", dest="lambda_const", type=float, help="use a constant intensity instead of a plug-in estimate")
+    sp.add_argument("--lambda-const", dest="lambda_const", type=_finite, help="use a constant intensity instead of a plug-in estimate")
     sp.add_argument("--grid", type=int, default=128)
     sp.add_argument("--grid-spacing", dest="grid_spacing", type=float)
     sp.add_argument("--tf", choices=sorted(_TF), default="stoyan")
@@ -484,10 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lgcp-mu", dest="lgcp_mu", type=float, default=None)
     sp.add_argument("--lgcp-var", dest="lgcp_var", type=float, default=0.25)
     sp.add_argument("--lgcp-step", dest="lgcp_step", type=float)
-    sp.add_argument("--a", type=float, default=0.0)
-    sp.add_argument("--b", type=float, default=1.0)
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--radius", type=float, default=80.0)
+    _add_mark_model(sp)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("envelope", help="Monte Carlo envelope of a statistic under a null model")
@@ -505,10 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rmax", type=float)
     sp.add_argument("--bins", type=int, default=250)
     sp.add_argument("--bandwidth", type=float)
-    sp.add_argument("--a", type=float, default=0.0)
-    sp.add_argument("--b", type=float, default=1.0)
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--radius", type=float, default=80.0)
+    _add_mark_model(sp)
     sp.set_defaults(func=_cmd_envelope)
 
     sp = sub.add_parser("rerun", help="replay a run from its metadata file")

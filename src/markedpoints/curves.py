@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import LinearNetwork
+from .pattern import _fmt, _write_table
 
 __all__ = ["SummaryCurve", "r_grid"]
 
@@ -61,17 +62,12 @@ class SummaryCurve:
         return np.array_equal(self.r, other.r)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            items = " ".join(f"{k}={v}" for k, v in sorted(self.meta.items()))
-            fh.write(f"# statistic={self.statistic}" + (f" {items}" if items else "") + "\n")
-            wr = csv.writer(fh)
-            cols = ["r", "value"] + (["theoretical"] if self.theoretical is not None else [])
-            wr.writerow(cols)
-            for i in range(len(self.r)):
-                row = [format(self.r[i], ".12g"), format(self.values[i], ".12g")]
-                if self.theoretical is not None:
-                    row.append(format(self.theoretical[i], ".12g"))
-                wr.writerow(row)
+        items = "".join(f" {k}={v}" for k, v in sorted(self.meta.items()))
+        header, cols = ["r", "value"], [self.r, self.values]
+        if self.theoretical is not None:
+            header.append("theoretical")
+            cols.append(self.theoretical)
+        _write_table(path, header, map(_fmt, cols), f"statistic={self.statistic}{items}")
 
     @staticmethod
     def from_csv(path) -> "SummaryCurve":

@@ -9,7 +9,6 @@ index, so results do not depend on the execution schedule.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +21,7 @@ from .curves import SummaryCurve, check_r_grid, r_grid
 from .errors import ValidationError
 from .geometry import LinearNetwork
 from .markcorr import _SUITE, SmoothingSpec1D, _normalized, _reach
-from .pattern import MarkedPointPattern
+from .pattern import MarkedPointPattern, _fmt, _write_table
 from .simulate import SeedSpec, _neighbour_counts, model_marks, poisson_network, replicate_rng
 
 __all__ = ["EnvelopeBand", "envelopes", "mark_correlation_study", "envelope_rank"]
@@ -44,27 +43,14 @@ class EnvelopeBand:
     observed: SummaryCurve | None = None
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(
-                f"# statistic={self.statistic} nsim={self.nsim} "
-                f"level={format(self.level, '.12g')} k={self.k}\n"
-            )
-            wr = csv.writer(fh)
-            cols = ["r", "lo", "mean", "hi", "n_effective"]
-            if self.observed is not None:
-                cols.append("observed")
-            wr.writerow(cols)
-            for i in range(len(self.r)):
-                row = [
-                    format(self.r[i], ".12g"),
-                    format(self.lo[i], ".12g"),
-                    format(self.mean[i], ".12g"),
-                    format(self.hi[i], ".12g"),
-                    str(int(self.n_effective[i])),
-                ]
-                if self.observed is not None:
-                    row.append(format(self.observed.values[i], ".12g"))
-                wr.writerow(row)
+        header = ["r", "lo", "mean", "hi", "n_effective"]
+        cols = [_fmt(v) for v in (self.r, self.lo, self.mean, self.hi)]
+        cols.append([str(int(v)) for v in self.n_effective.tolist()])
+        if self.observed is not None:
+            header.append("observed")
+            cols.append(_fmt(self.observed.values))
+        comment = f"statistic={self.statistic} nsim={self.nsim} level={format(self.level, '.12g')} k={self.k}"
+        _write_table(path, header, cols, comment)
 
 
 def envelope_rank(nsim: int, level: float) -> int:
@@ -96,6 +82,15 @@ def _assemble_band(r, matrix, nsim, level, statistic="", k=None) -> EnvelopeBand
     with np.errstate(invalid="ignore"):
         mean[any_def] = np.nanmean(matrix[:, any_def], axis=0)
     return EnvelopeBand(r, lo, hi, mean, nsim, level, k, n_eff, statistic)
+
+
+def _bands(r, rows, names, nsim: int, level: float, k: int) -> list:
+    """One rank band per statistic: rows[i][s] is the curve of statistic
+    names[s] on replicate i."""
+    return [
+        _assemble_band(r, np.vstack([row[s] for row in rows]), nsim, level, name, k)
+        for s, name in enumerate(names)
+    ]
 
 
 def _replicates(one, nsim: int, n_jobs) -> list:
@@ -142,9 +137,7 @@ def envelopes(
     for c in curves[1:]:
         if not np.array_equal(c.r, r):
             raise ValidationError("statistic returned curves on differing r grids")
-    matrix = np.vstack([c.values for c in curves])
-    band = _assemble_band(r, matrix, nsim, level, curves[0].statistic)
-    band.k = k
+    (band,) = _bands(r, [[c.values] for c in curves], [curves[0].statistic], nsim, level, k)
     if observed is not None:
         obs_curve = statistic(observed)
         if not np.array_equal(obs_curve.r, r):
@@ -152,8 +145,6 @@ def envelopes(
         band.observed = obs_curve
     return band
 
-
-_STUDY_STATS = tuple(tf.name for tf in _SUITE)
 
 _MAX_REDRAWS = 1000
 
@@ -166,6 +157,49 @@ def poisson_network_min2(lam: float, net: LinearNetwork, rng) -> MarkedPointPatt
         if p.n >= 2:
             return p
     raise ValidationError(f"no pattern with 2 or more points in {_MAX_REDRAWS} redraws (rate {lam:g})")
+
+
+def _mark_model_bands(
+    net, model, tfs, *, nsim, level, master_seed, n_expected, r_max, bins, bandwidth, radius, a, b, tau,
+    n_jobs,
+) -> list:
+    """Rank bands of the normalized mark correlations of the test functions
+    tfs under mark model I, II or III, one per test function.
+
+    A replicate is Poisson points on net (rate n_expected per total length,
+    redrawn until n >= 2) marked by model: the trend a + b (x + y) with
+    noise sd tau (model I), the distance to the nearest degree-1 vertex
+    (II) or the number of other points within radius (III). The model III
+    counts and the kernel matrix share one pair sweep. Arguments are
+    checked before any replicate is drawn; every worker count gives the
+    same bands.
+    """
+    if model not in ("I", "II", "III"):
+        raise ValidationError(f"model must be I, II or III, got {model!r}")
+    k = envelope_rank(nsim, level)
+    if model == "III" and radius < 0:
+        raise ValidationError(f"radius must be nonnegative, got {radius}")
+    lam = n_expected / net.total_length
+    r = check_r_grid(r_grid(r_max, bins))
+    smoothing = SmoothingSpec1D(bandwidth)
+    reach = _reach(smoothing, r)
+    net.vertex_distances()  # fill the cache before the workers share it
+
+    def one(i):
+        rng = replicate_rng(SeedSpec(master_seed, i))
+        p = poisson_network_min2(lam, net, rng)
+        pairs = None
+        if model == "III":
+            # one pair sweep serves the model III counts and the kernel matrix
+            pairs = close_pairs(p, max(radius, reach))
+            near = pairs[2] <= radius
+            marked = p.with_marks(_neighbour_counts(pairs[0][near], pairs[1][near], p.n))
+        else:
+            marked = model_marks(model, p, rng, a=a, b=b, tau=tau)
+        return [vals for vals, _, _ in _normalized(tfs, marked, smoothing, r, "none", pairs=pairs)]
+
+    rows = _replicates(one, nsim, n_jobs)
+    return _bands(r, rows, [f"markcorr_{tf.name}" for tf in tfs], nsim, level, k)
 
 
 def mark_correlation_study(
@@ -192,50 +226,23 @@ def mark_correlation_study(
     per available CPU by default (n_jobs=0); every worker count gives the
     same bytes.
     """
-    if model not in ("I", "II", "III"):
-        raise ValidationError(f"model must be I, II or III, got {model!r}")
-    envelope_rank(nsim, level)
-    if model == "III" and radius < 0:
-        raise ValidationError(f"radius must be nonnegative, got {radius}")
-    os.makedirs(out_dir, exist_ok=True)
-    lam = n_expected / net.total_length
-    r = check_r_grid(r_grid(r_max, bins))
-    smoothing = SmoothingSpec1D(bandwidth)
-    reach = _reach(smoothing, r)
-    net.vertex_distances()  # fill the cache before the workers share it
-
     # trend marks are shifted positive so product-type correlations read cleanly
-    score = net.vertices.sum(axis=1)
-    trend_a = 1.0 - float(score.min())
-
-    def one(i):
-        rng = replicate_rng(SeedSpec(master_seed, i))
-        p = poisson_network_min2(lam, net, rng)
-        pairs = None
-        if model == "III":
-            # one pair sweep serves the model III counts and the kernel matrix
-            pairs = close_pairs(p, max(radius, reach))
-            near = pairs[2] <= radius
-            marked = p.with_marks(_neighbour_counts(pairs[0][near], pairs[1][near], p.n))
-        else:
-            marked = model_marks(model, p, rng, a=trend_a, b=1.0)
-        return [vals for vals, _, _ in _normalized(_SUITE, marked, smoothing, r, "none", pairs=pairs)]
-
-    rows = _replicates(one, nsim, n_jobs)
-
-    bands = {}
-    for s, name in enumerate(_STUDY_STATS):
-        matrix = np.vstack([rows[i][s] for i in range(nsim)])
-        band = _assemble_band(r, matrix, nsim, level, f"markcorr_{name}")
+    trend_a = 1.0 - float(net.vertices.sum(axis=1).min())
+    suite = _mark_model_bands(
+        net, model, _SUITE, nsim=nsim, level=level, master_seed=master_seed, n_expected=n_expected,
+        r_max=r_max, bins=bins, bandwidth=bandwidth, radius=radius, a=trend_a, b=1.0, tau=None,
+        n_jobs=n_jobs,
+    )
+    bands = {tf.name: band for tf, band in zip(_SUITE, suite)}
+    os.makedirs(out_dir, exist_ok=True)
+    for name, band in bands.items():
         band.to_csv(os.path.join(out_dir, f"model{model}_{name}_band.csv"))
-        bands[name] = band
     if write_plot:
         from .svgplot import envelope_panels_svg
 
-        panels = [(name, bands[name]) for name in _STUDY_STATS]
         envelope_panels_svg(
             os.path.join(out_dir, f"model{model}_markcorr.svg"),
-            panels,
+            list(bands.items()),
             title=f"Model {model}: mark correlation envelopes ({nsim} replicates)",
         )
     return bands

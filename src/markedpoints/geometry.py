@@ -391,7 +391,12 @@ def save_network(net: LinearNetwork, path):
 
 def load_network(path) -> LinearNetwork:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:
+            raise ValidationError(f"network file {path} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"network file {path} must hold a JSON object with vertices and segments")
     try:
         return LinearNetwork(doc["vertices"], doc["segments"])
     except KeyError as e:

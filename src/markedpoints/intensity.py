@@ -12,7 +12,6 @@ window mass of a kernel factorizes into two closed-form 1-D masses.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,7 +21,7 @@ from scipy.special import ndtr
 
 from .errors import NumericalError, ValidationError
 from .geometry import LinearNetwork, PlanarWindow, _arc_mesh, _cross_dist, _loc_arrays, _locations
-from .pattern import MarkedPointPattern
+from .pattern import MarkedPointPattern, _fmt, _write_table
 
 __all__ = [
     "KernelSpec",
@@ -165,21 +164,9 @@ class IntensityEstimate:
 
     def to_csv(self, path):
         xs, ys = self.cell_centers()
-        with open(path, "w", newline="") as fh:
-            fh.write(
-                f"# method={self.method} sigma={format(self.sigma, '.12g')} nx={self.nx} ny={self.ny}\n"
-            )
-            wr = csv.writer(fh)
-            wr.writerow(["cx", "cy", "value"])
-            for i in range(self.nx):
-                for j in range(self.ny):
-                    wr.writerow(
-                        [
-                            format(xs[i], ".12g"),
-                            format(ys[j], ".12g"),
-                            format(self.values[i, j], ".12g"),
-                        ]
-                    )
+        cols = [np.repeat(xs, self.ny), np.tile(ys, self.nx), self.values.ravel()]
+        comment = f"method={self.method} sigma={format(self.sigma, '.12g')} nx={self.nx} ny={self.ny}"
+        _write_table(path, ["cx", "cy", "value"], map(_fmt, cols), comment)
 
 
 def _check_planar(p: MarkedPointPattern):
@@ -362,13 +349,10 @@ class NetworkIntensityEstimate:
         return float(self._evaluate(self._mesh) @ self.mesh_weights)
 
     def to_csv(self, path):
-        vals = self._evaluate(self._mesh)
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# method={self.method} sigma={format(self.sigma, '.12g')}\n")
-            wr = csv.writer(fh)
-            wr.writerow(["segment", "offset", "value"])
-            for s, t, v in zip(self._mesh[0].tolist(), self._mesh[1].tolist(), vals):
-                wr.writerow([str(s), format(t, ".12g"), format(v, ".12g")])
+        seg, off = self._mesh
+        cols = [list(map(str, seg.tolist())), _fmt(off), _fmt(self._evaluate(self._mesh))]
+        comment = f"method={self.method} sigma={format(self.sigma, '.12g')}"
+        _write_table(path, ["segment", "offset", "value"], cols, comment)
 
 
 def intensity_network(

@@ -227,6 +227,17 @@ def _fmt(values) -> list:
     return [format(v, ".12g") for v in values.tolist()]
 
 
+def _write_table(path, header, cols, comment=None):
+    """CSV file: an optional '# comment' line, the header row, then one row
+    per index of the equal-length columns of preformatted strings."""
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(zip(*cols))
+
+
 def save_pattern_csv(p: MarkedPointPattern, path):
     """Pattern CSV: x,y[,type][,mark] planar; segment,offset[,type][,mark] network.
 
@@ -244,10 +255,7 @@ def save_pattern_csv(p: MarkedPointPattern, path):
     if has.any():
         header.append("mark")
         cols.append([m if h else "" for m, h in zip(_fmt(marks), has.tolist())])
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(zip(*cols))
+    _write_table(path, header, cols)
 
 
 def load_pattern_csv(path, domain) -> MarkedPointPattern:

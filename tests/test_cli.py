@@ -10,15 +10,30 @@ import numpy as np
 import pytest
 
 from markedpoints import (
+    BEISBART_KERSCHER,
+    SHIMANTANI_I,
+    STOYAN,
+    VARIOGRAM,
     MarkedPoint,
     MarkedPointPattern,
     PlanarWindow,
+    SeedSpec,
+    SmoothingSpec1D,
+    envelopes,
+    load_network,
+    mark_corr,
+    model_marks,
+    r_grid,
+    replicate_rng,
     save_network,
     save_pattern_csv,
     synthetic_tree_network,
 )
 import markedpoints
+from markedpoints._dist import close_pairs
 from markedpoints.cli import main
+from markedpoints.envelope import poisson_network_min2
+from markedpoints.svgplot import envelope_panels_svg
 
 
 @pytest.fixture
@@ -225,6 +240,11 @@ BAD_PATTERN_CSV = {
     "non_integer_segment": "segment,offset\n1.5,0.3\n",
 }
 
+BAD_NETWORK_JSON = {
+    "network_json_list": "[[0, 0], [1, 0]]",
+    "network_json_truncated": '{"vertices": [[0, 0], [1, 0]], "segm',
+}
+
 
 @pytest.mark.parametrize(
     "case, code",
@@ -236,6 +256,11 @@ BAD_PATTERN_CSV = {
         ("summary_missing_type_j", 3),
         ("threads_not_integer", 3),
         ("envelope_nsim_zero", 3),
+        ("envelope_suite_trend_flags", 3),
+        ("intensity_sigma_inf", 3),
+        ("summary_lambda_const_inf", 2),
+        ("network_json_list", 3),
+        ("network_json_truncated", 3),
     ],
 )
 def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, case, code):
@@ -248,6 +273,17 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
         bad.write_text(BAD_PATTERN_CSV[case])
         domain = ["--network", tree_file] if case == "non_integer_segment" else ["--window", "0,1,0,1"]
         argv = ["markcorr", "--pattern", str(bad)] + domain
+    elif case in BAD_NETWORK_JSON:
+        bad = tmp_path / "bad.json"
+        bad.write_text(BAD_NETWORK_JSON[case])
+        argv = ["simulate", "--model", "modelII", "--network", str(bad)]
+    elif case == "envelope_suite_trend_flags":
+        argv = ["envelope", "--model", "modelI", "--stat", "suite", "--network", tree_file, "--a", "5"]
+    elif case == "intensity_sigma_inf":
+        argv = ["intensity", "--pattern", planar_csv, "--window", "0,1,0,1", "--sigma", "inf"]
+    elif case == "summary_lambda_const_inf":
+        argv = ["summary", "--pattern", planar_csv, "--window", "0,1,0,1", "--stat", "f",
+                "--lambda-const", "inf"]
     elif case == "envelope_bad_stat":
         argv = ["envelope", "--model", "modelI", "--stat", "foo", "--network", tree_file]
     elif case == "envelope_nsim_zero":
@@ -265,3 +301,55 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+ENVELOPE_SMALL = dict(nsim=39, seed=7, n_expected=30.0, rmax=100.0, bins=16, bandwidth=25.0)
+
+
+@pytest.mark.parametrize(
+    "model, stat, extra",
+    [
+        ("modelI", "stoyan", {"a": 2.0, "b": 0.5, "tau": 3.0}),
+        ("modelII", "vario", {}),
+        ("modelIII", "bk", {"radius": 0.0}),
+        ("modelIII", "shimantani", {"radius": "tie"}),
+        ("modelIII", "stoyan", {"radius": 400.0}),  # above rmax + kernel support
+    ],
+)
+def test_envelope_one_statistic_matches_public_calls(tmp_path, tree_file, monkeypatch, model, stat, extra):
+    # the band CSV and SVG of `envelope --stat <tf>` under a mark model equal
+    # a replay from envelopes, model_marks and mark_corr, for every worker count
+    cfg = ENVELOPE_SMALL
+    net = load_network(tree_file)
+    lam = cfg["n_expected"] / net.total_length
+    if extra.get("radius") == "tie":  # a pair of replicate 0 sits exactly at the radius
+        p0 = poisson_network_min2(lam, net, replicate_rng(SeedSpec(cfg["seed"], 0)))
+        d = np.sort(close_pairs(p0, 200.0)[2])
+        extra = {"radius": float(d[len(d) // 2])}
+    kw = {"a": 0.0, "b": 1.0, "tau": None, "radius": 80.0, **extra}
+    r = r_grid(cfg["rmax"], cfg["bins"])
+    smoothing = SmoothingSpec1D(cfg["bandwidth"])
+    tf = {"stoyan": STOYAN, "vario": VARIOGRAM, "bk": BEISBART_KERSCHER, "shimantani": SHIMANTANI_I}[stat]
+
+    def gen(rng):
+        return model_marks(model[5:], poisson_network_min2(lam, net, rng), rng, **kw)
+
+    def statistic(p):
+        return mark_corr(p, tf, smoothing, r, degenerate="nan")
+
+    band = envelopes(gen, statistic, cfg["nsim"], 0.95, cfg["seed"])
+    band.to_csv(tmp_path / "ref.csv")
+    envelope_panels_svg(tmp_path / "ref.svg", [(tf.name, band)], title=f"{model}: {tf.name} envelope")
+
+    argv = ["envelope", "--model", model, "--stat", stat, "--network", tree_file]
+    for key, value in list(cfg.items()) + list(extra.items()):
+        argv += [f"--{key.replace('_', '-')}", repr(value)]
+    for threads in (None, "1", "2"):
+        if threads is None:
+            monkeypatch.delenv("MARKEDPOINTS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MARKEDPOINTS_THREADS", threads)
+        out = tmp_path / f"threads_{threads}"
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        assert read_bytes(out / f"{model}_{tf.name}_band.csv") == read_bytes(tmp_path / "ref.csv")
+        assert read_bytes(out / f"{model}_{tf.name}_band.svg") == read_bytes(tmp_path / "ref.svg")
