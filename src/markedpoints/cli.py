@@ -21,7 +21,7 @@ from . import __version__
 from .curves import default_r, r_grid
 from .envelope import _mark_model_bands, envelopes, mark_correlation_study
 from .errors import NumericalError, ValidationError
-from .geometry import PlanarWindow, load_network, synthetic_tree_network
+from .geometry import LinearNetwork, NetworkLocation, PlanarWindow, load_network, synthetic_tree_network
 from .intensity import (
     KernelSpec,
     bandwidth_cvl,
@@ -62,6 +62,7 @@ from .summaries import (
     k_dot_inhom,
     mark_weighted_k,
 )
+from .svgplot import curves_svg, envelope_panels_svg
 
 _TF = {"stoyan": STOYAN, "bk": BEISBART_KERSCHER, "vario": VARIOGRAM, "shimantani": SHIMANTANI_I}
 
@@ -93,6 +94,11 @@ def _load_domain(args):
     raise ValidationError("either --window or --network is required")
 
 
+def _network(args) -> LinearNetwork:
+    """The --network file, else the bundled dendrite tree."""
+    return load_network(_require_file(args.network, "network")) if args.network else synthetic_tree_network()
+
+
 def _threads(args) -> int:
     """MARKEDPOINTS_THREADS as an n_jobs count; unset reads 0 (one per CPU)."""
     env = os.environ.get("MARKEDPOINTS_THREADS")
@@ -119,6 +125,13 @@ def _out_dir(args) -> str:
     return args.out_dir
 
 
+def _pattern(args):
+    """The output directory, made, and the --pattern file read on its domain."""
+    out = _out_dir(args)
+    domain = _load_domain(args)
+    return out, load_pattern_csv(_require_file(args.pattern, "pattern"), domain)
+
+
 def _plugin_sigma(args, p) -> float:
     if args.sigma == "scott":
         sx, sy = bandwidth_scott(p)
@@ -142,41 +155,28 @@ def _finite(text) -> float:
     return value
 
 
-def _cmd_intensity(args):
-    out = _out_dir(args)
-    domain = _load_domain(args)
-    p = load_pattern_csv(_require_file(args.pattern, "pattern"), domain)
+def _intensity(args, p, method):
+    """Kernel intensity estimate of p by method (uniform, jd or heat), with
+    the bandwidth, kernel and grid flags of the run."""
     if p.is_network:
-        if args.method not in ("uniform", "jd"):
+        if method not in ("uniform", "jd"):
             raise ValidationError("network intensity supports methods uniform/jd only")
         if args.sigma == "cvl":
             raise ValidationError("cvl bandwidth selection is planar-only")
-        sigma = _plugin_sigma(args, p)
-        est = intensity_network(p, KernelSpec(sigma, args.kernel))
-    else:
-        sigma = _plugin_sigma(args, p)
-        dims = (args.grid, args.grid)
-        if args.method == "uniform":
-            est = intensity_uniform(p, KernelSpec(sigma, args.kernel), dims)
-        elif args.method == "jd":
-            est = intensity_jones_diggle(p, KernelSpec(sigma, args.kernel), dims)
-        elif args.method == "heat":
-            est = intensity_heat(p, sigma, dims)
-        else:
-            raise ValidationError(f"unknown method {args.method!r}")
+        return intensity_network(p, KernelSpec(_plugin_sigma(args, p), args.kernel))
+    sigma = _plugin_sigma(args, p)
+    dims = (args.grid, args.grid)
+    if method == "heat":
+        return intensity_heat(p, sigma, dims)
+    estimate = intensity_jones_diggle if method == "jd" else intensity_uniform
+    return estimate(p, KernelSpec(sigma, args.kernel), dims)
+
+
+def _cmd_intensity(args):
+    out, p = _pattern(args)
+    est = _intensity(args, p, args.method)
     est.to_csv(os.path.join(out, "intensity.csv"))
     _write_metadata(args, out, {"resolved_sigma": est.sigma})
-
-
-def _plugin_intensity(args, p):
-    sigma = _plugin_sigma(args, p)
-    k = KernelSpec(sigma, args.kernel)
-    if p.is_network:
-        return intensity_network(p, k)
-    dims = (args.grid, args.grid)
-    if args.intensity_method == "jd":
-        return intensity_jones_diggle(p, k, dims)
-    return intensity_uniform(p, k, dims)
 
 
 def _summary_r(args, domain):
@@ -192,15 +192,13 @@ def _type_group(groups, label, flag):
 
 
 def _cmd_summary(args):
-    out = _out_dir(args)
-    domain = _load_domain(args)
-    p = load_pattern_csv(_require_file(args.pattern, "pattern"), domain)
+    out, p = _pattern(args)
     r = _summary_r(args, p.domain)
 
     def lam_for(sub):
         if args.lambda_const is not None:
             return float(args.lambda_const)
-        return _plugin_intensity(args, sub)
+        return _intensity(args, sub, args.intensity_method)
 
     if args.stat in ("kcross", "kdot", "hcross", "jcross"):
         groups = split_by_type(p)
@@ -236,9 +234,7 @@ def _cmd_summary(args):
 
 
 def _cmd_markcorr(args):
-    out = _out_dir(args)
-    domain = _load_domain(args)
-    p = load_pattern_csv(_require_file(args.pattern, "pattern"), domain)
+    out, p = _pattern(args)
     r = _summary_r(args, p.domain)
     smoothing = (
         SmoothingSpec1D(args.bandwidth, args.smoothing_kernel)
@@ -247,58 +243,40 @@ def _cmd_markcorr(args):
     )
     if args.tf == "suite":
         suite = mark_corr_suite(p, smoothing, r, args.ec)
-        for name, curve in suite.curves.items():
-            curve.to_csv(os.path.join(out, f"markcorr_{name}.csv"))
-        names = sorted(suite.curves)
-        cols = [r] + [suite.curves[n].values for n in names] + [suite.numerators[n].values for n in names]
+        curves, raws, stem, title = suite.curves, {}, "suite", "mark correlation functions"
+        names = sorted(curves)
+        cols = [r] + [curves[n].values for n in names] + [suite.numerators[n].values for n in names]
         header = ["r"] + names + [f"raw_{n}" for n in names]
         _write_table(os.path.join(out, "markcorr_suite.csv"), header, map(_fmt, cols))
-        from .svgplot import curves_svg
-
-        curves_svg(
-            os.path.join(out, "markcorr_suite.svg"),
-            [(n, suite.curves[n]) for n in names],
-            title="mark correlation functions",
-        )
     else:
-        curve, numer = mark_corr(
-            p, _TF[args.tf], smoothing, r, args.ec, return_numerator=True
-        )
-        curve.to_csv(os.path.join(out, f"markcorr_{_TF[args.tf].name}.csv"))
-        numer.to_csv(os.path.join(out, f"markcorr_raw_{_TF[args.tf].name}.csv"))
-        from .svgplot import curves_svg
-
-        curves_svg(
-            os.path.join(out, f"markcorr_{_TF[args.tf].name}.svg"),
-            [(_TF[args.tf].name, curve)],
-            title=f"mark correlation: {_TF[args.tf].name}",
-        )
+        tf = _TF[args.tf]
+        curve, numer = mark_corr(p, tf, smoothing, r, args.ec, return_numerator=True)
+        curves, raws, stem, title = {tf.name: curve}, {tf.name: numer}, tf.name, f"mark correlation: {tf.name}"
+    for name, curve in curves.items():
+        curve.to_csv(os.path.join(out, f"markcorr_{name}.csv"))
+    for name, numer in raws.items():
+        numer.to_csv(os.path.join(out, f"markcorr_raw_{name}.csv"))
+    curves_svg(os.path.join(out, f"markcorr_{stem}.svg"), [(n, curves[n]) for n in sorted(curves)], title=title)
     _write_metadata(args, out, {"resolved_bandwidth": smoothing.bandwidth})
 
 
 def _simulate_pattern(args, rng):
     model = args.model
     if model in ("modelI", "modelII", "modelIII"):
-        net = load_network(_require_file(args.network, "network")) if args.network else synthetic_tree_network()
+        net = _network(args)
         lam = args.rate if args.rate is not None else args.n_expected / net.total_length
         p = poisson_network(lam, net, rng)
         kind = model[5:]
         p = model_marks(kind, p, rng, a=args.a, b=args.b, tau=args.tau, radius=args.radius)
         return p, net
     if model == "poisson":
-        if args.network:
-            net = load_network(_require_file(args.network, "network"))
-            if args.rate is None:
-                raise ValidationError("--rate is required for poisson simulation")
-            return poisson_network(args.rate, net, rng), net
         domain = _load_domain(args)
         if args.rate is None:
             raise ValidationError("--rate is required for poisson simulation")
-        return poisson_planar(args.rate, domain, rng), domain
+        simulate = poisson_network if isinstance(domain, LinearNetwork) else poisson_planar
+        return simulate(args.rate, domain, rng), domain
     if model == "lgcp":
-        net = load_network(_require_file(args.network, "network")) if args.network else synthetic_tree_network()
-        from .geometry import NetworkLocation
-
+        net = _network(args)
         var = args.lgcp_var
         mu = args.lgcp_mu
         if mu is None:
@@ -336,7 +314,7 @@ def _cmd_envelope(args):
     out = _out_dir(args)
     jobs = _threads(args)
     if args.model in ("modelI", "modelII", "modelIII"):
-        net = load_network(_require_file(args.network, "network")) if args.network else synthetic_tree_network()
+        net = _network(args)
         kind = args.model[5:]
         run = dict(
             nsim=args.nsim, level=args.level, master_seed=args.seed, n_expected=args.n_expected,
@@ -356,8 +334,6 @@ def _cmd_envelope(args):
         tf = _TF[args.stat]
         (band,) = _mark_model_bands(net, kind, (tf,), a=args.a, b=args.b, tau=args.tau, **run)
         band.to_csv(os.path.join(out, f"{args.model}_{tf.name}_band.csv"))
-        from .svgplot import envelope_panels_svg
-
         envelope_panels_svg(
             os.path.join(out, f"{args.model}_{tf.name}_band.svg"),
             [(tf.name, band)],
@@ -369,7 +345,7 @@ def _cmd_envelope(args):
         domain = _load_domain(args)
         if args.rate is None:
             raise ValidationError("--rate is required for poisson envelopes")
-        if domain.__class__.__name__ == "LinearNetwork":
+        if isinstance(domain, LinearNetwork):
             raise ValidationError("poisson envelopes are planar-only in the CLI")
         r = _summary_r(args, domain)
 
@@ -410,8 +386,8 @@ def _add_common(sp, with_domain=True):
 
 def _add_mark_model(sp):
     for flag, default in _TREND.items():
-        sp.add_argument(f"--{flag}", type=float, default=default)
-    sp.add_argument("--radius", type=float, default=80.0)
+        sp.add_argument(f"--{flag}", type=_finite, default=default)
+    sp.add_argument("--radius", type=_finite, default=80.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,14 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--type-i", dest="type_i")
     sp.add_argument("--type-j", dest="type_j")
     sp.add_argument("--ec", choices=["none", "translation"], default="none")
-    sp.add_argument("--rmax", type=float)
+    sp.add_argument("--rmax", type=_finite)
     sp.add_argument("--bins", type=int, default=512)
     sp.add_argument("--sigma", default="scott")
     sp.add_argument("--kernel", choices=["gaussian", "epanechnikov", "box"], default="gaussian")
     sp.add_argument("--intensity-method", dest="intensity_method", choices=["uniform", "jd"], default="uniform")
     sp.add_argument("--lambda-const", dest="lambda_const", type=_finite, help="use a constant intensity instead of a plug-in estimate")
     sp.add_argument("--grid", type=int, default=128)
-    sp.add_argument("--grid-spacing", dest="grid_spacing", type=float)
+    sp.add_argument("--grid-spacing", dest="grid_spacing", type=_finite)
     sp.add_argument("--tf", choices=sorted(_TF), default="stoyan")
     sp.set_defaults(func=_cmd_summary)
 
@@ -455,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--tf", choices=sorted(_TF) + ["suite"], default="suite")
-    sp.add_argument("--bandwidth", type=float)
+    sp.add_argument("--bandwidth", type=_finite)
     sp.add_argument(
         "--smoothing-kernel",
         dest="smoothing_kernel",
@@ -463,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="epanechnikov",
     )
     sp.add_argument("--ec", choices=["none", "symmetricWeight"], default="none")
-    sp.add_argument("--rmax", type=float)
+    sp.add_argument("--rmax", type=_finite)
     sp.add_argument("--bins", type=int, default=512)
     sp.set_defaults(func=_cmd_markcorr)
 
@@ -474,14 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["poisson", "lgcp", "linked", "balanced", "modelI", "modelII", "modelIII"],
         required=True,
     )
-    sp.add_argument("--rate", type=float, help="poisson intensity (per area / per length)")
-    sp.add_argument("--n-expected", dest="n_expected", type=float, default=150.0)
-    sp.add_argument("--nu", type=float, default=100.0)
-    sp.add_argument("--base-const", dest="base_const", type=float, default=50.0)
+    sp.add_argument("--rate", type=_finite, help="poisson intensity (per area / per length)")
+    sp.add_argument("--n-expected", dest="n_expected", type=_finite, default=150.0)
+    sp.add_argument("--nu", type=_finite, default=100.0)
+    sp.add_argument("--base-const", dest="base_const", type=_finite, default=50.0)
     sp.add_argument("--base-cosine", dest="base_cosine", help="base,amplitude,scale")
-    sp.add_argument("--lgcp-mu", dest="lgcp_mu", type=float, default=None)
-    sp.add_argument("--lgcp-var", dest="lgcp_var", type=float, default=0.25)
-    sp.add_argument("--lgcp-step", dest="lgcp_step", type=float)
+    sp.add_argument("--lgcp-mu", dest="lgcp_mu", type=_finite, default=None)
+    sp.add_argument("--lgcp-var", dest="lgcp_var", type=_finite, default=0.25)
+    sp.add_argument("--lgcp-step", dest="lgcp_step", type=_finite)
     _add_mark_model(sp)
     sp.set_defaults(func=_cmd_simulate)
 
@@ -494,12 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--stat", choices=["suite"] + sorted(_TF), default="suite")
     sp.add_argument("--nsim", type=int, default=199)
-    sp.add_argument("--level", type=float, default=0.95)
-    sp.add_argument("--rate", type=float)
-    sp.add_argument("--n-expected", dest="n_expected", type=float, default=150.0)
-    sp.add_argument("--rmax", type=float)
+    sp.add_argument("--level", type=_finite, default=0.95)
+    sp.add_argument("--rate", type=_finite)
+    sp.add_argument("--n-expected", dest="n_expected", type=_finite, default=150.0)
+    sp.add_argument("--rmax", type=_finite)
     sp.add_argument("--bins", type=int, default=250)
-    sp.add_argument("--bandwidth", type=float)
+    sp.add_argument("--bandwidth", type=_finite)
     _add_mark_model(sp)
     sp.set_defaults(func=_cmd_envelope)
 

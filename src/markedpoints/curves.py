@@ -37,6 +37,11 @@ def default_r(domain, bins: int = 512) -> np.ndarray:
     return r_grid(min(domain.width, domain.height) / 4.0, bins)
 
 
+def _r_values(domain, r) -> np.ndarray:
+    """The r grid of an estimator call: default_r(domain) for None, else r checked."""
+    return check_r_grid(default_r(domain) if r is None else r)
+
+
 @dataclass
 class SummaryCurve:
     """A statistic on an r-grid; NaN marks r values where it is undefined."""

@@ -23,6 +23,7 @@ from .geometry import LinearNetwork
 from .markcorr import _SUITE, SmoothingSpec1D, _normalized, _reach
 from .pattern import MarkedPointPattern, _fmt, _write_table
 from .simulate import SeedSpec, _neighbour_counts, model_marks, poisson_network, replicate_rng
+from .svgplot import envelope_panels_svg
 
 __all__ = ["EnvelopeBand", "envelopes", "mark_correlation_study", "envelope_rank"]
 
@@ -177,7 +178,7 @@ def _mark_model_bands(
     if model not in ("I", "II", "III"):
         raise ValidationError(f"model must be I, II or III, got {model!r}")
     k = envelope_rank(nsim, level)
-    if model == "III" and radius < 0:
+    if model == "III" and not radius >= 0:
         raise ValidationError(f"radius must be nonnegative, got {radius}")
     lam = n_expected / net.total_length
     r = check_r_grid(r_grid(r_max, bins))
@@ -238,8 +239,6 @@ def mark_correlation_study(
     for name, band in bands.items():
         band.to_csv(os.path.join(out_dir, f"model{model}_{name}_band.csv"))
     if write_plot:
-        from .svgplot import envelope_panels_svg
-
         envelope_panels_svg(
             os.path.join(out_dir, f"model{model}_markcorr.svg"),
             list(bands.items()),

@@ -283,24 +283,21 @@ def all_pairs_network_distances(net: LinearNetwork, locs) -> np.ndarray:
     return M
 
 
-def point_vertex_distances(net: LinearNetwork, seg, off) -> np.ndarray:
-    """(n, V) shortest-path distances from (segment, offset) columns to every vertex."""
-    D = net.vertex_distances()
-    d0, d1 = _end_distances(net, seg, off)
-    v0, v1 = net.segments[seg, 0], net.segments[seg, 1]
-    return np.minimum(d0[:, None] + D[v0], d1[:, None] + D[v1])
-
-
 def border_distances(net: LinearNetwork, locs) -> np.ndarray:
     """Distance from each location to the nearest degree-1 vertex (inf if none)."""
     return _border_dist(net, *_loc_arrays(net, locs))
 
 
 def _border_dist(net: LinearNetwork, seg, off) -> np.ndarray:
+    """Border distance of (segment, offset) columns through either segment
+    end, from each vertex's distance to its nearest degree-1 vertex; rounding
+    d + x is monotone in x, so this equals the minimum over border vertices."""
     border = net.border_vertices()
     if len(border) == 0:
         return np.full(len(seg), np.inf)
-    return point_vertex_distances(net, seg, off)[:, border].min(axis=1)
+    near = net.vertex_distances()[:, border].min(axis=1)
+    d0, d1 = _end_distances(net, seg, off)
+    return np.minimum(d0 + near[net.segments[seg, 0]], d1 + near[net.segments[seg, 1]])
 
 
 def network_disc_measure(net: LinearNetwork, u: NetworkLocation, r: float) -> float:
@@ -312,11 +309,13 @@ def network_disc_measure(net: LinearNetwork, u: NetworkLocation, r: float) -> fl
     split at u into two pieces that reach u at distance 0.
     """
     seg, off = _loc_arrays(net, [u])
-    if r < 0:
+    if not r >= 0:
         raise ValidationError(f"radius must be nonnegative, got {r}")
-    dv = point_vertex_distances(net, seg, off)[0]
     s = seg[0]
     a, b = net.segments[s]
+    (d0,), (d1,) = _end_distances(net, seg, off)
+    D = net.vertex_distances()
+    dv = np.minimum(d0 + D[a], d1 + D[b])
     la = off[0] * net.seg_lengths[s]
     length = np.append(net.seg_lengths, [la, net.seg_lengths[s] - la])
     length[s] = 0.0
@@ -401,6 +400,8 @@ def load_network(path) -> LinearNetwork:
         return LinearNetwork(doc["vertices"], doc["segments"])
     except KeyError as e:
         raise ValidationError(f"network file {path} missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"network file {path} has malformed vertices or segments: {e}") from None
 
 
 def synthetic_tree_network(

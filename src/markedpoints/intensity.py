@@ -49,8 +49,8 @@ class KernelSpec:
     family: str = "gaussian"
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValidationError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         if self.family not in _FAMILIES:
             raise ValidationError(f"unknown kernel family {self.family!r}")
 
@@ -138,13 +138,7 @@ class IntensityEstimate:
 
     def evaluate(self, xy) -> np.ndarray:
         """Bilinear interpolation at (n, 2) planar coordinates inside the window."""
-        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
-        gx = np.clip((xy[:, 0] - self.window.xmin) / self.dx - 0.5, 0.0, self.nx - 1.0)
-        gy = np.clip((xy[:, 1] - self.window.ymin) / self.dy - 0.5, 0.0, self.ny - 1.0)
-        i0 = np.clip(np.floor(gx).astype(int), 0, self.nx - 2) if self.nx > 1 else np.zeros(len(gx), int)
-        j0 = np.clip(np.floor(gy).astype(int), 0, self.ny - 2) if self.ny > 1 else np.zeros(len(gy), int)
-        fx = gx - i0
-        fy = gy - j0
+        i0, j0, fx, fy = _bilinear(self.window, self.nx, self.ny, np.asarray(xy, dtype=float).reshape(-1, 2))
         v = (
             self.values[i0, j0] * (1 - fx) * (1 - fy)
             + self.values[i0 + 1, j0] * fx * (1 - fy)
@@ -154,9 +148,7 @@ class IntensityEstimate:
         return np.maximum(v, self.floor)
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        xs = self.window.xmin + (np.arange(self.nx) + 0.5) * self.dx
-        ys = self.window.ymin + (np.arange(self.ny) + 0.5) * self.dy
-        return xs, ys
+        return _cell_centers(self.window, self.nx, self.ny)
 
     def integral(self) -> float:
         """Midpoint quadrature of the field over the window."""
@@ -167,6 +159,22 @@ class IntensityEstimate:
         cols = [np.repeat(xs, self.ny), np.tile(ys, self.nx), self.values.ravel()]
         comment = f"method={self.method} sigma={format(self.sigma, '.12g')} nx={self.nx} ny={self.ny}"
         _write_table(path, ["cx", "cy", "value"], map(_fmt, cols), comment)
+
+
+def _cell_centers(w: PlanarWindow, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y cell-centre coordinates of an nx x ny raster over the window."""
+    return w.xmin + (np.arange(nx) + 0.5) * (w.width / nx), w.ymin + (np.arange(ny) + 0.5) * (w.height / ny)
+
+
+def _bilinear(w: PlanarWindow, nx: int, ny: int, xy: np.ndarray):
+    """Bilinear stencil on the cell centres of an nx x ny raster: the lower
+    corner cells (i0, j0) of the (n, 2) points and their fractional
+    offsets (fx, fy) towards (i0 + 1, j0 + 1), clamped to the raster."""
+    gx = np.clip((xy[:, 0] - w.xmin) / (w.width / nx) - 0.5, 0.0, nx - 1.0)
+    gy = np.clip((xy[:, 1] - w.ymin) / (w.height / ny) - 0.5, 0.0, ny - 1.0)
+    i0 = np.clip(np.floor(gx).astype(int), 0, nx - 2) if nx > 1 else np.zeros(len(gx), int)
+    j0 = np.clip(np.floor(gy).astype(int), 0, ny - 2) if ny > 1 else np.zeros(len(gy), int)
+    return i0, j0, gx - i0, gy - j0
 
 
 def _check_planar(p: MarkedPointPattern):
@@ -189,8 +197,7 @@ def intensity_uniform(p: MarkedPointPattern, k: KernelSpec, dims=(128, 128)) -> 
     nx, ny = _check_dims(dims)
     raw = _kernel_sum_raster(p, k, nx, ny, per_point_weights=None)
     w = p.domain
-    xs = w.xmin + (np.arange(nx) + 0.5) * (w.width / nx)
-    ys = w.ymin + (np.arange(ny) + 0.5) * (w.height / ny)
+    xs, ys = _cell_centers(w, nx, ny)
     c = np.outer(_axis_mass(k, w.xmin, w.xmax, xs), _axis_mass(k, w.ymin, w.ymax, ys))
     return IntensityEstimate(w, raw / c, "uniform", k.bandwidth)
 
@@ -213,9 +220,7 @@ def _kernel_sum_raster(p, k, nx, ny, per_point_weights, chunk=4096):
     """Sum over points of the separable kernel on the cell centers: one
     (nx, points) @ (points, ny) product per chunk of points, with per-point
     weights folded into the x factors."""
-    w = p.domain
-    xs = w.xmin + (np.arange(nx) + 0.5) * (w.width / nx)
-    ys = w.ymin + (np.arange(ny) + 0.5) * (w.height / ny)
+    xs, ys = _cell_centers(p.domain, nx, ny)
     out = np.zeros((nx, ny))
     xy = p.coords()
     for lo in range(0, p.n, chunk):
@@ -231,17 +236,11 @@ def _deposit_masses(p: MarkedPointPattern, nx: int, ny: int) -> np.ndarray:
     """Area-weighted splitting of unit point masses onto the 4 nearest cells,
     in density units (each point adds total mass 1)."""
     w = p.domain
-    dx, dy = w.width / nx, w.height / ny
     field = np.zeros((nx, ny))
     if p.n == 0:
         return field
-    xy = p.coords()
-    gx = np.clip((xy[:, 0] - w.xmin) / dx - 0.5, 0.0, nx - 1.0)
-    gy = np.clip((xy[:, 1] - w.ymin) / dy - 0.5, 0.0, ny - 1.0)
-    i0 = np.clip(np.floor(gx).astype(int), 0, nx - 2)
-    j0 = np.clip(np.floor(gy).astype(int), 0, ny - 2)
-    fx, fy = gx - i0, gy - j0
-    unit = 1.0 / (dx * dy)
+    i0, j0, fx, fy = _bilinear(w, nx, ny, p.coords())
+    unit = 1.0 / ((w.width / nx) * (w.height / ny))
     np.add.at(field, (i0, j0), (1 - fx) * (1 - fy) * unit)
     np.add.at(field, (i0 + 1, j0), fx * (1 - fy) * unit)
     np.add.at(field, (i0, j0 + 1), (1 - fx) * fy * unit)
@@ -266,25 +265,21 @@ def heat_evolve(field: np.ndarray, dx: float, dy: float, t: float) -> np.ndarray
     return idctn(coef, type=2, norm="ortho")
 
 
-def intensity_heat(
-    p: MarkedPointPattern, sigma: float, dims=(128, 128), n_steps: int = 32
-) -> IntensityEstimate:
+def intensity_heat(p: MarkedPointPattern, sigma: float, dims=(128, 128)) -> IntensityEstimate:
     """Diffusion intensity estimate: point masses evolved to time t = sigma^2
-    under the reflecting-boundary heat equation on the raster."""
+    under the reflecting-boundary heat equation on the raster, in one exact
+    step of heat_evolve."""
     _check_planar(p)
     nx, ny = _check_dims(dims)
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValidationError(f"sigma must be positive and finite, got {sigma}")
     w = p.domain
     dx, dy = w.width / nx, w.height / ny
     if sigma < 2.0 * max(dx, dy):
         raise ValidationError(
             f"grid too coarse: sigma={sigma} is below two cell widths ({2 * max(dx, dy)})"
         )
-    field = _deposit_masses(p, nx, ny)
-    dt = sigma**2 / n_steps
-    for _ in range(n_steps):
-        field = heat_evolve(field, dx, dy, dt)
+    field = heat_evolve(_deposit_masses(p, nx, ny), dx, dy, sigma**2)
     return IntensityEstimate(w, np.maximum(field, 0.0), "heat", sigma)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from ._dist import close_pairs, translation_weights
-from .curves import SummaryCurve, default_r
+from .curves import SummaryCurve, _r_values
 from .errors import NumericalError, ValidationError
 from .intensity import _elementwise, kernel1d_pdf, kernel1d_support
 from .pattern import MarkedPointPattern, mark_moments
@@ -70,8 +70,8 @@ class SmoothingSpec1D:
     kernel: str = "epanechnikov"
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValidationError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         if self.kernel not in ("epanechnikov", "gaussian", "box"):
             raise ValidationError(f"unknown 1-D kernel {self.kernel!r}")
 
@@ -203,14 +203,6 @@ def _kernel_matrix(p: MarkedPointPattern, smoothing: SmoothingSpec1D, r: np.ndar
     return csr_array((kv, cols, indptr), shape=(len(r), len(d))), i, j
 
 
-def _resolve(p: MarkedPointPattern, smoothing, r):
-    """The r grid and smoothing of a call, with the package defaults for None."""
-    r = default_r(p.domain) if r is None else np.asarray(r, dtype=float)
-    if len(r) == 0:
-        raise ValidationError("empty r grid")
-    return r, default_smoothing(p) if smoothing is None else smoothing
-
-
 def _normalized(tfs, p: MarkedPointPattern, smoothing, r, ec: str, stoyan_rule="pairs", pairs=None):
     """(normalized values, raw ratio, c_tf) of each test function, all from
     one product with the kernel matrix; a degenerate c_tf reads 0.0 and
@@ -241,6 +233,21 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
+def _curves(tfs, p: MarkedPointPattern, smoothing, r, ec: str, stoyan_rule="pairs") -> list:
+    """(normalized curve, raw numerator curve, c_tf) of each test function,
+    with the package defaults for a None smoothing or r grid."""
+    r = _r_values(p.domain, r)
+    smoothing = default_smoothing(p) if smoothing is None else smoothing
+    out = []
+    for tf, (vals, raw, c) in zip(tfs, _normalized(tfs, p, smoothing, r, ec, stoyan_rule)):
+        meta = {"tf": tf.name, "bandwidth": smoothing.bandwidth, "kernel": smoothing.kernel, "ec": ec}
+        theo = _THEORETICAL.get(tf.name)
+        theo = None if theo is None else np.full_like(raw, theo)
+        curve = SummaryCurve(r, vals, f"markcorr_{tf.name}", theo, meta)
+        out.append((curve, SummaryCurve(r, raw, f"markcorr_raw_{tf.name}", None, dict(meta)), c))
+    return out
+
+
 def mark_corr(
     p: MarkedPointPattern,
     tf: TestFunction,
@@ -260,18 +267,10 @@ def mark_corr(
     A zero normalization constant raises NumericalError unless
     degenerate="nan", in which case the normalized curve is all-NaN.
     """
-    r, smoothing = _resolve(p, smoothing, r)
-    ((curve_vals, raw, c),) = _normalized([tf], p, smoothing, r, ec, stoyan_rule)
+    ((curve, numer, c),) = _curves([tf], p, smoothing, r, ec, stoyan_rule)
     if c == 0.0 and degenerate == "raise":
         raise NumericalError(f"degenerate normalization for {tf.name}: c_tf = 0")
-    meta = {"tf": tf.name, "bandwidth": smoothing.bandwidth, "kernel": smoothing.kernel, "ec": ec}
-    theo = _THEORETICAL.get(tf.name)
-    theo = None if theo is None else np.full_like(raw, theo)
-    curve = SummaryCurve(r, curve_vals, f"markcorr_{tf.name}", theo, meta)
-    if not return_numerator:
-        return curve
-    numer = SummaryCurve(r, raw, f"markcorr_raw_{tf.name}", None, dict(meta))
-    return curve, numer
+    return (curve, numer) if return_numerator else curve
 
 
 @dataclass
@@ -294,13 +293,6 @@ def mark_corr_suite(
     Degenerate normalizations (e.g. the variogram under constant marks)
     yield an all-NaN normalized curve; the raw numerator is still reported.
     """
-    r, smoothing = _resolve(p, smoothing, r)
-    curves, numerators, cs = {}, {}, {}
-    for tf, (vals, raw, c) in zip(_SUITE, _normalized(_SUITE, p, smoothing, r, ec)):
-        meta = {"tf": tf.name, "bandwidth": smoothing.bandwidth, "kernel": smoothing.kernel, "ec": ec}
-        theo = np.full_like(raw, _THEORETICAL[tf.name])
-        curves[tf.name] = SummaryCurve(r, vals, f"markcorr_{tf.name}", theo, meta)
-        numerators[tf.name] = SummaryCurve(r, raw, f"markcorr_raw_{tf.name}", None, dict(meta))
-        cs[tf.name] = c
-    return MarkCorrSuite(curves, numerators, cs)
+    names = [tf.name for tf in _SUITE]
+    return MarkCorrSuite(*(dict(zip(names, column)) for column in zip(*_curves(_SUITE, p, smoothing, r, ec))))
 

@@ -94,8 +94,8 @@ def poisson_planar(
             keep = rng.uniform(size=n) <= vals / lam_max
             xs, ys = xs[keep], ys[keep]
     else:
-        if lam < 0:
-            raise ValidationError(f"intensity must be nonnegative, got {lam}")
+        if not 0 <= lam < np.inf:
+            raise ValidationError(f"intensity must be nonnegative and finite, got {lam}")
         n = rng.poisson(lam * w.area)
         xs = rng.uniform(w.xmin, w.xmax, size=n)
         ys = rng.uniform(w.ymin, w.ymax, size=n)
@@ -118,8 +118,8 @@ def poisson_network(
             keep = rng.uniform(size=n) <= vals / lam_max
             seg, off = seg[keep], off[keep]
     else:
-        if lam < 0:
-            raise ValidationError(f"intensity must be nonnegative, got {lam}")
+        if not 0 <= lam < np.inf:
+            raise ValidationError(f"intensity must be nonnegative and finite, got {lam}")
         n = rng.poisson(lam * net.total_length)
         seg, off = _uniform_seg_off(net, n, rng)
     return MarkedPointPattern.from_columns(net, (seg, off))
@@ -361,7 +361,7 @@ def model_marks(
             raise ValidationError("model II needs at least one degree-1 vertex")
         marks = _border_dist(p.domain, *p.seg_off())
     else:
-        if radius < 0:
+        if not radius >= 0:
             raise ValidationError(f"radius must be nonnegative, got {radius}")
         marks = _neighbour_counts(*close_pairs(p, radius)[:2], n)
     return p.with_marks(marks)

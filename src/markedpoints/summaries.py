@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._dist import close_pairs, cross_pairs, translation_weights
-from .curves import SummaryCurve, check_r_grid, default_r
+from .curves import SummaryCurve, _r_values
 from .errors import NumericalError, ValidationError
 from .geometry import LinearNetwork, _arc_mesh, _border_dist, boundary_distance
 from .intensity import eval_intensity
@@ -42,10 +42,6 @@ def _positive_intensities(lam, p, what) -> np.ndarray:
     if np.any(vals <= 0):
         raise ValidationError(f"zero or negative {what} intensity at a data point")
     return vals
-
-
-def _r_values(domain, r) -> np.ndarray:
-    return check_r_grid(default_r(domain) if r is None else r)
 
 
 def _k_step_curve(i, j, d, w, r, ec, pa, pb) -> np.ndarray:
@@ -246,7 +242,7 @@ def mark_weighted_k(
 def mark_sum_measure(p: MarkedPointPattern, radius: float) -> np.ndarray:
     """Per-point average mark over the other points within distance radius;
     NaN for points whose neighbourhood is empty."""
-    if radius < 0:
+    if not radius >= 0:
         raise ValidationError(f"radius must be nonnegative, got {radius}")
     marks = p.marks()
     i, j, _ = close_pairs(p, radius)

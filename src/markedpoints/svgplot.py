@@ -138,20 +138,27 @@ def _limits(values, pad=0.06):
     return lo - pad * span, hi + pad * span
 
 
+def _write_svg(path, parts, title, width, height):
+    """Write one SVG document: a white page of width x height, the title
+    centred in its top band (when given), then the body parts."""
+    head = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    if title:
+        head.append(
+            f'<text x="{width / 2:.0f}" y="15" font-size="12" text-anchor="middle" '
+            f'fill="#000">{title}</text>'
+        )
+    with open(path, "w") as fh:
+        fh.write("\n".join(head + parts + ["</svg>"]) + "\n")
+
+
 def envelope_panels_svg(path, panels, title=None, panel_width=520, panel_height=190):
     """Stacked panels, one per (label, EnvelopeBand)."""
     head = 22 if title else 0
-    total_h = head + panel_height * len(panels)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{panel_width}" '
-        f'height="{total_h}" viewBox="0 0 {panel_width} {total_h}">',
-        f'<rect width="{panel_width}" height="{total_h}" fill="white"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{panel_width / 2:.0f}" y="15" font-size="12" text-anchor="middle" '
-            f'fill="#000">{title}</text>'
-        )
+    parts = []
     for idx, (label, band) in enumerate(panels):
         stack = [band.lo, band.hi, band.mean]
         if band.observed is not None:
@@ -164,30 +171,18 @@ def envelope_panels_svg(path, panels, title=None, panel_width=520, panel_height=
         if band.observed is not None:
             parts += _polyline(panel, band.r, band.observed.values, "#b3312a", 1.5)
         parts += _axes(panel, label)
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts, title, panel_width, head + panel_height * len(panels))
 
 
 def curves_svg(path, curves, title=None, panel_width=520, panel_height=260):
     """Single panel with one polyline per (label, SummaryCurve)."""
     colors = ["#1f4e9c", "#b3312a", "#2a7a2a", "#7a4fa3", "#a3682a", "#2a7a7a"]
     head = 22 if title else 0
-    total_h = head + panel_height
     allvals = np.concatenate([c.values for _, c in curves])
     r0 = curves[0][1].r
     ylim = _limits(allvals)
     panel = _Panel(0, head, panel_width, panel_height, (float(r0[0]), float(r0[-1])), ylim)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{panel_width}" '
-        f'height="{total_h}" viewBox="0 0 {panel_width} {total_h}">',
-        f'<rect width="{panel_width}" height="{total_h}" fill="white"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{panel_width / 2:.0f}" y="15" font-size="12" text-anchor="middle" '
-            f'fill="#000">{title}</text>'
-        )
+    parts = []
     for i, (label, curve) in enumerate(curves):
         col = colors[i % len(colors)]
         parts += _polyline(panel, curve.r, curve.values, col, 1.5)
@@ -198,6 +193,4 @@ def curves_svg(path, curves, title=None, panel_width=520, panel_height=260):
         if curve.theoretical is not None:
             parts += _polyline(panel, curve.r, curve.theoretical, "#888", 1.0, dash="4,3")
     parts += _axes(panel, "")
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_svg(path, parts, title, panel_width, head + panel_height)

@@ -20,8 +20,11 @@ from markedpoints import (
     SeedSpec,
     SmoothingSpec1D,
     envelopes,
+    default_smoothing,
     load_network,
+    load_pattern_csv,
     mark_corr,
+    mark_corr_suite,
     model_marks,
     r_grid,
     replicate_rng,
@@ -33,7 +36,8 @@ import markedpoints
 from markedpoints._dist import close_pairs
 from markedpoints.cli import main
 from markedpoints.envelope import poisson_network_min2
-from markedpoints.svgplot import envelope_panels_svg
+from markedpoints.pattern import _fmt, _write_table
+from markedpoints.svgplot import curves_svg, envelope_panels_svg
 
 
 @pytest.fixture
@@ -243,6 +247,18 @@ BAD_PATTERN_CSV = {
 BAD_NETWORK_JSON = {
     "network_json_list": "[[0, 0], [1, 0]]",
     "network_json_truncated": '{"vertices": [[0, 0], [1, 0]], "segm',
+    "network_json_fields": '{"vertices": "abc", "segments": [[0, 1]]}',
+}
+
+# every float flag rejects inf and NaN at parse time; envelope cases also get
+# the tree network and a short run
+NON_FINITE_FLAGS = {
+    "envelope_bandwidth_nan": ["envelope", "--model", "modelI", "--stat", "stoyan", "--bandwidth", "nan"],
+    "envelope_radius_nan": ["envelope", "--model", "modelIII", "--stat", "stoyan", "--radius", "nan"],
+    "envelope_n_expected_nan": ["envelope", "--model", "modelI", "--stat", "stoyan", "--n-expected", "nan"],
+    "simulate_rate_nan": ["simulate", "--model", "poisson", "--window", "0,1,0,1", "--rate", "nan"],
+    "simulate_tau_nan": ["simulate", "--model", "modelI", "--tau", "nan"],
+    "simulate_a_inf": ["simulate", "--model", "modelI", "--a", "inf"],
 }
 
 
@@ -261,7 +277,9 @@ BAD_NETWORK_JSON = {
         ("summary_lambda_const_inf", 2),
         ("network_json_list", 3),
         ("network_json_truncated", 3),
-    ],
+        ("network_json_fields", 3),
+    ]
+    + [(case, 2) for case in NON_FINITE_FLAGS],
 )
 def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, case, code):
     env = dict(os.environ)
@@ -277,6 +295,10 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
         bad = tmp_path / "bad.json"
         bad.write_text(BAD_NETWORK_JSON[case])
         argv = ["simulate", "--model", "modelII", "--network", str(bad)]
+    elif case in NON_FINITE_FLAGS:
+        argv = NON_FINITE_FLAGS[case]
+        if argv[0] == "envelope":
+            argv = argv + ["--network", tree_file, "--nsim", "19"]
     elif case == "envelope_suite_trend_flags":
         argv = ["envelope", "--model", "modelI", "--stat", "suite", "--network", tree_file, "--a", "5"]
     elif case == "intensity_sigma_inf":
@@ -353,3 +375,49 @@ def test_envelope_one_statistic_matches_public_calls(tmp_path, tree_file, monkey
         assert main(argv + ["--out-dir", str(out)]) == 0
         assert read_bytes(out / f"{model}_{tf.name}_band.csv") == read_bytes(tmp_path / "ref.csv")
         assert read_bytes(out / f"{model}_{tf.name}_band.svg") == read_bytes(tmp_path / "ref.svg")
+
+
+@pytest.mark.parametrize(
+    "domain, tf",
+    [("planar", "suite"), ("planar", "vario"), ("network", "suite"), ("network", "stoyan")],
+)
+def test_markcorr_artifacts_match_library(tmp_path, tree_file, planar_csv, domain, tf):
+    # every CSV and SVG of `markcorr` equals a replay from the library calls
+    if domain == "planar":
+        pattern = planar_csv
+        p = load_pattern_csv(pattern, PlanarWindow(0, 1, 0, 1))
+        flags = ["--window", "0,1,0,1", "--ec", "symmetricWeight", "--bandwidth", "0.05", "--rmax", "0.2"]
+        ec, smoothing, r = "symmetricWeight", SmoothingSpec1D(0.05), r_grid(0.2, 40)
+    else:
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--model", "modelIII", "--network", tree_file, "--n-expected", "60",
+                     "--seed", "9", "--out-dir", str(sim)]) == 0
+        pattern = str(sim / "pattern.csv")
+        p = load_pattern_csv(pattern, load_network(tree_file))
+        flags = ["--network", tree_file, "--rmax", "150"]  # default bandwidth
+        ec, smoothing, r = "none", default_smoothing(p), r_grid(150.0, 40)
+    out = tmp_path / "out"
+    assert main(["markcorr", "--pattern", pattern, "--tf", tf, "--bins", "40", "--out-dir", str(out)] + flags) == 0
+
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    if tf == "suite":
+        suite = mark_corr_suite(p, smoothing, r, ec)
+        names = sorted(suite.curves)
+        cols = [r] + [suite.curves[n].values for n in names] + [suite.numerators[n].values for n in names]
+        _write_table(ref / "markcorr_suite.csv", ["r"] + names + [f"raw_{n}" for n in names], map(_fmt, cols))
+        for name, curve in suite.curves.items():
+            curve.to_csv(ref / f"markcorr_{name}.csv")
+        curves_svg(ref / "markcorr_suite.svg", [(n, suite.curves[n]) for n in names],
+                   title="mark correlation functions")
+    else:
+        test_fn = {"vario": VARIOGRAM, "stoyan": STOYAN}[tf]
+        curve, numer = mark_corr(p, test_fn, smoothing, r, ec, return_numerator=True)
+        curve.to_csv(ref / f"markcorr_{test_fn.name}.csv")
+        numer.to_csv(ref / f"markcorr_raw_{test_fn.name}.csv")
+        curves_svg(ref / f"markcorr_{test_fn.name}.svg", [(test_fn.name, curve)],
+                   title=f"mark correlation: {test_fn.name}")
+    written = sorted(f for f in os.listdir(out) if f != "markcorr_metadata.json")
+    assert written == sorted(os.listdir(ref))
+    for name in written:
+        assert read_bytes(out / name) == read_bytes(ref / name), name

@@ -213,3 +213,9 @@ def test_study_rejects_negative_radius_before_simulating(tmp_path):
     with pytest.raises(ValidationError, match="nonnegative"):
         mark_correlation_study(synthetic_tree_network(core_depth=4), "III", tmp_path / "out", radius=-1.0)
     assert not (tmp_path / "out").exists()
+
+
+def test_study_rejects_nan_radius_before_simulating(tmp_path):
+    with pytest.raises(ValidationError, match="nonnegative"):
+        mark_correlation_study(synthetic_tree_network(core_depth=4), "III", tmp_path / "out", radius=float("nan"))
+    assert not (tmp_path / "out").exists()

@@ -195,6 +195,11 @@ def test_disc_measure_zero_radius():
     assert network_disc_measure(net, NetworkLocation(0, 0.3), 0.0) == 0.0
 
 
+def test_disc_measure_rejects_nan_radius():
+    with pytest.raises(ValidationError, match="nonnegative"):
+        network_disc_measure(path_network(), NetworkLocation(0, 0.3), float("nan"))
+
+
 def test_disc_measure_single_segment():
     net = LinearNetwork([[0, 0], [10, 0]], [[0, 1]])
     assert network_disc_measure(net, NetworkLocation(0, 0.5), 2.0) == pytest.approx(4.0)
@@ -285,3 +290,50 @@ def test_border_distances_on_path():
     net = LinearNetwork([[0, 0], [10, 0]], [[0, 1]])
     d = border_distances(net, [NetworkLocation(0, 0.3)])
     assert d[0] == pytest.approx(3.0)
+
+
+def _border_oracle(net, locs):
+    """Minimum over the degree-1 vertices of network_cross_distances to each."""
+    border = net.border_vertices()
+    ends = []
+    for v in border:
+        k = int(np.nonzero((net.segments == v).any(axis=1))[0][0])
+        ends.append(NetworkLocation(k, 0.0 if net.segments[k, 0] == v else 1.0))
+    if not ends:
+        return np.full(len(locs), np.inf)
+    return network_cross_distances(net, locs, ends).min(axis=1)
+
+
+def _grid_with_spurs(rng, side=30, n_spurs=40):
+    """Jittered side x side lattice (no degree-1 vertices) plus dangling spurs."""
+    ij = np.array([(i, j) for i in range(side) for j in range(side)], dtype=float)
+    verts = list(ij + rng.uniform(-0.2, 0.2, size=ij.shape))
+    segs = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+    segs += [(v, v + side) for v in range(side * (side - 1))]
+    for v in rng.choice(side * side, size=n_spurs, replace=False):
+        verts.append(verts[v] + rng.uniform(0.1, 0.3, size=2))
+        segs.append((int(v), len(verts) - 1))
+    return LinearNetwork(np.array(verts), segs)
+
+
+@pytest.mark.parametrize("case", ["random", "grid"])
+def test_border_distances_match_cross_distances(case):
+    rng = np.random.default_rng(17)
+    if case == "random":
+        nets = [random_connected_network(rng, n, extra_edge_prob=0.1) for n in (3, 5, 8, 12)]
+    else:
+        nets = [_grid_with_spurs(rng)]
+    for net in nets:
+        locs = uniform_points_on_network(net, 300, rng) + [NetworkLocation(0, 0.0), NetworkLocation(0, 1.0)]
+        want = _border_oracle(net, locs)
+        got = border_distances(net, locs)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        ok = np.isfinite(want)
+        assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * want[ok])
+
+
+def test_border_distances_on_loop_are_infinite():
+    ang = 2.0 * np.pi * np.arange(6) / 6
+    net = LinearNetwork(np.column_stack([np.cos(ang), np.sin(ang)]), [[k, (k + 1) % 6] for k in range(6)])
+    d = border_distances(net, uniform_points_on_network(net, 20, np.random.default_rng(1)))
+    assert np.all(np.isinf(d))

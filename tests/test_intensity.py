@@ -340,3 +340,24 @@ def test_scalar_only_callables_still_work(unit_square):
     spec = GaussianFieldSpec(cov=lambda a, b: math.exp(-abs(a - b)), **_SPEC)
     d = np.array([0.0, 1.0, 2.5])
     assert np.allclose(spec.cov_matrix(d), np.exp(-np.abs(d[:, None] - d[None, :])), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0])
+def test_kernel_and_heat_bandwidth_positive_and_finite(bandwidth, unit_square):
+    with pytest.raises(ValidationError, match="bandwidth"):
+        KernelSpec(bandwidth)
+    with pytest.raises(ValidationError, match="sigma"):
+        intensity_heat(planar_pattern(unit_square, [(0.5, 0.5)]), bandwidth, (32, 32))
+
+
+def test_heat_one_step_equals_many(unit_square):
+    # heat_evolve is the exact semigroup: one step to sigma^2 equals 32 of sigma^2 / 32
+    from markedpoints.intensity import _deposit_masses
+
+    p = poisson_planar(200.0, unit_square, np.random.default_rng(8))
+    field = _deposit_masses(p, 64, 64)
+    h, t = 1.0 / 64, 0.05**2
+    one = heat_evolve(field, h, h, t)
+    for _ in range(32):
+        field = heat_evolve(field, h, h, t / 32)
+    assert np.max(np.abs(one - field)) <= 1e-12 * np.max(one)

@@ -421,3 +421,9 @@ def test_close_pairs_agree_with_dense_distances(unit_square):
             wi, wj = np.nonzero(np.triu(dense <= cutoff, 1))
             assert sorted(zip(i.tolist(), j.tolist())) == list(zip(wi.tolist(), wj.tolist()))
             assert np.array_equal(d, dense[i, j])
+
+
+@pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0])
+def test_smoothing_bandwidth_positive_and_finite(bandwidth):
+    with pytest.raises(ValidationError, match="bandwidth"):
+        SmoothingSpec1D(bandwidth)

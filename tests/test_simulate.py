@@ -10,6 +10,7 @@ from markedpoints import (
     MarkedPointPattern,
     NetworkLocation,
     NumericalError,
+    PlanarWindow,
     SeedSpec,
     ValidationError,
     constant_field_sampler,
@@ -268,3 +269,20 @@ def test_poisson_chi_square_goodness_of_fit(unit_square):
     chi2 = ((obs - 10_000 * probs) ** 2 / (10_000 * probs)).sum()
     crit = stats.chi2(len(obs) - 1).ppf(0.99)
     assert chi2 < crit
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [("planar", "nan"), ("planar", "inf"), ("network", "nan"), ("network", "inf"), ("model_iii", "nan")],
+)
+def test_non_finite_rate_or_radius_rejected(call, value):
+    bad = float(value)
+    rng = np.random.default_rng(0)
+    net = synthetic_tree_network(core_depth=3)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        if call == "planar":
+            poisson_planar(bad, PlanarWindow(0.0, 1.0, 0.0, 1.0), rng)
+        elif call == "network":
+            poisson_network(bad, net, rng)
+        else:
+            model_marks("III", poisson_network(0.05, net, rng), rng, radius=bad)

@@ -339,6 +339,12 @@ def test_mark_sum_measure_cases(unit_square):
     assert vals2[0] == pytest.approx(np.mean([2.0, 4.0, 9.0]))
 
 
+def test_mark_sum_measure_rejects_nan_radius(unit_square):
+    p = planar_pattern(unit_square, [(0.1, 0.1), (0.9, 0.9)], marks=[1.0, 2.0])
+    with pytest.raises(ValidationError, match="nonnegative"):
+        mark_sum_measure(p, float("nan"))
+
+
 # ---------------- network analogs ----------------
 
 
