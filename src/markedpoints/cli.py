@@ -155,6 +155,12 @@ def _finite(text) -> float:
     return value
 
 
+def _three_finite(text) -> str:
+    """argparse type: three comma-separated finite floats, kept as the text."""
+    _base, _amplitude, _scale = map(_finite, text.split(","))
+    return text
+
+
 def _intensity(args, p, method):
     """Kernel intensity estimate of p by method (uniform, jd or heat), with
     the bandwidth, kernel and grid flags of the run."""
@@ -366,9 +372,11 @@ def _cmd_envelope(args):
 
 def _cmd_rerun(args):
     path = _require_file(args.metadata, "metadata")
-    with open(path) as fh:
-        doc = json.load(fh)
-    argv = doc.get("argv")
+    try:
+        with open(path) as fh:
+            argv = json.load(fh)["argv"]
+    except (ValueError, TypeError, KeyError) as e:
+        raise ValidationError(f"metadata file {path} is not a JSON object with an argv record: {e!r}") from None
     if not argv:
         raise ValidationError(f"metadata file {path} has no argv record")
     rc = main(argv)
@@ -454,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-expected", dest="n_expected", type=_finite, default=150.0)
     sp.add_argument("--nu", type=_finite, default=100.0)
     sp.add_argument("--base-const", dest="base_const", type=_finite, default=50.0)
-    sp.add_argument("--base-cosine", dest="base_cosine", help="base,amplitude,scale")
+    sp.add_argument("--base-cosine", dest="base_cosine", type=_three_finite, help="base,amplitude,scale")
     sp.add_argument("--lgcp-mu", dest="lgcp_mu", type=_finite, default=None)
     sp.add_argument("--lgcp-var", dest="lgcp_var", type=_finite, default=0.25)
     sp.add_argument("--lgcp-step", dest="lgcp_step", type=_finite)

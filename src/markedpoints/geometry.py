@@ -122,6 +122,8 @@ class LinearNetwork:
         self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
         self.segments = np.asarray(segments, dtype=int).reshape(-1, 2)
         nv = len(self.vertices)
+        if not np.isfinite(self.vertices).all():
+            raise ValidationError("vertex coordinates must be finite")
         if len(self.segments) == 0:
             raise ValidationError("network has no segments")
         if self.segments.min() < 0 or self.segments.max() >= nv:
@@ -140,8 +142,8 @@ class LinearNetwork:
             self.seg_lengths = np.asarray(lengths, dtype=float).reshape(-1)
             if len(self.seg_lengths) != len(self.segments):
                 raise ValidationError("lengths/segments size mismatch")
-        if np.any(self.seg_lengths <= 0):
-            raise ValidationError("every segment length must be positive")
+        if not np.all((0 < self.seg_lengths) & (self.seg_lengths < np.inf)):
+            raise ValidationError("every segment length must be positive and finite")
         self.total_length = float(self.seg_lengths.sum())
 
         ends = np.concatenate([self.segments, self.segments[:, ::-1]])
@@ -350,6 +352,8 @@ def _arc_cells(net: LinearNetwork, spacing: float):
     """Arc-length discretization: segment k is cut into m_k = max(1, ceil(L_k/spacing))
     equal cells. Returns per-cell arrays (segment, index i along it, m of its
     segment), in segment order."""
+    if not 0 < spacing < np.inf:
+        raise ValidationError(f"arc-length spacing must be positive and finite, got {spacing}")
     m = np.maximum(1, np.ceil(net.seg_lengths / spacing).astype(int))
     seg = np.repeat(np.arange(net.n_segments), m)
     i = np.arange(len(seg)) - np.repeat(np.cumsum(m) - m, m)
@@ -358,8 +362,6 @@ def _arc_cells(net: LinearNetwork, spacing: float):
 
 def _arc_mesh(net: LinearNetwork, spacing: float):
     """Cell-center (segment, offset) columns and cell lengths of the arc mesh."""
-    if spacing <= 0:
-        raise ValidationError("mesh spacing must be positive")
     seg, i, m = _arc_cells(net, spacing)
     return (seg, (i + 0.5) / m), net.seg_lengths[seg] / m
 
@@ -400,7 +402,7 @@ def load_network(path) -> LinearNetwork:
         return LinearNetwork(doc["vertices"], doc["segments"])
     except KeyError as e:
         raise ValidationError(f"network file {path} missing key {e}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, ValidationError) as e:
         raise ValidationError(f"network file {path} has malformed vertices or segments: {e}") from None
 
 

@@ -117,44 +117,46 @@ def pair_weights(tf: TestFunction, marks, mu: float, var: float) -> np.ndarray:
 def normalization(tf: TestFunction, marks, stoyan_rule: str = "pairs") -> float:
     """Normalization constant c_tf.
 
-    Built-ins use the sample average of tf over all ordered pairs, except
+    The sample average of tf over all ordered pairs (pair_average), except
     shimantani_i which is scaled by the population mark variance (Moran
     convention). stoyan_rule="mean-squared" switches the Stoyan constant to
     the classical squared mean mark.
     """
+    c = pair_average(tf, marks)
     m = np.asarray(marks, dtype=float)
-    n = len(m)
-    if n < 2:
-        raise ValidationError("normalization needs at least two marked points")
-    s1, s2 = m.sum(), (m**2).sum()
-    npairs = n * (n - 1)
-    if tf.name == "stoyan":
-        if stoyan_rule == "mean-squared":
-            return float((s1 / n) ** 2)
-        return float((s1 * s1 - s2) / npairs)
-    if tf.name == "beisbart_kerscher":
-        return float(2.0 * s1 / n)
-    if tf.name == "variogram":
-        return float((n * s2 - s1 * s1) / npairs)
     if tf.name == "shimantani_i":
-        mu = s1 / n
-        var = float(np.mean((m - mu) ** 2))
-        if var <= 0:
-            raise NumericalError("shimantani_i normalization: zero mark variance")
-        return var
-    return pair_average(tf, m)
+        return float(np.mean((m - m.mean()) ** 2))
+    if tf.name == "stoyan" and stoyan_rule == "mean-squared":
+        return float(m.mean() ** 2)
+    return c
 
 
 def pair_average(tf: TestFunction, marks) -> float:
-    """Sample average of tf over all ordered pairs i != j."""
+    """Sample average of tf over all ordered pairs i != j: closed forms in
+    the mark sums, O(n), for the built-ins; the n x n pair_weights matrix
+    for a custom test function."""
     m = np.asarray(marks, dtype=float)
-    if len(m) < 2:
-        raise ValidationError("pair average needs at least two marked points")
-    mu = float(m.mean())
-    var = float(np.mean((m - mu) ** 2))
-    w = pair_weights(tf, m, mu, var)
     n = len(m)
-    return float((w.sum() - np.trace(w)) / (n * (n - 1)))
+    if n < 2:
+        raise ValidationError("pair average needs at least two marked points")
+    s1, s2, npairs = m.sum(), (m**2).sum(), n * (n - 1)
+    if tf.name == "stoyan":
+        return float((s1 * s1 - s2) / npairs)
+    if tf.name == "beisbart_kerscher":
+        return float(2.0 * s1 / n)
+    # constant marks have exact zero differences and centred values, whatever the sums round to
+    constant = m.min() == m.max()
+    if tf.name == "variogram":
+        return 0.0 if constant else float((n * s2 - s1 * s1) / npairs)
+    mu = float(s1 / n)
+    var = 0.0 if constant else float(np.mean((m - mu) ** 2))
+    if tf.name == "shimantani_i":
+        if var <= 0:
+            raise NumericalError("shimantani_i requires positive mark variance")
+        # the centred marks sum to 0, so their ordered-pair products sum to -n var
+        return -var / (n - 1)
+    w = pair_weights(tf, m, mu, var)
+    return float((w.sum() - np.trace(w)) / npairs)
 
 
 def _reach(smoothing: SmoothingSpec1D, r: np.ndarray) -> float:

@@ -30,7 +30,7 @@ from .geometry import (
     network_cross_distances,
     uniform_points_on_network,
 )
-from .intensity import _elementwise
+from .intensity import _elementwise, eval_intensity
 from .pattern import MarkedPointPattern
 
 __all__ = [
@@ -76,53 +76,39 @@ def replicate_rng(spec: SeedSpec) -> np.random.Generator:
     return np.random.default_rng(replicate_seed(spec.master_seed, spec.replicate_index))
 
 
+def _poisson(lam, domain, size: float, draw, rng: np.random.Generator, lam_max) -> MarkedPointPattern:
+    """Poisson pattern on a domain of the given area or length. The RNG order
+    is fixed: the count, then draw(count) locations, then, for a callable lam
+    and a nonzero count, one thinning uniform per proposed point."""
+    if callable(lam) and lam_max is None:
+        raise ValidationError("an intensity bound lam_max is required for callable intensities")
+    rate = lam_max if callable(lam) else lam
+    if not 0 <= rate < np.inf:
+        raise ValidationError(f"intensity must be nonnegative and finite, got {rate}")
+    n = rng.poisson(rate * size)
+    p = MarkedPointPattern.from_columns(domain, draw(n))
+    if callable(lam) and n:
+        vals = eval_intensity(lam, p)
+        if np.any(vals > lam_max * (1 + 1e-9)):
+            raise ValidationError("intensity exceeds the declared bound lam_max")
+        p = p.subset(np.flatnonzero(rng.uniform(size=n) <= vals / lam_max))
+    return p
+
+
 def poisson_planar(
     lam, w: PlanarWindow, rng: np.random.Generator, lam_max: float | None = None
 ) -> MarkedPointPattern:
     """Poisson pattern on a rectangle; callables are simulated by thinning
     a homogeneous proposal at rate lam_max."""
-    if callable(lam):
-        if lam_max is None:
-            raise ValidationError("an intensity bound lam_max is required for callable intensities")
-        n = rng.poisson(lam_max * w.area)
-        xs = rng.uniform(w.xmin, w.xmax, size=n)
-        ys = rng.uniform(w.ymin, w.ymax, size=n)
-        if n:
-            vals = _elementwise(lam, xs, ys)
-            if np.any(vals > lam_max * (1 + 1e-9)):
-                raise ValidationError("intensity exceeds the declared bound lam_max")
-            keep = rng.uniform(size=n) <= vals / lam_max
-            xs, ys = xs[keep], ys[keep]
-    else:
-        if not 0 <= lam < np.inf:
-            raise ValidationError(f"intensity must be nonnegative and finite, got {lam}")
-        n = rng.poisson(lam * w.area)
-        xs = rng.uniform(w.xmin, w.xmax, size=n)
-        ys = rng.uniform(w.ymin, w.ymax, size=n)
-    return MarkedPointPattern.from_columns(w, np.column_stack([xs, ys]))
+    draw = lambda n: np.column_stack([rng.uniform(w.xmin, w.xmax, size=n), rng.uniform(w.ymin, w.ymax, size=n)])
+    return _poisson(lam, w, w.area, draw, rng, lam_max)
 
 
 def poisson_network(
     lam, net: LinearNetwork, rng: np.random.Generator, lam_max: float | None = None
 ) -> MarkedPointPattern:
     """Poisson pattern on a network with per-unit-length rate lam."""
-    if callable(lam):
-        if lam_max is None:
-            raise ValidationError("an intensity bound lam_max is required for callable intensities")
-        n = rng.poisson(lam_max * net.total_length)
-        seg, off = _uniform_seg_off(net, n, rng)
-        if n:
-            vals = np.array([float(lam(l)) for l in _locations(seg, off)])
-            if np.any(vals > lam_max * (1 + 1e-9)):
-                raise ValidationError("intensity exceeds the declared bound lam_max")
-            keep = rng.uniform(size=n) <= vals / lam_max
-            seg, off = seg[keep], off[keep]
-    else:
-        if not 0 <= lam < np.inf:
-            raise ValidationError(f"intensity must be nonnegative and finite, got {lam}")
-        n = rng.poisson(lam * net.total_length)
-        seg, off = _uniform_seg_off(net, n, rng)
-    return MarkedPointPattern.from_columns(net, (seg, off))
+    return _poisson(lam, net, net.total_length, lambda n: _uniform_seg_off(net, n, rng), rng, lam_max)
 
 
 @dataclass(frozen=True)
@@ -185,8 +171,6 @@ def lgcp_network(
         rng = np.random.default_rng()
     if step is None:
         step = net.total_length / 500.0
-    if step <= 0:
-        raise ValidationError("discretization step must be positive")
     seg, i, m = _arc_cells(net, step)
     t0, t1 = i / m, (i + 1) / m
     mid = (t0 + t1) / 2.0
@@ -246,8 +230,8 @@ def irmps_check(
 
 def constant_field_sampler(value: float):
     """Base-field sampler producing a deterministic constant field."""
-    if value < 0:
-        raise ValidationError("field value must be nonnegative")
+    if not 0 <= value < np.inf:
+        raise ValidationError(f"field value must be nonnegative and finite, got {value}")
 
     def sample(rng):
         return (lambda x, y: np.full_like(np.asarray(x, dtype=float), value)), value
@@ -299,8 +283,10 @@ def linked_balanced_cox(
     """
     if kind not in ("linked", "balanced"):
         raise ValidationError(f"kind must be 'linked' or 'balanced', got {kind!r}")
-    if nu <= 0:
-        raise ValidationError(f"nu must be positive, got {nu}")
+    if not isinstance(w, PlanarWindow):
+        raise ValidationError("linked and balanced Cox patterns are planar-only")
+    if not 0 < nu < np.inf:
+        raise ValidationError(f"nu must be positive and finite, got {nu}")
     z2, bound2 = base_sampler(rng)
     xs = np.linspace(w.xmin, w.xmax, check_grid)
     ys = np.linspace(w.ymin, w.ymax, check_grid)

@@ -191,6 +191,8 @@ def f_inhom(
         w = pj.domain
         if grid_spacing is None:
             grid_spacing = min(w.width, w.height) / 128.0
+        if not 0 < grid_spacing < np.inf:
+            raise ValidationError(f"grid spacing must be positive and finite, got {grid_spacing}")
         xs = np.arange(w.xmin + grid_spacing / 2.0, w.xmax, grid_spacing)
         ys = np.arange(w.ymin + grid_spacing / 2.0, w.ymax, grid_spacing)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")

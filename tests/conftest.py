@@ -1,11 +1,19 @@
 """Shared fixtures and independent oracle helpers."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.spatial.distance import cdist
 
 from markedpoints import LinearNetwork, MarkedPoint, MarkedPointPattern, PlanarWindow
 from markedpoints.geometry import network_cross_distances
+
+# HYPOTHESIS_PROFILE=ci runs more examples of every property test that does not
+# set its own max_examples; local runs keep Hypothesis' default budget
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markedpoints import (
     BEISBART_KERSCHER,
@@ -34,7 +36,7 @@ from markedpoints import (
 )
 import markedpoints
 from markedpoints._dist import close_pairs
-from markedpoints.cli import main
+from markedpoints.cli import build_parser, main
 from markedpoints.envelope import poisson_network_min2
 from markedpoints.pattern import _fmt, _write_table
 from markedpoints.svgplot import curves_svg, envelope_panels_svg
@@ -248,10 +250,12 @@ BAD_NETWORK_JSON = {
     "network_json_list": "[[0, 0], [1, 0]]",
     "network_json_truncated": '{"vertices": [[0, 0], [1, 0]], "segm',
     "network_json_fields": '{"vertices": "abc", "segments": [[0, 1]]}',
+    "network_json_nan_vertex": '{"vertices": [[0, 0], [NaN, 1], [1, 1]], "segments": [[0, 1], [1, 2]]}',
 }
 
-# every float flag rejects inf and NaN at parse time; envelope cases also get
-# the tree network and a short run
+# every float flag rejects inf and NaN at parse time, and --base-cosine
+# anything but three finite numbers; envelope cases also get the tree network
+# and a short run
 NON_FINITE_FLAGS = {
     "envelope_bandwidth_nan": ["envelope", "--model", "modelI", "--stat", "stoyan", "--bandwidth", "nan"],
     "envelope_radius_nan": ["envelope", "--model", "modelIII", "--stat", "stoyan", "--radius", "nan"],
@@ -259,6 +263,8 @@ NON_FINITE_FLAGS = {
     "simulate_rate_nan": ["simulate", "--model", "poisson", "--window", "0,1,0,1", "--rate", "nan"],
     "simulate_tau_nan": ["simulate", "--model", "modelI", "--tau", "nan"],
     "simulate_a_inf": ["simulate", "--model", "modelI", "--a", "inf"],
+    "simulate_base_cosine_abc": ["simulate", "--model", "linked", "--window", "0,1,0,1", "--base-cosine", "abc"],
+    "simulate_base_cosine_short": ["simulate", "--model", "linked", "--window", "0,1,0,1", "--base-cosine", "1,2"],
 }
 
 
@@ -278,6 +284,8 @@ NON_FINITE_FLAGS = {
         ("network_json_list", 3),
         ("network_json_truncated", 3),
         ("network_json_fields", 3),
+        ("network_json_nan_vertex", 3),
+        ("summary_grid_spacing_zero", 3),
     ]
     + [(case, 2) for case in NON_FINITE_FLAGS],
 )
@@ -310,6 +318,9 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
         argv = ["envelope", "--model", "modelI", "--stat", "foo", "--network", tree_file]
     elif case == "envelope_nsim_zero":
         argv = ["envelope", "--model", "modelI", "--stat", "suite", "--network", tree_file, "--nsim", "0"]
+    elif case == "summary_grid_spacing_zero":
+        argv = ["summary", "--pattern", planar_csv, "--window", "0,1,0,1", "--stat", "f",
+                "--lambda-const", "30", "--grid-spacing", "0"]
     elif case == "summary_missing_type_j":
         argv = ["summary", "--pattern", planar_csv, "--window", "0,1,0,1", "--stat", "f",
                 "--type-j", "zzz", "--lambda-const", "30"]
@@ -323,6 +334,8 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    if case == "network_json_nan_vertex":
+        assert "bad.json" in proc.stderr and "vertex coordinates must be finite" in proc.stderr
 
 
 ENVELOPE_SMALL = dict(nsim=39, seed=7, n_expected=30.0, rmax=100.0, bins=16, bandwidth=25.0)
@@ -421,3 +434,91 @@ def test_markcorr_artifacts_match_library(tmp_path, tree_file, planar_csv, domai
     assert written == sorted(os.listdir(ref))
     for name in written:
         assert read_bytes(out / name) == read_bytes(ref / name), name
+
+
+# ---------------- the bad-input contract as a property test ----------------
+
+_OMIT = None
+_BAD = ["0", "-1", "nan", "inf", "abc", "1,2"]
+# a small valid value per flag, on a 50 x 50 window, a 190-long test network
+# or the 2,820-long bundled tree
+_VALID = {
+    "--seed": "1", "--window": "0,50,0,50", "--sigma": "5", "--grid": "8", "--type-i": "a",
+    "--type-j": "b", "--rmax": "20", "--bins": "8", "--lambda-const": "0.02", "--grid-spacing": "5",
+    "--bandwidth": "5", "--rate": "0.02", "--n-expected": "30", "--nu": "2", "--base-const": "0.01",
+    "--base-cosine": "0.02,0.005,20", "--lgcp-mu": "-3", "--lgcp-var": "0.25", "--lgcp-step": "50",
+    "--a": "1", "--b": "1", "--tau": "1", "--radius": "10", "--nsim": "19", "--level": "0.8",
+}
+# flags that set how much work a run does are never left at their defaults
+# and never take a large value: no size preflight guards them yet
+_SIZE_FLAGS = {"--grid", "--bins", "--nsim", "--n-expected", "--rate", "--grid-spacing", "--lgcp-step",
+               "--nu", "--base-const"}
+_FILE_FLAGS = {"--pattern": ("planar.csv", "network.csv"), "--network": ("net.json",), "metadata": ("meta.json",)}
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """Valid, truncated and non-numeric pattern, network and metadata files,
+    and a missing path."""
+    root = tmp_path_factory.mktemp("contract")
+    rng = np.random.default_rng(5)
+    net = markedpoints.LinearNetwork([[0, 0], [40, 0], [40, 40], [0, 40], [20, 60]],
+                                     [[0, 1], [1, 2], [2, 3], [3, 0], [2, 4]])
+    save_network(net, root / "net.json")
+    labels = ["a", "b"] * 15
+    planar = MarkedPointPattern.from_columns(PlanarWindow(0, 50, 0, 50), rng.uniform(1, 49, size=(30, 2)),
+                                             marks=rng.gamma(2.0, 1.0, 30), labels=labels)
+    save_pattern_csv(planar, root / "planar.csv")
+    on_net = MarkedPointPattern.from_columns(net, (rng.integers(0, 5, 30), rng.uniform(size=30)),
+                                             marks=rng.gamma(2.0, 1.0, 30), labels=labels)
+    save_pattern_csv(on_net, root / "network.csv")
+    assert main(["simulate", "--model", "poisson", "--window", "0,50,0,50", "--rate", "0.01",
+                 "--out-dir", str(root / "sim")]) == 0
+    os.replace(root / "sim" / "simulate_metadata.json", root / "meta.json")
+    files = {}
+    for name in ("net.json", "planar.csv", "network.csv", "meta.json"):
+        text = (root / name).read_text()
+        cut, bad = root / f"truncated_{name}", root / f"nonnumeric_{name}"
+        cut.write_text(text[: len(text) // 2])
+        bad.write_text(text.replace("0", "abc", 3) if name.endswith("json") else text.replace(",", ",abc", 2))
+        files[name] = str(root / name)
+        files[f"truncated_{name}"], files[f"nonnumeric_{name}"] = str(cut), str(bad)
+    files["missing"] = str(root / "missing.csv")
+    return files
+
+
+@st.composite
+def _contract_argv(draw, files):
+    """argv of one subcommand: every flag at a valid value or left out, except
+    up to two flags drawn from the bad values (or a wrong file)."""
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    command = draw(st.sampled_from(sorted(subparsers)))
+    actions = [a for a in subparsers[command]._actions if a.dest not in ("help", "out_dir")]
+    names = [a.option_strings[0] if a.option_strings else a.dest for a in actions]
+    bad = draw(st.sets(st.sampled_from(names), max_size=2))
+    argv = [command]
+    for action, name in zip(actions, names):
+        if name in _FILE_FLAGS:
+            good = [files[f] for f in _FILE_FLAGS[name]]
+            wrong = sorted(set(files.values()) - set(good))
+            values = wrong if name in bad else good + ([] if action.required or not action.option_strings else [_OMIT])
+        elif action.choices:
+            values = _BAD + [_OMIT] if name in bad else sorted(action.choices) + [_OMIT]
+        else:
+            omit = [] if name in _SIZE_FLAGS else [_OMIT]
+            values = _BAD + omit if name in bad else [_VALID[name]] + omit
+        value = draw(st.sampled_from(values))
+        if value is not _OMIT:
+            argv += [name, value] if action.option_strings else [value]
+    return argv
+
+
+# no deadline: one example can run a short envelope; max_examples comes from the profile
+@settings(deadline=None)
+@given(data=st.data())
+def test_every_subcommand_exits_with_a_documented_code(contract_files, tmp_path_factory, data):
+    argv = data.draw(_contract_argv(contract_files))
+    out = tmp_path_factory.mktemp("run")
+    if argv[0] != "rerun":
+        argv += ["--out-dir", str(out)]
+    assert main(argv) in (0, 2, 3, 4)

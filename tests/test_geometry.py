@@ -90,6 +90,18 @@ def test_network_rejects_zero_length():
         LinearNetwork([[0, 0], [0, 0]], [[0, 1]])
 
 
+@pytest.mark.parametrize("site", ["vertex", "length", "mesh_spacing"])
+def test_network_rejects_nan_scalars(site):
+    nan = float("nan")
+    with pytest.raises(ValidationError, match="vertex coordinates" if site == "vertex" else "finite"):
+        if site == "vertex":
+            LinearNetwork([[0, 0], [nan, 1], [1, 1]], [[0, 1], [1, 2]])
+        elif site == "length":
+            LinearNetwork([[0, 0], [1, 0]], [[0, 1]], lengths=[nan])
+        else:
+            network_arc_mesh(LinearNetwork([[0, 0], [1, 0]], [[0, 1]]), nan)
+
+
 def test_explicit_lengths_for_abstract_graphs():
     net = LinearNetwork([[0, 0], [1, 0], [0.5, 1]], [[0, 1], [1, 2], [0, 2]], lengths=[3, 1, 1])
     assert net.total_length == pytest.approx(5.0)

@@ -78,7 +78,41 @@ def test_normalization_matches_pair_average():
     rng = np.random.default_rng(0)
     marks = rng.uniform(1.0, 3.0, size=17)
     for tf in (STOYAN, BEISBART_KERSCHER, VARIOGRAM):
-        assert normalization(tf, marks) == pytest.approx(pair_average(tf, marks), rel=1e-12)
+        assert normalization(tf, marks) == pair_average(tf, marks)
+
+
+# marks on a 1/16 grid keep every mark sum exact, so the closed forms and the
+# loop differ only by their final roundings
+_GRID_MARKS = st.lists(st.integers(-2048, 2048).map(lambda k: k / 16.0), min_size=2, max_size=40)
+
+
+@given(_GRID_MARKS)
+def test_pair_average_matches_ordered_pair_loop(marks):
+    mu = float(np.mean(marks))
+    custom = MarkTestFunction("custom", fn=lambda a, b: a * a - 3.0 * b)
+    fns = dict(_ORACLE_FNS, shimantani_i=lambda a, b: (a - mu) * (b - mu), custom=custom.fn)
+    for tf in (STOYAN, BEISBART_KERSCHER, VARIOGRAM, SHIMANTANI_I, custom):
+        terms = [fns[tf.name](a, b) for i, a in enumerate(marks) for j, b in enumerate(marks) if i != j]
+        want = sum(terms) / len(terms)
+        try:
+            got = pair_average(tf, marks)
+        except NumericalError:
+            assert tf.name == "shimantani_i" and min(marks) == max(marks)
+            continue
+        assert abs(got - want) <= 1e-12 * sum(abs(t) for t in terms) / len(terms)
+
+
+@pytest.mark.parametrize("n", [3, 7, 150])
+def test_constant_non_dyadic_marks_are_degenerate(unit_square, n):
+    # n copies of 1.1 do not sum to n * 1.1 exactly, yet every difference is 0
+    marks = np.full(n, 1.1)
+    assert pair_average(VARIOGRAM, marks) == 0.0 and normalization(VARIOGRAM, marks) == 0.0
+    with pytest.raises(NumericalError, match="variance"):
+        pair_average(SHIMANTANI_I, marks)
+    p = planar_pattern(unit_square, np.random.default_rng(n).uniform(size=(n, 2)), marks=marks)
+    for tf in (VARIOGRAM, SHIMANTANI_I):
+        with pytest.raises(NumericalError, match="degenerate"):
+            mark_corr(p, tf, SmoothingSpec1D(0.2), np.linspace(0.0, 0.5, 6))
 
 
 def test_normalization_needs_two_points():

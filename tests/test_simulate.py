@@ -24,6 +24,7 @@ from markedpoints import (
     replicate_seed,
     synthetic_tree_network,
 )
+from markedpoints.geometry import _uniform_seg_off
 
 
 def const_cov(value):
@@ -286,3 +287,90 @@ def test_non_finite_rate_or_radius_rejected(call, value):
             poisson_network(bad, net, rng)
         else:
             model_marks("III", poisson_network(0.05, net, rng), rng, radius=bad)
+
+
+def _planar_vec(x, y):
+    return 40.0 + 30.0 * np.cos(3.0 * x) * np.sin(2.0 * y)
+
+
+def _planar_scalar_only(x, y):
+    if np.ndim(x):
+        raise TypeError("scalar arguments only")
+    return 40.0 + 30.0 * np.cos(3.0 * x) * np.sin(2.0 * y)
+
+
+def _network_lam(loc):
+    return 0.05 + 0.04 * np.cos(loc.segment + 3.0 * loc.offset)
+
+
+@pytest.mark.parametrize(
+    "domain, lam, lam_max",
+    [
+        ("planar", 55.0, None),
+        ("planar", _planar_vec, 70.0),
+        ("planar", _planar_scalar_only, 70.0),
+        ("planar", _planar_vec, 1e-12),  # the proposal is empty: no thinning draws
+        ("network", 0.05, None),
+        ("network", _network_lam, 0.09),  # network callables take one location
+        ("network", _network_lam, 1e-12),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_poisson_rng_order_matches_hand_replay(domain, lam, lam_max, seed):
+    # replay: the count, the locations (x then y uniforms, or one segment/offset
+    # uniform), then one thinning uniform per proposed point when it is nonempty
+    w = PlanarWindow(0.0, 2.0, 0.0, 1.0)
+    net = synthetic_tree_network(core_depth=3)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    rate = lam_max if callable(lam) else lam
+    if domain == "planar":
+        p = poisson_planar(lam, w, rng, lam_max=lam_max)
+        n = ref.poisson(rate * w.area)
+        xs = ref.uniform(w.xmin, w.xmax, size=n)
+        ys = ref.uniform(w.ymin, w.ymax, size=n)
+        if callable(lam) and n:
+            vals = np.array([lam(float(x), float(y)) for x, y in zip(xs, ys)])
+            keep = ref.uniform(size=n) <= vals / lam_max
+            xs, ys = xs[keep], ys[keep]
+        assert np.array_equal(p.coords(), np.column_stack([xs, ys]))
+    else:
+        p = poisson_network(lam, net, rng, lam_max=lam_max)
+        n = ref.poisson(rate * net.total_length)
+        seg, off = _uniform_seg_off(net, n, ref)
+        if callable(lam) and n:
+            vals = np.array([lam(NetworkLocation(int(s), float(t))) for s, t in zip(seg, off)])
+            keep = ref.uniform(size=n) <= vals / lam_max
+            seg, off = seg[keep], off[keep]
+        got = p.seg_off()
+        assert np.array_equal(got[0], seg) and np.array_equal(got[1], off)
+    if lam_max == 1e-12:
+        assert n == 0
+    elif callable(lam):
+        assert 0 < p.n < n  # the thinning ran and dropped points
+    assert rng.uniform() == ref.uniform()
+
+
+@pytest.mark.parametrize("domain", ["planar", "network"])
+@pytest.mark.parametrize("lam_max", [-1.0, float("nan")])
+def test_bad_lam_max_rejected(domain, lam_max):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValidationError, match="nonnegative and finite"):
+        if domain == "planar":
+            poisson_planar(_planar_vec, PlanarWindow(0.0, 1.0, 0.0, 1.0), rng, lam_max=lam_max)
+        else:
+            poisson_network(_network_lam, synthetic_tree_network(core_depth=3), rng, lam_max=lam_max)
+
+
+@pytest.mark.parametrize("site", ["lgcp_step", "linked_nu", "constant_field"])
+def test_nan_simulator_scalars_rejected(site):
+    rng = np.random.default_rng(0)
+    net = synthetic_tree_network(core_depth=3)
+    nan = float("nan")
+    with pytest.raises(ValidationError):
+        if site == "lgcp_step":
+            spec = GaussianFieldSpec(mean=-3.0, cov=const_cov(0.1), anchor=NetworkLocation(0, 0.5))
+            lgcp_network(spec, net, nan, rng)
+        elif site == "linked_nu":
+            linked_balanced_cox("linked", nan, constant_field_sampler(5.0), PlanarWindow(0, 1, 0, 1), rng)
+        else:
+            constant_field_sampler(nan)

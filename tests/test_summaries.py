@@ -17,6 +17,7 @@ from markedpoints import (
     PlanarWindow,
     STOYAN,
     SummaryCurve,
+    VARIOGRAM,
     ValidationError,
     f_inhom,
     h_cross_inhom,
@@ -621,3 +622,30 @@ def test_f_memory_stays_below_the_dense_matrix(unit_square):
         tracemalloc.stop()
     assert len(curve.r) == 513
     assert peak < 150 * 2**20
+
+
+def test_mark_weighted_k_memory_is_linear_in_pairs(unit_square):
+    # an n x n matrix of pair values alone would take 763 MiB at n = 10^4
+    rng = np.random.default_rng(13)
+    p = MarkedPointPattern.from_columns(unit_square, rng.uniform(size=(10_000, 2)), marks=rng.gamma(2.0, 1.5, 10_000))
+    r = np.linspace(0.0, 0.05, 65)
+    tracemalloc.start()
+    try:
+        for tf in (STOYAN, VARIOGRAM):
+            curve = mark_weighted_k(p, tf, 10_000.0, "none", r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(curve.values))
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("domain, spacing", [("planar", 0.0), ("planar", float("nan")), ("network", float("nan"))])
+def test_f_rejects_bad_grid_spacing(unit_square, domain, spacing):
+    if domain == "planar":
+        p = planar_pattern(unit_square, [(0.2, 0.3), (0.7, 0.6)])
+    else:
+        net = LinearNetwork([[0, 0], [10, 0], [10, 10]], [[0, 1], [1, 2]])
+        p = MarkedPointPattern(net, [MarkedPoint(NetworkLocation(0, 0.5)), MarkedPoint(NetworkLocation(1, 0.5))])
+    with pytest.raises(ValidationError, match="spacing"):
+        f_inhom(p, 1.0, grid_spacing=spacing)
