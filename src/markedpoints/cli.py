@@ -23,6 +23,7 @@ from .envelope import _mark_model_bands, envelopes, mark_correlation_study
 from .errors import NumericalError, ValidationError
 from .geometry import LinearNetwork, NetworkLocation, PlanarWindow, load_network, synthetic_tree_network
 from .intensity import (
+    _FAMILIES,
     KernelSpec,
     bandwidth_cvl,
     bandwidth_scott,
@@ -70,14 +71,6 @@ _TF = {"stoyan": STOYAN, "bk": BEISBART_KERSCHER, "vario": VARIOGRAM, "shimantan
 _TREND = {"a": 0.0, "b": 1.0, "tau": None}
 
 
-def _require_file(path, what):
-    if path is None:
-        raise ValidationError(f"missing required {what} file")
-    if not os.path.exists(path):
-        raise ValidationError(f"{what} file not found: {path}")
-    return path
-
-
 def _parse_window(text) -> PlanarWindow:
     try:
         xmin, xmax, ymin, ymax = (float(t) for t in text.split(","))
@@ -88,7 +81,7 @@ def _parse_window(text) -> PlanarWindow:
 
 def _load_domain(args):
     if getattr(args, "network", None):
-        return load_network(_require_file(args.network, "network"))
+        return load_network(args.network)
     if getattr(args, "window", None):
         return _parse_window(args.window)
     raise ValidationError("either --window or --network is required")
@@ -96,7 +89,7 @@ def _load_domain(args):
 
 def _network(args) -> LinearNetwork:
     """The --network file, else the bundled dendrite tree."""
-    return load_network(_require_file(args.network, "network")) if args.network else synthetic_tree_network()
+    return load_network(args.network) if args.network else synthetic_tree_network()
 
 
 def _threads(args) -> int:
@@ -128,8 +121,7 @@ def _out_dir(args) -> str:
 def _pattern(args):
     """The output directory, made, and the --pattern file read on its domain."""
     out = _out_dir(args)
-    domain = _load_domain(args)
-    return out, load_pattern_csv(_require_file(args.pattern, "pattern"), domain)
+    return out, load_pattern_csv(args.pattern, _load_domain(args))
 
 
 def _plugin_sigma(args, p) -> float:
@@ -286,6 +278,8 @@ def _simulate_pattern(args, rng):
         var = args.lgcp_var
         mu = args.lgcp_mu
         if mu is None:
+            if not args.n_expected > 0:
+                raise ValidationError(f"--n-expected must be positive for an lgcp model, got {args.n_expected}")
             # mean count matches --n-expected: E exp(Z) = exp(mu + var/2)
             mu = float(np.log(args.n_expected / net.total_length) - var / 2.0)
 
@@ -371,14 +365,15 @@ def _cmd_envelope(args):
 
 
 def _cmd_rerun(args):
-    path = _require_file(args.metadata, "metadata")
+    path = args.metadata
     try:
         with open(path) as fh:
             argv = json.load(fh)["argv"]
     except (ValueError, TypeError, KeyError) as e:
         raise ValidationError(f"metadata file {path} is not a JSON object with an argv record: {e!r}") from None
-    if not argv:
-        raise ValidationError(f"metadata file {path} has no argv record")
+    # a rerun writes no metadata, so a record that replays one is not a run's
+    if not (isinstance(argv, list) and argv and all(isinstance(a, str) for a in argv) and argv[0] != "rerun"):
+        raise ValidationError(f"metadata file {path} has no argv record of a run (a list of strings)")
     rc = main(argv)
     if rc != 0:
         raise ValidationError(f"rerun of {path} failed with exit code {rc}")
@@ -411,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--method", choices=["uniform", "jd", "heat"], default="uniform")
     sp.add_argument("--sigma", default="scott", help="bandwidth value, 'scott' or 'cvl'")
-    sp.add_argument("--kernel", choices=["gaussian", "epanechnikov", "box"], default="gaussian")
+    sp.add_argument("--kernel", choices=_FAMILIES, default="gaussian")
     sp.add_argument("--grid", type=int, default=128)
     sp.set_defaults(func=_cmd_intensity)
 
@@ -427,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rmax", type=_finite)
     sp.add_argument("--bins", type=int, default=512)
     sp.add_argument("--sigma", default="scott")
-    sp.add_argument("--kernel", choices=["gaussian", "epanechnikov", "box"], default="gaussian")
+    sp.add_argument("--kernel", choices=_FAMILIES, default="gaussian")
     sp.add_argument("--intensity-method", dest="intensity_method", choices=["uniform", "jd"], default="uniform")
     sp.add_argument("--lambda-const", dest="lambda_const", type=_finite, help="use a constant intensity instead of a plug-in estimate")
     sp.add_argument("--grid", type=int, default=128)
@@ -440,12 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--tf", choices=sorted(_TF) + ["suite"], default="suite")
     sp.add_argument("--bandwidth", type=_finite)
-    sp.add_argument(
-        "--smoothing-kernel",
-        dest="smoothing_kernel",
-        choices=["epanechnikov", "gaussian", "box"],
-        default="epanechnikov",
-    )
+    sp.add_argument("--smoothing-kernel", dest="smoothing_kernel", choices=_FAMILIES, default="epanechnikov")
     sp.add_argument("--ec", choices=["none", "symmetricWeight"], default="none")
     sp.add_argument("--rmax", type=_finite)
     sp.add_argument("--bins", type=int, default=512)
@@ -511,8 +501,8 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
-    except FileNotFoundError as e:
-        print(f"error: file not found: {e.filename}", file=sys.stderr)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)  # the errno text and the file's name
         return 3
     return 0
 

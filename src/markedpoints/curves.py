@@ -24,8 +24,8 @@ def check_r_grid(r) -> np.ndarray:
 
 def r_grid(r_max: float, bins: int = 512) -> np.ndarray:
     """Uniform grid of bins+1 values from 0 to r_max inclusive."""
-    if r_max <= 0 or bins < 1:
-        raise ValidationError(f"need r_max > 0 and bins >= 1, got {r_max}, {bins}")
+    if not 0 < r_max < np.inf or bins < 1:
+        raise ValidationError(f"need a finite r_max > 0 and bins >= 1, got {r_max}, {bins}")
     return np.linspace(0.0, float(r_max), bins + 1)
 
 

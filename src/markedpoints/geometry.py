@@ -45,9 +45,10 @@ class PlanarWindow:
     ymax: float
 
     def __post_init__(self):
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
+        # a finite positive area needs finite bounds, and NaN fails every test
+        if not (self.xmax > self.xmin and self.ymax > self.ymin and self.area < np.inf):
             raise ValidationError(
-                f"degenerate window: [{self.xmin},{self.xmax}]x[{self.ymin},{self.ymax}]"
+                f"degenerate or unbounded window: [{self.xmin},{self.xmax}]x[{self.ymin},{self.ymax}]"
             )
 
     @property

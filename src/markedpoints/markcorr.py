@@ -18,8 +18,8 @@ from scipy.sparse import csr_array
 from ._dist import close_pairs, translation_weights
 from .curves import SummaryCurve, _r_values
 from .errors import NumericalError, ValidationError
-from .intensity import _elementwise, kernel1d_pdf, kernel1d_support
-from .pattern import MarkedPointPattern, mark_moments
+from .intensity import KernelSpec, _elementwise, kernel1d_pdf, kernel1d_support
+from .pattern import MarkedPointPattern, _moments
 
 __all__ = [
     "TestFunction",
@@ -70,10 +70,7 @@ class SmoothingSpec1D:
     kernel: str = "epanechnikov"
 
     def __post_init__(self):
-        if not 0 < self.bandwidth < np.inf:
-            raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth}")
-        if self.kernel not in ("epanechnikov", "gaussian", "box"):
-            raise ValidationError(f"unknown 1-D kernel {self.kernel!r}")
+        KernelSpec(self.bandwidth, self.kernel)  # the same bandwidth and family checks
 
 
 def default_smoothing(p: MarkedPointPattern) -> SmoothingSpec1D:
@@ -84,24 +81,20 @@ def default_smoothing(p: MarkedPointPattern) -> SmoothingSpec1D:
     return SmoothingSpec1D(float(h))
 
 
-def _tf_values(tf: TestFunction, a, b, mu: float):
-    """Built-in test function values tf(a, b), elementwise with broadcasting."""
-    if tf.name == "stoyan":
-        return a * b
-    if tf.name == "beisbart_kerscher":
-        return a + b
-    if tf.name == "variogram":
-        return 0.5 * (a - b) ** 2
-    return (a - mu) * (b - mu)
-
-
 def _pair_values(tf: TestFunction, mi, mj, mu: float) -> np.ndarray:
-    """tf on unordered pairs of marks, each pair standing for both of its
-    orders: a custom function is symmetrized as (f(a, b) + f(b, a)) / 2."""
-    if tf.name == "custom":
-        return 0.5 * (_elementwise(tf.fn, mi, mj) + _elementwise(tf.fn, mj, mi))
-    # constant marks give exact zeros for shimantani_i, whose c_tf is then 0
-    return _tf_values(tf, mi, mj, mu)
+    """tf on pairs of marks, elementwise with broadcasting. Each pair stands
+    for both of its orders: a custom function is symmetrized as
+    (f(a, b) + f(b, a)) / 2."""
+    if tf.name == "stoyan":
+        return mi * mj
+    if tf.name == "beisbart_kerscher":
+        return mi + mj
+    if tf.name == "variogram":
+        return 0.5 * (mi - mj) ** 2
+    if tf.name == "shimantani_i":
+        # constant marks give exact zeros, and c_tf is then 0
+        return (mi - mu) * (mj - mu)
+    return 0.5 * (_elementwise(tf.fn, mi, mj) + _elementwise(tf.fn, mj, mi))
 
 
 def pair_weights(tf: TestFunction, marks, mu: float, var: float) -> np.ndarray:
@@ -109,9 +102,9 @@ def pair_weights(tf: TestFunction, marks, mu: float, var: float) -> np.ndarray:
     m = np.asarray(marks, dtype=float)
     if tf.name == "shimantani_i" and var <= 0:
         raise NumericalError("shimantani_i requires positive mark variance")
-    if tf.name != "custom":
-        return _tf_values(tf, m[:, None], m[None, :], mu)
-    return _elementwise(tf.fn, m[:, None], m[None, :])
+    if tf.name == "custom":
+        return _elementwise(tf.fn, m[:, None], m[None, :])
+    return _pair_values(tf, m[:, None], m[None, :], mu)
 
 
 def normalization(tf: TestFunction, marks, stoyan_rule: str = "pairs") -> float:
@@ -122,41 +115,37 @@ def normalization(tf: TestFunction, marks, stoyan_rule: str = "pairs") -> float:
     convention). stoyan_rule="mean-squared" switches the Stoyan constant to
     the classical squared mean mark.
     """
-    c = pair_average(tf, marks)
-    m = np.asarray(marks, dtype=float)
-    if tf.name == "shimantani_i":
-        return float(np.mean((m - m.mean()) ** 2))
-    if tf.name == "stoyan" and stoyan_rule == "mean-squared":
-        return float(m.mean() ** 2)
-    return c
+    return _constant(tf, marks, stoyan_rule)
 
 
 def pair_average(tf: TestFunction, marks) -> float:
-    """Sample average of tf over all ordered pairs i != j: closed forms in
-    the mark sums, O(n), for the built-ins; the n x n pair_weights matrix
-    for a custom test function."""
+    """Sample average of tf over all ordered pairs i != j: for the built-ins
+    one expression in n and the marks' mean and variance, O(n); the n x n
+    pair_weights matrix for a custom test function."""
+    return _constant(tf, marks)
+
+
+def _constant(tf: TestFunction, marks, rule: str | None = None, moments=None) -> float:
+    """normalization() under the Stoyan rule `rule`, or pair_average() for
+    rule None; moments are the marks' _moments when the caller has them."""
     m = np.asarray(marks, dtype=float)
     n = len(m)
     if n < 2:
         raise ValidationError("pair average needs at least two marked points")
-    s1, s2, npairs = m.sum(), (m**2).sum(), n * (n - 1)
+    mu, var = _moments(m) if moments is None else moments
     if tf.name == "stoyan":
-        return float((s1 * s1 - s2) / npairs)
+        return mu**2 if rule == "mean-squared" else mu**2 - var / (n - 1)
     if tf.name == "beisbart_kerscher":
-        return float(2.0 * s1 / n)
-    # constant marks have exact zero differences and centred values, whatever the sums round to
-    constant = m.min() == m.max()
+        return 2.0 * mu
     if tf.name == "variogram":
-        return 0.0 if constant else float((n * s2 - s1 * s1) / npairs)
-    mu = float(s1 / n)
-    var = 0.0 if constant else float(np.mean((m - mu) ** 2))
+        return n * var / (n - 1)
     if tf.name == "shimantani_i":
         if var <= 0:
             raise NumericalError("shimantani_i requires positive mark variance")
         # the centred marks sum to 0, so their ordered-pair products sum to -n var
-        return -var / (n - 1)
+        return -var / (n - 1) if rule is None else var
     w = pair_weights(tf, m, mu, var)
-    return float((w.sum() - np.trace(w)) / npairs)
+    return float((w.sum() - np.trace(w)) / (n * (n - 1)))
 
 
 def _reach(smoothing: SmoothingSpec1D, r: np.ndarray) -> float:
@@ -209,19 +198,17 @@ def _normalized(tfs, p: MarkedPointPattern, smoothing, r, ec: str, stoyan_rule="
     """(normalized values, raw ratio, c_tf) of each test function, all from
     one product with the kernel matrix; a degenerate c_tf reads 0.0 and
     gives all-NaN normalized values."""
-    stats = mark_moments(p)
-    if stats.count != p.n:
-        raise ValidationError("every point needs a mark for mark correlation")
-    K, i, j = _kernel_matrix(p, smoothing, r, ec, pairs)
     marks = p.marks()
+    K, i, j = _kernel_matrix(p, smoothing, r, ec, pairs)
+    mu, var = _moments(marks)
     mi, mj = marks[i], marks[j]
-    cols = [_pair_values(tf, mi, mj, stats.mean_mark) for tf in tfs]
+    cols = [_pair_values(tf, mi, mj, mu) for tf in tfs]
     sums = K @ np.column_stack(cols + [np.ones(len(mi))])
     out = []
     for s, tf in enumerate(tfs):
         raw = _ratio(sums[:, s], sums[:, -1])
         try:
-            c = normalization(tf, marks, stoyan_rule)
+            c = _constant(tf, marks, stoyan_rule, (mu, var))
         except NumericalError:
             c = 0.0
         out.append((raw / c if c != 0.0 else np.full_like(raw, np.nan), raw, c))

@@ -213,14 +213,24 @@ def split_by_type(p: MarkedPointPattern) -> dict:
     return {lab: p.subset(np.nonzero(inv == k)[0]) for k, lab in enumerate(keys.tolist())}
 
 
+def _moments(m: np.ndarray) -> tuple[float, float]:
+    """Mean and population (1/N) variance of a nonempty float array from the
+    values centred on their mean, less the centred sum's square (the corrected
+    two-pass form of Chan, Golub & LeVeque 1983); equal values give exactly 0."""
+    mu = float(m.mean())
+    if m.min() == m.max():
+        return mu, 0.0
+    d = m - mu
+    return mu, float((np.sum(d * d) - d.sum() ** 2 / len(d)) / len(d))
+
+
 def mark_moments(p: MarkedPointPattern) -> MarkSummaryStats:
     """Mean and population (1/N) variance of the marks that are present."""
     _, marks, has, _ = p._columns()
     vals = marks[has]
     if len(vals) == 0:
         raise ValidationError("pattern has no marks")
-    mu = float(vals.mean())
-    return MarkSummaryStats(mu, float(np.mean((vals - mu) ** 2)), int(len(vals)))
+    return MarkSummaryStats(*_moments(vals), int(len(vals)))
 
 
 def _fmt(values) -> list:
@@ -230,7 +240,7 @@ def _fmt(values) -> list:
 def _write_table(path, header, cols, comment=None):
     """CSV file: an optional '# comment' line, the header row, then one row
     per index of the equal-length columns of preformatted strings."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         wr = csv.writer(fh)
@@ -260,13 +270,15 @@ def save_pattern_csv(p: MarkedPointPattern, path):
 
 def load_pattern_csv(path, domain) -> MarkedPointPattern:
     """Read a pattern CSV (header required) against the given domain."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rd = csv.reader(fh)
         try:
             header = [h.strip().lower() for h in next(rd)]
+            rows = [(rd.line_num, r) for r in rd if r]
         except StopIteration:
             raise ValidationError(f"empty pattern file {path}") from None
-        rows = [(rd.line_num, r) for r in rd if r]
+        except UnicodeDecodeError:
+            raise ValidationError(f"pattern file {path} is not UTF-8 text") from None
 
     def col(name):
         return header.index(name) if name in header else None

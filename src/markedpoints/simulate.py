@@ -51,6 +51,10 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
+# the largest expected point count a simulator draws: a larger mean is refused
+# before any draw (the benchmark's largest pattern has about 2,000 points)
+_MAX_EXPECTED_POINTS = 1e8
+
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -85,6 +89,8 @@ def _poisson(lam, domain, size: float, draw, rng: np.random.Generator, lam_max) 
     rate = lam_max if callable(lam) else lam
     if not 0 <= rate < np.inf:
         raise ValidationError(f"intensity must be nonnegative and finite, got {rate}")
+    if not rate * size <= _MAX_EXPECTED_POINTS:
+        raise ValidationError(f"expected point count {rate * size:.3g} exceeds the cap {_MAX_EXPECTED_POINTS:.0e}")
     n = rng.poisson(rate * size)
     p = MarkedPointPattern.from_columns(domain, draw(n))
     if callable(lam) and n:
@@ -187,7 +193,10 @@ def lgcp_network(
     jitter = spec.nugget * max(1.0, float(np.abs(np.diag(cov)).max()))
     factor = _psd_factor(cov + jitter * np.eye(len(cov)))
     z = spec.mean_at(_locations(seg, mid)) + factor @ rng.standard_normal(len(seg))
-    mu = np.exp(z) * ((t1 - t0) * net.seg_lengths[seg])
+    with np.errstate(over="ignore"):  # an overflow reads inf, which the cap refuses
+        mu = np.exp(z) * ((t1 - t0) * net.seg_lengths[seg])
+    if not mu.sum() <= _MAX_EXPECTED_POINTS:
+        raise ValidationError(f"expected point count {mu.sum():.3g} exceeds the cap {_MAX_EXPECTED_POINTS:.0e}")
 
     # one poisson and then one uniform draw per cell, in cell order
     offs = [rng.uniform(a, b, size=rng.poisson(mu_c)) for a, b, mu_c in zip(t0, t1, mu)]

@@ -18,8 +18,8 @@ from .curves import SummaryCurve, _r_values
 from .errors import NumericalError, ValidationError
 from .geometry import LinearNetwork, _arc_mesh, _border_dist, boundary_distance
 from .intensity import eval_intensity
-from .markcorr import TestFunction, _pair_values, pair_average
-from .pattern import MarkedPointPattern, mark_moments
+from .markcorr import TestFunction, _constant, _pair_values
+from .pattern import MarkedPointPattern, _moments
 
 __all__ = [
     "k_cross_inhom",
@@ -229,14 +229,14 @@ def mark_weighted_k(
     if p.n < 2:
         raise ValidationError("mark-weighted K needs at least 2 marked points")
     marks = p.marks()
-    stats = mark_moments(p)
-    c = pair_average(tf, marks)
+    mu, var = _moments(marks)
+    c = _constant(tf, marks, moments=(mu, var))
     if c == 0.0:
         raise NumericalError("degenerate mark normalization: pair average is zero")
     lamv = _positive_intensities(lam, p, "")
     # each unordered pair i < j stands for both of its orders
     i, j, d = close_pairs(p, r[-1])
-    w = _pair_values(tf, marks[i], marks[j], stats.mean_mark) / (lamv[i] * lamv[j])
+    w = _pair_values(tf, marks[i], marks[j], mu) / (lamv[i] * lamv[j])
     vals = _k_step_curve(i, j, d, 2.0 * (w / (p.domain_size * c)), r, ec, p, p)
     return SummaryCurve(r, vals, "kweighted", None, {"tf": tf.name, "ec": ec})
 

@@ -267,6 +267,28 @@ NON_FINITE_FLAGS = {
     "simulate_base_cosine_short": ["simulate", "--model", "linked", "--window", "0,1,0,1", "--base-cosine", "1,2"],
 }
 
+# paths the CLI cannot read or write: each names the file (exit 3); DIR is a
+# directory, FILE an existing file, and an --out-dir in the argv replaces the default
+UNUSABLE_PATHS = {
+    "pattern_directory": ["markcorr", "--pattern", "DIR", "--window", "0,1,0,1"],
+    "network_directory": ["simulate", "--model", "modelII", "--network", "DIR"],
+    "rerun_directory": ["rerun", "DIR"],
+    "out_dir_is_file": ["simulate", "--model", "poisson", "--window", "0,1,0,1", "--rate", "1", "--out-dir", "FILE"],
+    "pattern_not_utf8": ["markcorr", "--pattern", "FILE", "--window", "0,1,0,1"],
+    "rerun_argv_not_list": ["rerun", "FILE"],
+    "rerun_of_rerun": ["rerun", "FILE"],
+}
+# what FILE holds; a rerun record that replays itself recursed without end
+FILE_BYTES = {"pattern_not_utf8": b"\xff\xfex,y\n0.5,0.5\n", "rerun_argv_not_list": b'{"argv": 5}'}
+
+# a window, an expected count or a mean intensity that numpy's samplers would fail on
+SAMPLER_INPUTS = {
+    "simulate_window_inf": ["simulate", "--model", "poisson", "--window", "0,inf,0,1", "--rate", "1"],
+    "simulate_rate_over_cap": ["simulate", "--model", "poisson", "--window", "0,1,0,1", "--rate", "1e20"],
+    "simulate_lgcp_mu_over_cap": ["simulate", "--model", "lgcp", "--lgcp-mu", "50"],
+    "simulate_lgcp_n_expected_zero": ["simulate", "--model", "lgcp", "--n-expected", "0"],
+}
+
 
 @pytest.mark.parametrize(
     "case, code",
@@ -287,7 +309,9 @@ NON_FINITE_FLAGS = {
         ("network_json_nan_vertex", 3),
         ("summary_grid_spacing_zero", 3),
     ]
-    + [(case, 2) for case in NON_FINITE_FLAGS],
+    + [(case, 2) for case in NON_FINITE_FLAGS]
+    + [(case, 3) for case in UNUSABLE_PATHS]
+    + [(case, 3) for case in SAMPLER_INPUTS],
 )
 def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, case, code):
     env = dict(os.environ)
@@ -303,6 +327,17 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
         bad = tmp_path / "bad.json"
         bad.write_text(BAD_NETWORK_JSON[case])
         argv = ["simulate", "--model", "modelII", "--network", str(bad)]
+    elif case in UNUSABLE_PATHS:
+        named = tmp_path / "named"
+        named.write_bytes(FILE_BYTES.get(case, b"x,y\n"))
+        if case == "rerun_of_rerun":
+            named.write_text(json.dumps({"argv": ["rerun", str(named)]}))
+        paths = {"DIR": str(tmp_path), "FILE": str(named)}
+        argv = [paths.get(a, a) for a in UNUSABLE_PATHS[case]]
+        if argv[0] == "rerun" or "--out-dir" in argv:
+            out = []
+    elif case in SAMPLER_INPUTS:
+        argv = SAMPLER_INPUTS[case]
     elif case in NON_FINITE_FLAGS:
         argv = NON_FINITE_FLAGS[case]
         if argv[0] == "envelope":
@@ -336,6 +371,8 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
     assert "Traceback" not in proc.stderr
     if case == "network_json_nan_vertex":
         assert "bad.json" in proc.stderr and "vertex coordinates must be finite" in proc.stderr
+    if case in UNUSABLE_PATHS:
+        assert (str(tmp_path) if "directory" in case else "named") in proc.stderr
 
 
 ENVELOPE_SMALL = dict(nsim=39, seed=7, n_expected=30.0, rmax=100.0, bins=16, bandwidth=25.0)
@@ -459,7 +496,7 @@ _FILE_FLAGS = {"--pattern": ("planar.csv", "network.csv"), "--network": ("net.js
 @pytest.fixture(scope="module")
 def contract_files(tmp_path_factory):
     """Valid, truncated and non-numeric pattern, network and metadata files,
-    and a missing path."""
+    a file that is not UTF-8, a directory and a missing path."""
     root = tmp_path_factory.mktemp("contract")
     rng = np.random.default_rng(5)
     net = markedpoints.LinearNetwork([[0, 0], [40, 0], [40, 40], [0, 40], [20, 60]],
@@ -484,6 +521,10 @@ def contract_files(tmp_path_factory):
         files[name] = str(root / name)
         files[f"truncated_{name}"], files[f"nonnumeric_{name}"] = str(cut), str(bad)
     files["missing"] = str(root / "missing.csv")
+    (root / "directory").mkdir()
+    files["directory"] = str(root / "directory")
+    (root / "not_utf8.csv").write_bytes(b"\xff\xfe" + (root / "planar.csv").read_bytes())
+    files["not_utf8"] = str(root / "not_utf8.csv")
     return files
 
 
@@ -518,7 +559,8 @@ def _contract_argv(draw, files):
 @given(data=st.data())
 def test_every_subcommand_exits_with_a_documented_code(contract_files, tmp_path_factory, data):
     argv = data.draw(_contract_argv(contract_files))
-    out = tmp_path_factory.mktemp("run")
+    # the output directory is a fresh one or an existing (input) file
+    out = data.draw(st.sampled_from([str(tmp_path_factory.mktemp("run")), contract_files["planar.csv"]]))
     if argv[0] != "rerun":
-        argv += ["--out-dir", str(out)]
+        argv += ["--out-dir", out]
     assert main(argv) in (0, 2, 3, 4)

@@ -67,6 +67,14 @@ def test_degenerate_window_rejected():
         PlanarWindow(1.0, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bounds", [(0.0, np.inf, 0.0, 1.0), (-np.inf, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, np.nan),
+                                    (0.0, 1e200, 0.0, 1e200)])
+def test_unbounded_window_rejected(bounds):
+    # an infinite area would reach numpy's Poisson sampler as an infinite mean
+    with pytest.raises(ValidationError, match="unbounded"):
+        PlanarWindow(*bounds)
+
+
 # ---------------- network construction ----------------
 
 

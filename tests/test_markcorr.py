@@ -1,6 +1,8 @@
 """Test functions, normalizations, and the ratio estimator against a
 direct double-loop oracle."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -100,6 +102,75 @@ def test_pair_average_matches_ordered_pair_loop(marks):
             assert tf.name == "shimantani_i" and min(marks) == max(marks)
             continue
         assert abs(got - want) <= 1e-12 * sum(abs(t) for t in terms) / len(terms)
+
+
+def _exact_pair_means(marks):
+    """Exact ordered-pair means of the four built-ins, the exact mean and the
+    exact population variance of float marks: a double loop over the marks
+    as integers on their common power-of-two scale."""
+    n = len(marks)
+    den = max(Fraction(m).denominator for m in marks)
+    k = [int(Fraction(m) * den) for m in marks]
+    s = sum(k)
+    c = [n * a - s for a in k]  # n * den * (mark - mean)
+    sums = [0, 0, 0, 0]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                sums[0] += k[i] * k[j]
+                sums[1] += k[i] + k[j]
+                sums[2] += (k[i] - k[j]) ** 2
+                sums[3] += c[i] * c[j]
+    npairs = n * (n - 1)
+    means = {
+        "stoyan": Fraction(sums[0], npairs * den**2),
+        "beisbart_kerscher": Fraction(sums[1], npairs * den),
+        "variogram": Fraction(sums[2], 2 * npairs * den**2),
+        "shimantani_i": Fraction(sums[3], npairs * (n * den) ** 2),
+    }
+    return means, Fraction(s, n * den), Fraction(sum(a * a for a in c), n * (n * den) ** 2)
+
+
+def _not_tiny(lo, hi):
+    """Floats in [lo, hi] that are 0 or at least 1e-100 in size, so that no
+    product of two marks underflows."""
+    return st.floats(lo, hi).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+
+
+@st.composite
+def _shifted_marks(draw):
+    """offset + spread * u: a spread of at least 1 on an offset up to 1e8."""
+    n = draw(st.integers(2, 120))
+    offset, spread = draw(_not_tiny(-1e8, 1e8)), draw(st.floats(1.0, 100.0))
+    return [offset + spread * u for u in draw(st.lists(_not_tiny(0.0, 1.0), min_size=n, max_size=n))]
+
+
+@settings(deadline=None)
+@given(_shifted_marks())
+def test_pair_average_and_normalization_match_exact_rationals(marks):
+    # a Sigma m / Sigma m^2 closed form cancels when the spread is small against the
+    # offset (relative error 24 for the variogram at 1e8 + U(0, 1))
+    exact, mu, var = _exact_pair_means(marks)
+    scale = {"stoyan": mu**2 + var, "beisbart_kerscher": abs(mu), "variogram": var, "shimantani_i": var}
+    want_norm = dict(exact, shimantani_i=var)
+    for tf in (STOYAN, BEISBART_KERSCHER, VARIOGRAM, SHIMANTANI_I):
+        if tf.name == "shimantani_i" and var == 0:
+            with pytest.raises(NumericalError):
+                pair_average(tf, marks)
+            continue
+        for got, want in ((pair_average(tf, marks), exact[tf.name]), (normalization(tf, marks), want_norm[tf.name])):
+            assert abs(Fraction(got) - want) <= Fraction(1e-12) * scale[tf.name], tf.name
+    got = normalization(STOYAN, marks, stoyan_rule="mean-squared")
+    assert abs(Fraction(got) - mu**2) <= Fraction(1e-12) * mu**2
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_variogram_constant_of_large_offset_marks(seed):
+    # 200 marks 1e8 + U(0, 1): the closed form in the mark sums returned -1.65
+    # against an exact 0.0724
+    marks = 1e8 + np.random.default_rng(seed).uniform(size=200)
+    exact = _exact_pair_means(marks.tolist())[0]["variogram"]
+    assert abs(Fraction(pair_average(VARIOGRAM, marks)) - exact) <= Fraction(1e-15) * exact
 
 
 @pytest.mark.parametrize("n", [3, 7, 150])

@@ -86,6 +86,9 @@ def test_mark_moments_hand_values(unit_square):
 def test_mark_moments_constant_and_single(unit_square):
     p = MarkedPointPattern(unit_square, [MarkedPoint((0.1, 0.1), mark=5.0)] * 3)
     assert mark_moments(p).var_mark == 0.0
+    # 150 copies of 1.1 do not sum to 150 * 1.1, yet they do not vary
+    p = MarkedPointPattern(unit_square, [MarkedPoint((0.1, 0.1), mark=1.1)] * 150)
+    assert mark_moments(p).var_mark == 0.0
     p1 = MarkedPointPattern(unit_square, [MarkedPoint((0.1, 0.1), mark=7.0)])
     s = mark_moments(p1)
     assert s.mean_mark == 7.0 and s.var_mark == 0.0

@@ -1,5 +1,7 @@
 """Simulators: Poisson laws, thinning, LGCP, Cox constructions, mark models."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from markedpoints import (
     replicate_seed,
     synthetic_tree_network,
 )
+from markedpoints import simulate
 from markedpoints.geometry import _uniform_seg_off
 
 
@@ -108,6 +111,37 @@ def test_lgcp_degenerate_reduces_to_poisson():
     # Poisson variance ~ mean
     se_var = target * np.sqrt(2.0 / 2000) * 2
     assert abs(np.var(counts) - target) <= 3 * se_var
+
+
+def test_poisson_cap_refuses_before_drawing(monkeypatch):
+    # an expected count of 1e20 reached numpy as "lam value too large"; the cap
+    # refuses it before any draw or allocation
+    w = PlanarWindow(0.0, 1.0, 0.0, 1.0)
+    net = LinearNetwork([[0, 0], [100, 0]], [[0, 1]])
+    tracemalloc.start()
+    try:
+        for sim, lam, domain in ((poisson_planar, 1e20, w), (poisson_network, 1e18, net)):
+            rng = np.random.default_rng(3)
+            with pytest.raises(ValidationError, match="cap"):
+                sim(lam, domain, rng)
+            assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # at the cap itself a pattern is drawn; a lowered cap shows the boundary cheaply
+    monkeypatch.setattr(simulate, "_MAX_EXPECTED_POINTS", 200.0)
+    assert poisson_planar(200.0, w, np.random.default_rng(3)).n > 0
+    with pytest.raises(ValidationError, match="cap"):
+        poisson_planar(201.0, w, np.random.default_rng(3))
+
+
+def test_lgcp_cap_after_the_field_draw():
+    # exp(50) per unit length: the cells' counts would overflow numpy's sampler
+    net = LinearNetwork([[0, 0], [100, 0]], [[0, 1]])
+    spec = GaussianFieldSpec(mean=50.0, cov=const_cov(0.25), anchor=NetworkLocation(0, 0.5))
+    with pytest.raises(ValidationError, match="cap"):
+        lgcp_network(spec, net, 5.0, np.random.default_rng(0))
 
 
 def test_lgcp_asymmetric_cov_rejected():

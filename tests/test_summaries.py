@@ -26,6 +26,7 @@ from markedpoints import (
     k_dot_inhom,
     mark_sum_measure,
     mark_weighted_k,
+    r_grid,
     split_by_type,
 )
 from markedpoints import TestFunction as MarkTestFunction
@@ -638,6 +639,13 @@ def test_mark_weighted_k_memory_is_linear_in_pairs(unit_square):
         tracemalloc.stop()
     assert np.all(np.isfinite(curve.values))
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("r_max", [float("nan"), float("inf")])
+def test_r_grid_rejects_non_finite_r_max(r_max):
+    # NaN gave an all-NaN grid, inf [nan, inf, inf, ...] and a RuntimeWarning
+    with pytest.raises(ValidationError, match="finite r_max"):
+        r_grid(r_max, 4)
 
 
 @pytest.mark.parametrize("domain, spacing", [("planar", 0.0), ("planar", float("nan")), ("network", float("nan"))])
