@@ -92,15 +92,6 @@ def _network(args) -> LinearNetwork:
     return load_network(args.network) if args.network else synthetic_tree_network()
 
 
-def _threads(args) -> int:
-    """MARKEDPOINTS_THREADS as an n_jobs count; unset reads 0 (one per CPU)."""
-    env = os.environ.get("MARKEDPOINTS_THREADS")
-    try:
-        return 0 if env is None else int(env)
-    except ValueError:
-        raise ValidationError(f"MARKEDPOINTS_THREADS must be an integer, got {env!r}") from None
-
-
 def _write_metadata(args, out_dir, extra=None):
     cfg = {k: v for k, v in vars(args).items() if k not in ("func",)}
     doc = {"argv": list(args._argv), "config": cfg, "version": __version__}
@@ -312,7 +303,6 @@ def _cmd_simulate(args):
 
 def _cmd_envelope(args):
     out = _out_dir(args)
-    jobs = _threads(args)
     if args.model in ("modelI", "modelII", "modelIII"):
         net = _network(args)
         kind = args.model[5:]
@@ -320,7 +310,6 @@ def _cmd_envelope(args):
             nsim=args.nsim, level=args.level, master_seed=args.seed, n_expected=args.n_expected,
             r_max=args.rmax if args.rmax is not None else 250.0, bins=args.bins,
             bandwidth=args.bandwidth if args.bandwidth is not None else 10.0, radius=args.radius,
-            n_jobs=jobs,
         )
         if args.stat == "suite":
             set_flags = [f"--{flag}" for flag, default in _TREND.items() if getattr(args, flag) != default]
@@ -357,7 +346,7 @@ def _cmd_envelope(args):
             pi = p.with_labels(lab)
             return k_cross_inhom(pi, pi, args.rate, args.rate, "translation", r)
 
-        band = envelopes(gen, stat, args.nsim, args.level, args.seed, n_jobs=jobs)
+        band = envelopes(gen, stat, args.nsim, args.level, args.seed)
         band.to_csv(os.path.join(out, "poisson_k_band.csv"))
         _write_metadata(args, out, {"k": band.k})
         return

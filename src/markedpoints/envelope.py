@@ -2,9 +2,13 @@
 evaluate a curve statistic on each, and form rank-based pointwise critical
 bands plus the replicate mean.
 
-Replicates are independent given the master seed and may be evaluated in
-parallel; band assembly is a fixed-order reduction over the replicate
-index, so results do not depend on the execution schedule.
+Replicates are independent given the master seed. `envelopes()` evaluates
+them serially, in order, on the calling thread, because it runs the
+caller's generator and statistic, which need not be thread-safe. The
+mark-model engine maps its replicates on one thread per CPU in the
+process's affinity mask (`taskset` limits it). Band assembly is a
+fixed-order reduction over the replicate index, so results do not depend
+on the execution schedule.
 """
 
 from __future__ import annotations
@@ -94,19 +98,6 @@ def _bands(r, rows, names, nsim: int, level: float, k: int) -> list:
     ]
 
 
-def _replicates(one, nsim: int, n_jobs) -> list:
-    """[one(i) for i in range(nsim)], on a thread pool of n_jobs workers
-    (0: one per CPU available to this process; None, 1 or a negative count:
-    serial); results stay in replicate order."""
-    jobs = 1 if n_jobs is None else int(n_jobs)
-    if jobs == 0:
-        jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if jobs <= 1:
-        return [one(i) for i in range(nsim)]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(one, range(nsim)))
-
-
 def envelopes(
     generator,
     statistic,
@@ -114,7 +105,7 @@ def envelopes(
     level: float = 0.95,
     master_seed: int = 0,
     observed: MarkedPointPattern | None = None,
-    n_jobs: int | None = None,
+    n_jobs=None,
 ) -> EnvelopeBand:
     """Simulate nsim replicates, evaluate the statistic, return the band.
 
@@ -122,17 +113,13 @@ def envelopes(
     SummaryCurve on a fixed r grid. NaN values are excluded pointwise with
     the effective replicate count reported per r.
 
-    Serial by default, since generator and statistic need not be
-    thread-safe; n_jobs=k runs k threads (0: one per available CPU) and
-    gives the same band.
+    Replicate i calls generator and then statistic, for i = 0 ... nsim-1
+    in order, on the calling thread, since neither need be thread-safe.
+    n_jobs is ignored: it once chose a worker count, and every count gave
+    this band.
     """
     k = envelope_rank(nsim, level)
-
-    def one(i):
-        rng = replicate_rng(SeedSpec(master_seed, i))
-        return statistic(generator(rng))
-
-    curves = _replicates(one, nsim, n_jobs)
+    curves = [statistic(generator(replicate_rng(SeedSpec(master_seed, i)))) for i in range(nsim)]
 
     r = curves[0].r
     for c in curves[1:]:
@@ -162,7 +149,6 @@ def poisson_network_min2(lam: float, net: LinearNetwork, rng) -> MarkedPointPatt
 
 def _mark_model_bands(
     net, model, tfs, *, nsim, level, master_seed, n_expected, r_max, bins, bandwidth, radius, a, b, tau,
-    n_jobs,
 ) -> list:
     """Rank bands of the normalized mark correlations of the test functions
     tfs under mark model I, II or III, one per test function.
@@ -172,8 +158,8 @@ def _mark_model_bands(
     noise sd tau (model I), the distance to the nearest degree-1 vertex
     (II) or the number of other points within radius (III). The model III
     counts and the kernel matrix share one pair sweep. Arguments are
-    checked before any replicate is drawn; every worker count gives the
-    same bands.
+    checked before any replicate is drawn. Replicates run on one thread per
+    CPU in the affinity mask; every CPU count gives the same bands.
     """
     if model not in ("I", "II", "III"):
         raise ValidationError(f"model must be I, II or III, got {model!r}")
@@ -199,7 +185,9 @@ def _mark_model_bands(
             marked = model_marks(model, p, rng, a=a, b=b, tau=tau)
         return [vals for vals, _, _ in _normalized(tfs, marked, smoothing, r, "none", pairs=pairs)]
 
-    rows = _replicates(one, nsim, n_jobs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=cpus) as ex:
+        rows = list(ex.map(one, range(nsim)))
     return _bands(r, rows, [f"markcorr_{tf.name}" for tf in tfs], nsim, level, k)
 
 
@@ -215,8 +203,6 @@ def mark_correlation_study(
     bins: int = 250,
     bandwidth: float = 10.0,
     radius: float = 80.0,
-    n_jobs: int | None = 0,
-    write_plot: bool = True,
 ) -> dict:
     """Simulation study runner: Poisson points on the network, marks from
     one of the three mechanisms, the four mark-correlation curves per
@@ -224,24 +210,22 @@ def mark_correlation_study(
 
     Writes one band CSV per statistic plus a stacked four-panel SVG, and
     returns the bands keyed by statistic name. Replicates run on one thread
-    per available CPU by default (n_jobs=0); every worker count gives the
-    same bytes.
+    per CPU in the process's affinity mask; every CPU count gives the same
+    bytes.
     """
     # trend marks are shifted positive so product-type correlations read cleanly
     trend_a = 1.0 - float(net.vertices.sum(axis=1).min())
     suite = _mark_model_bands(
         net, model, _SUITE, nsim=nsim, level=level, master_seed=master_seed, n_expected=n_expected,
         r_max=r_max, bins=bins, bandwidth=bandwidth, radius=radius, a=trend_a, b=1.0, tau=None,
-        n_jobs=n_jobs,
     )
     bands = {tf.name: band for tf, band in zip(_SUITE, suite)}
     os.makedirs(out_dir, exist_ok=True)
     for name, band in bands.items():
         band.to_csv(os.path.join(out_dir, f"model{model}_{name}_band.csv"))
-    if write_plot:
-        envelope_panels_svg(
-            os.path.join(out_dir, f"model{model}_markcorr.svg"),
-            list(bands.items()),
-            title=f"Model {model}: mark correlation envelopes ({nsim} replicates)",
-        )
+    envelope_panels_svg(
+        os.path.join(out_dir, f"model{model}_markcorr.svg"),
+        list(bands.items()),
+        title=f"Model {model}: mark correlation envelopes ({nsim} replicates)",
+    )
     return bands

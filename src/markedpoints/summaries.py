@@ -55,7 +55,10 @@ def _k_step_curve(i, j, d, w, r, ec, pa, pb) -> np.ndarray:
     if ec == "translation":
         w = w * translation_weights(pa.domain, pa.coords()[i], pb.coords()[j])
     # pair q enters every r_k >= d_q, from its bin k = searchsorted(r, d_q) on
-    return np.cumsum(np.bincount(np.searchsorted(r, d), weights=w, minlength=len(r)))
+    vals = np.cumsum(np.bincount(np.searchsorted(r, d), weights=w, minlength=len(r)))
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError("K is not finite: a pair weight over an intensity product overflows")
+    return vals
 
 
 def k_cross_inhom(
@@ -71,13 +74,17 @@ def k_cross_inhom(
     _check_same_domain(pi, pj)
     r = _r_values(pi.domain, r)
     size = pi.domain_size
-    theo = None if pi.is_network else np.pi * r**2
+    with np.errstate(over="ignore"):
+        theo = None if pi.is_network else np.pi * r**2
+    if theo is not None and not np.isfinite(theo[-1]):
+        raise ValidationError(f"theoretical K (pi r^2) is not finite at r = {r[-1]:g}")
     if pi.n == 0 or pj.n == 0:
         return SummaryCurve(r, np.zeros_like(r), "kcross", theo, {"ec": ec})
     li = _positive_intensities(lam_i, pi, "type-i")
     lj = _positive_intensities(lam_j, pj, "type-j")
     i, j, d = cross_pairs(pi.domain, pi, pj, r[-1])
-    vals = _k_step_curve(i, j, d, 1.0 / (li[i] * lj[j]) / size, r, ec, pi, pj)
+    with np.errstate(all="ignore"):  # intensity products can underflow; a non-finite K raises
+        vals = _k_step_curve(i, j, d, 1.0 / (li[i] * lj[j]) / size, r, ec, pi, pj)
     return SummaryCurve(r, vals, "kcross", theo, {"ec": ec})
 
 
@@ -236,8 +243,9 @@ def mark_weighted_k(
     lamv = _positive_intensities(lam, p, "")
     # each unordered pair i < j stands for both of its orders
     i, j, d = close_pairs(p, r[-1])
-    w = _pair_values(tf, marks[i], marks[j], mu) / (lamv[i] * lamv[j])
-    vals = _k_step_curve(i, j, d, 2.0 * (w / (p.domain_size * c)), r, ec, p, p)
+    w = _pair_values(tf, marks[i], marks[j], mu)
+    with np.errstate(all="ignore"):  # intensity products can underflow; a non-finite K raises
+        vals = _k_step_curve(i, j, d, 2.0 * (w / (lamv[i] * lamv[j]) / (p.domain_size * c)), r, ec, p, p)
     return SummaryCurve(r, vals, "kweighted", None, {"tf": tf.name, "ec": ec})
 
 

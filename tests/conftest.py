@@ -21,6 +21,17 @@ def unit_square():
     return PlanarWindow(0.0, 1.0, 0.0, 1.0)
 
 
+@pytest.fixture
+def cpu_mask(monkeypatch):
+    """cpu_mask(c) makes os.sched_getaffinity report c CPUs, which sizes the
+    replicate pool to c workers; the real mask is restored after the test."""
+
+    def set_mask(c):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(c)), raising=False)
+
+    return set_mask
+
+
 def random_connected_network(rng, n_vertices, extra_edge_prob=0.3):
     """Random connected network: random spanning tree plus a few chords."""
     pts = rng.uniform(0.0, 10.0, size=(n_vertices, 2))

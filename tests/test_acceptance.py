@@ -6,7 +6,6 @@ calibration. Monte Carlo criteria use fixed master seeds.
 """
 
 import json
-import os
 import time
 
 import numpy as np
@@ -433,7 +432,7 @@ def test_criterion_9_mark_model_study(tmp_path):
         assert (tmp_path / f"model{model}" / f"model{model}_markcorr.svg").exists()
 
 
-def test_criterion_10_cli_determinism(tmp_path):
+def test_criterion_10_cli_determinism(tmp_path, cpu_mask):
     net_path = tmp_path / "tree.json"
     mp.save_network(mp.synthetic_tree_network(), net_path)
     args = [
@@ -442,20 +441,12 @@ def test_criterion_10_cli_determinism(tmp_path):
         "--bandwidth", "15", "--seed", "77",
     ]
     digests = []
-    for name, threads in (("a", None), ("b", None), ("c", "3")):
+    # two runs on the real affinity mask, then masks of 1, 2 and 8 CPUs
+    for name, cpus in (("a", None), ("b", None), ("c", 1), ("d", 2), ("e", 8)):
+        if cpus is not None:
+            cpu_mask(cpus)
         out = tmp_path / name
-        saved = os.environ.get("MARKEDPOINTS_THREADS")
-        if threads is None:
-            os.environ.pop("MARKEDPOINTS_THREADS", None)
-        else:
-            os.environ["MARKEDPOINTS_THREADS"] = threads
-        try:
-            assert cli_main(args + ["--out-dir", str(out)]) == 0
-        finally:
-            if saved is None:
-                os.environ.pop("MARKEDPOINTS_THREADS", None)
-            else:
-                os.environ["MARKEDPOINTS_THREADS"] = saved
+        assert cli_main(args + ["--out-dir", str(out)]) == 0
         digests.append((out / "modelIII_stoyan_band.csv").read_bytes())
     sim_digests = []
     for name in ("s1", "s2"):
@@ -468,8 +459,8 @@ def test_criterion_10_cli_determinism(tmp_path):
     _check(
         10,
         [
-            ("envelope CSV identical", digests[0] == digests[1] == digests[2],
-             "2 repeats + thread variation"),
+            ("envelope CSV identical", all(d == digests[0] for d in digests[1:]),
+             "2 repeats + CPU masks 1, 2, 8"),
             ("simulate CSV identical", sim_digests[0] == sim_digests[1], ""),
         ],
     )

@@ -179,29 +179,21 @@ def test_envelope_k_rule_in_metadata(tmp_path, tree_file):
     assert (out / "modelIII_stoyan_band.csv").exists()
 
 
-def test_cli_byte_identical_and_thread_invariant(tmp_path, tree_file):
+def test_cli_byte_identical_and_thread_invariant(tmp_path, tree_file, cpu_mask):
+    # two runs on the real affinity mask, then masks of 1, 2 and 8 CPUs
     args = [
         "envelope", "--model", "modelIII", "--network", tree_file, "--stat", "stoyan",
         "--nsim", "39", "--n-expected", "30", "--rmax", "100", "--bins", "16",
         "--bandwidth", "25", "--seed", "7",
     ]
     outs = []
-    for name, threads in (("a", None), ("b", None), ("c", "2")):
+    for name, cpus in (("a", None), ("b", None), ("c", 1), ("d", 2), ("e", 8)):
+        if cpus is not None:
+            cpu_mask(cpus)
         out = tmp_path / name
-        env_before = os.environ.get("MARKEDPOINTS_THREADS")
-        if threads is None:
-            os.environ.pop("MARKEDPOINTS_THREADS", None)
-        else:
-            os.environ["MARKEDPOINTS_THREADS"] = threads
-        try:
-            assert main(args + ["--out-dir", str(out)]) == 0
-        finally:
-            if env_before is None:
-                os.environ.pop("MARKEDPOINTS_THREADS", None)
-            else:
-                os.environ["MARKEDPOINTS_THREADS"] = env_before
+        assert main(args + ["--out-dir", str(out)]) == 0
         outs.append(read_bytes(out / "modelIII_stoyan_band.csv"))
-    assert outs[0] == outs[1] == outs[2]
+    assert all(o == outs[0] for o in outs[1:])
 
 
 def test_envelope_199_records_k5(tmp_path, tree_file):
@@ -289,6 +281,14 @@ SAMPLER_INPUTS = {
     "simulate_lgcp_n_expected_zero": ["simulate", "--model", "lgcp", "--n-expected", "0"],
 }
 
+# K curves that would hold inf: a theoretical pi r^2 past the float range
+# (exit 3) and intensities whose pair products underflow to zero (exit 4)
+K_NOT_FINITE = {
+    "summary_kcross_rmax_huge": (["--stat", "kcross", "--rmax", "1e300"], 3),
+    "summary_kcross_lambda_underflow": (["--stat", "kcross", "--lambda-const", "1e-320"], 4),
+    "summary_kweighted_lambda_underflow": (["--stat", "kweighted", "--lambda-const", "1e-200"], 4),
+}
+
 
 @pytest.mark.parametrize(
     "case, code",
@@ -298,7 +298,6 @@ SAMPLER_INPUTS = {
         ("non_integer_segment", 3),
         ("envelope_bad_stat", 2),
         ("summary_missing_type_j", 3),
-        ("threads_not_integer", 3),
         ("envelope_nsim_zero", 3),
         ("envelope_suite_trend_flags", 3),
         ("intensity_sigma_inf", 3),
@@ -311,11 +310,11 @@ SAMPLER_INPUTS = {
     ]
     + [(case, 2) for case in NON_FINITE_FLAGS]
     + [(case, 3) for case in UNUSABLE_PATHS]
-    + [(case, 3) for case in SAMPLER_INPUTS],
+    + [(case, 3) for case in SAMPLER_INPUTS]
+    + [(case, code) for case, (_, code) in K_NOT_FINITE.items()],
 )
 def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, case, code):
     env = dict(os.environ)
-    env.pop("MARKEDPOINTS_THREADS", None)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(markedpoints.__file__))
     out = ["--out-dir", str(tmp_path / "out")]
     if case in BAD_PATTERN_CSV:
@@ -359,10 +358,9 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
     elif case == "summary_missing_type_j":
         argv = ["summary", "--pattern", planar_csv, "--window", "0,1,0,1", "--stat", "f",
                 "--type-j", "zzz", "--lambda-const", "30"]
-    else:
-        env["MARKEDPOINTS_THREADS"] = "two"
-        argv = ["envelope", "--model", "modelI", "--stat", "stoyan", "--network", tree_file,
-                "--nsim", "3"]
+    elif case in K_NOT_FINITE:
+        argv = ["summary", "--pattern", planar_csv, "--window", "0,1,0,1", "--type-i", "a", "--type-j", "b"]
+        argv += K_NOT_FINITE[case][0]
     proc = subprocess.run(
         [sys.executable, "-m", "markedpoints.cli"] + argv + out,
         env=env, capture_output=True, text=True, timeout=120,
@@ -388,9 +386,10 @@ ENVELOPE_SMALL = dict(nsim=39, seed=7, n_expected=30.0, rmax=100.0, bins=16, ban
         ("modelIII", "stoyan", {"radius": 400.0}),  # above rmax + kernel support
     ],
 )
-def test_envelope_one_statistic_matches_public_calls(tmp_path, tree_file, monkeypatch, model, stat, extra):
+def test_envelope_one_statistic_matches_public_calls(tmp_path, tree_file, cpu_mask, model, stat, extra):
     # the band CSV and SVG of `envelope --stat <tf>` under a mark model equal
-    # a replay from envelopes, model_marks and mark_corr, for every worker count
+    # a replay from envelopes, model_marks and mark_corr, on the real affinity
+    # mask and on masks of 1, 2 and 8 CPUs
     cfg = ENVELOPE_SMALL
     net = load_network(tree_file)
     lam = cfg["n_expected"] / net.total_length
@@ -416,12 +415,10 @@ def test_envelope_one_statistic_matches_public_calls(tmp_path, tree_file, monkey
     argv = ["envelope", "--model", model, "--stat", stat, "--network", tree_file]
     for key, value in list(cfg.items()) + list(extra.items()):
         argv += [f"--{key.replace('_', '-')}", repr(value)]
-    for threads in (None, "1", "2"):
-        if threads is None:
-            monkeypatch.delenv("MARKEDPOINTS_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("MARKEDPOINTS_THREADS", threads)
-        out = tmp_path / f"threads_{threads}"
+    for cpus in (None, 1, 2, 8):
+        if cpus is not None:
+            cpu_mask(cpus)
+        out = tmp_path / f"cpus_{cpus}"
         assert main(argv + ["--out-dir", str(out)]) == 0
         assert read_bytes(out / f"{model}_{tf.name}_band.csv") == read_bytes(tmp_path / "ref.csv")
         assert read_bytes(out / f"{model}_{tf.name}_band.svg") == read_bytes(tmp_path / "ref.svg")

@@ -1,6 +1,7 @@
 """Rank-envelope assembly, NaN policy, determinism, and the study runner."""
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -89,24 +90,28 @@ def test_band_envelope_ordering():
     assert np.all(band.lo <= band.mean) and np.all(band.mean <= band.hi)
 
 
-def test_envelopes_deterministic_and_parallel_equal(unit_square):
+def test_envelopes_serial_in_order_on_calling_thread(unit_square):
+    # the generator and statistic are the caller's and need not be thread-safe:
+    # replicate i is generated and then evaluated, for i = 0, 1, ... in order,
+    # on the calling thread
+    nsim, seed = 39, 11
+    first_draw = {replicate_rng(SeedSpec(seed, i)).random(): i for i in range(nsim)}
+    calls, index = [], {}
+
     def gen(rng):
-        return poisson_planar(40.0, unit_square, rng)
+        i = first_draw[rng.random()]
+        calls.append(("generator", i, threading.get_ident()))
+        p = poisson_planar(40.0, unit_square, rng)
+        index[id(p)] = i
+        return p
 
     def stat(p):
-        r = np.array([0.0, 0.1, 0.2])
-        if p.n < 2:
-            return SummaryCurve(r, np.full(3, np.nan), "nnd")
-        xy = p.coords()
-        d = np.hypot(xy[:, None, 0] - xy[None, :, 0], xy[:, None, 1] - xy[None, :, 1])
-        np.fill_diagonal(d, np.inf)
-        nnd = d.min(axis=1)
-        return SummaryCurve(r, np.array([nnd.mean()] * 3), "nnd")
+        calls.append(("statistic", index[id(p)], threading.get_ident()))
+        return SummaryCurve(np.array([0.0, 1.0]), np.full(2, float(p.n)), "count")
 
-    a = envelopes(gen, stat, nsim=39, level=0.95, master_seed=11, n_jobs=1)
-    b = envelopes(gen, stat, nsim=39, level=0.95, master_seed=11, n_jobs=4)
-    assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
-    assert np.array_equal(a.mean, b.mean)
+    envelopes(gen, stat, nsim=nsim, level=0.95, master_seed=seed)
+    me = threading.get_ident()
+    assert calls == [(step, i, me) for i in range(nsim) for step in ("generator", "statistic")]
 
 
 def test_envelopes_observed_overlay(unit_square):
@@ -157,17 +162,19 @@ def _files(path):
 
 
 @pytest.mark.parametrize("model", ["I", "II", "III"])
-def test_study_bytes_identical_across_worker_counts(tmp_path, model):
-    # a fresh network per run, so workers start from an empty distance cache;
-    # 8 workers and a short switch interval stress the shared network
+def test_study_bytes_identical_across_worker_counts(tmp_path, model, cpu_mask):
+    # one worker per CPU in the affinity mask: the real mask, then 1, 2 and 8
+    # CPUs; a fresh network per run, so workers start from an empty distance
+    # cache; 8 workers and a short switch interval stress the shared network
     outs = []
     interval = sys.getswitchinterval()
     try:
-        for jobs in (1, 2, 8, "default"):
-            sys.setswitchinterval(1e-5 if jobs == 8 else interval)
-            out = tmp_path / str(jobs)
-            kw = {} if jobs == "default" else {"n_jobs": jobs}
-            mark_correlation_study(synthetic_tree_network(core_depth=4), model, out, **STUDY_SMALL, **kw)
+        for cpus in ("real", 1, 2, 8):
+            if cpus != "real":
+                cpu_mask(cpus)
+            sys.setswitchinterval(1e-5 if cpus == 8 else interval)
+            out = tmp_path / str(cpus)
+            mark_correlation_study(synthetic_tree_network(core_depth=4), model, out, **STUDY_SMALL)
             outs.append(_files(out))
     finally:
         sys.setswitchinterval(interval)
@@ -187,7 +194,7 @@ def test_study_model_iii_matches_public_calls(tmp_path, radius):
         p0 = poisson_network_min2(lam, net, replicate_rng(SeedSpec(STUDY_SMALL["master_seed"], 0)))
         d = close_pairs(p0, 200.0)[2]
         radius = float(np.sort(d)[len(d) // 2])
-    bands = mark_correlation_study(net, "III", tmp_path, radius=radius, write_plot=False, **STUDY_SMALL)
+    bands = mark_correlation_study(net, "III", tmp_path, radius=radius, **STUDY_SMALL)
     r = r_grid(STUDY_SMALL["r_max"], STUDY_SMALL["bins"])
     smoothing = SmoothingSpec1D(STUDY_SMALL["bandwidth"])
     rows = []
