@@ -19,6 +19,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 from scipy.special import ndtr
 
+from ._dist import _row_blocks
 from .errors import NumericalError, ValidationError
 from .geometry import LinearNetwork, PlanarWindow, _arc_mesh, _cross_dist, _loc_arrays, _locations
 from .pattern import MarkedPointPattern, _fmt, _write_table
@@ -304,15 +305,21 @@ class NetworkIntensityEstimate:
             mesh_spacing = max(k.bandwidth / 4.0, net.total_length / 20000.0)
         self._mesh, self.mesh_weights = _arc_mesh(net, mesh_spacing)
         self._data = p.seg_off()
-        if p.n:
-            d = _cross_dist(net, self._data, self._mesh)
-            vals = kernel1d_pdf(k.family, k.bandwidth, d)
-            self.norms = vals @ self.mesh_weights
-            if np.any(self.norms <= 0):
-                raise NumericalError("kernel mass vanished for a data point")
-        else:
-            self.norms = np.zeros(0)
+        self.norms = self._kernel_sums(self._data, self._mesh, self.mesh_weights)
+        if np.any(self.norms <= 0):
+            raise NumericalError("kernel mass vanished for a data point")
         self.floor = 1e-12 * p.n / net.total_length
+
+    def _kernel_sums(self, a, b, weights) -> np.ndarray:
+        """sum_j K(d(a_i, b_j)) weights_j for each location a_i, over row
+        blocks of the distance matrix; einsum sums each row on its own, so
+        the values depend neither on the blocks nor on the BLAS threads."""
+        out = np.empty(len(a[0]))
+        for lo, hi in _row_blocks(len(a[0]), len(b[0])):
+            d = _cross_dist(self.net, (a[0][lo:hi], a[1][lo:hi]), b)
+            vals = kernel1d_pdf(self.kernel.family, self.kernel.bandwidth, d)
+            out[lo:hi] = np.einsum("ij,j->i", vals, weights)
+        return out
 
     @cached_property
     def mesh_locs(self) -> list:
@@ -325,9 +332,7 @@ class NetworkIntensityEstimate:
     def _evaluate(self, cols) -> np.ndarray:
         if len(self._data[0]) == 0:
             return np.zeros(len(cols[0]))
-        d = _cross_dist(self.net, cols, self._data)
-        vals = kernel1d_pdf(self.kernel.family, self.kernel.bandwidth, d)
-        return np.maximum(vals @ (1.0 / self.norms), self.floor)
+        return np.maximum(self._kernel_sums(cols, self._data, 1.0 / self.norms), self.floor)
 
     @cached_property
     def _at_data(self) -> np.ndarray:
@@ -341,7 +346,7 @@ class NetworkIntensityEstimate:
         return self._evaluate(cols)
 
     def integral(self) -> float:
-        return float(self._evaluate(self._mesh) @ self.mesh_weights)
+        return float(np.einsum("i,i->", self._evaluate(self._mesh), self.mesh_weights))
 
     def to_csv(self, path):
         seg, off = self._mesh
@@ -374,7 +379,7 @@ def cvl_criterion(p: MarkedPointPattern, lam) -> float:
     Zero when the intensity evaluable equals n/size at every data point.
     """
     vals = eval_intensity(lam, p)
-    if np.any(vals <= 0):
+    if not np.all(vals > 0):  # NaN fails the test too
         raise ValidationError("intensity must be positive at all data points")
     return float(abs(np.sum(1.0 / vals) - p.domain_size))
 

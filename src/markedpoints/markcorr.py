@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import csr_array
 
-from ._dist import close_pairs, translation_weights
+from ._dist import _row_blocks, close_pairs, translation_weights
 from .curves import SummaryCurve, _r_values
 from .errors import NumericalError, ValidationError
 from .intensity import KernelSpec, _elementwise, kernel1d_pdf, kernel1d_support
@@ -153,22 +153,20 @@ def _reach(smoothing: SmoothingSpec1D, r: np.ndarray) -> float:
     return float(r.max() + kernel1d_support(smoothing.kernel, smoothing.bandwidth))
 
 
-def _kernel_matrix(p: MarkedPointPattern, smoothing: SmoothingSpec1D, r: np.ndarray, ec: str, pairs=None):
-    """Sparse (len(r), pairs) matrix K with K[k, q] = 2 K_h(d_q - r_k) e_q over
-    the unordered pairs q = (i, j) with r_k - supp <= d_q <= r_k + supp, plus
-    the pair indices i, j.
+def _kernel_product(p: MarkedPointPattern, smoothing: SmoothingSpec1D, r: np.ndarray, ec: str, columns, pairs=None):
+    """K @ columns(i, j) for the sparse (len(r), pairs) matrix K with
+    K[k, q] = 2 K_h(d_q - r_k) e_q over the unordered pairs q = (i, j) with
+    r_k - supp <= d_q <= r_k + supp; columns maps the pair index arrays i, j
+    to a (pairs, m) array of per-pair values.
 
     For symmetric per-pair values v, (K @ v)[k] is the kernel sum over
     ordered pairs i != j; e is the symmetricWeight edge correction or 1.
+    K is formed and multiplied in blocks of consecutive r rows of at most
+    _BLOCK entries, so it never exists whole; each row's sum runs over its
+    own entries in order, so the blocks leave every value unchanged.
     pairs, when given, is close_pairs(p, cutoff) for a cutoff of at least
     _reach(smoothing, r); farther pairs sort last and get no entry.
     """
-    if p.n < 2:
-        raise ValidationError("mark correlation needs at least 2 marked points")
-    if ec not in ("none", "symmetricWeight"):
-        raise ValidationError(f"unknown edge correction {ec!r} for mark correlation")
-    if ec == "symmetricWeight" and p.is_network:
-        raise ValidationError("symmetricWeight edge correction is planar-only")
     supp = kernel1d_support(smoothing.kernel, smoothing.bandwidth)
     r_lo, r_hi = r - supp, r + supp
     i, j, d = close_pairs(p, _reach(smoothing, r)) if pairs is None else pairs
@@ -177,33 +175,62 @@ def _kernel_matrix(p: MarkedPointPattern, smoothing: SmoothingSpec1D, r: np.ndar
     i, j, d = i[keep], j[keep], d[keep]
     lo = np.searchsorted(d, r_lo, side="left")
     counts = np.searchsorted(d, r_hi, side="right") - lo
-    nnz = int(counts.sum())
-    itype = np.int32 if max(nnz, len(d)) < np.iinfo(np.int32).max else np.int64
+    weights = None
+    if ec == "symmetricWeight":
+        xy = p.coords()
+        weights = translation_weights(p.domain, xy[i], xy[j])
+    itype = np.int32 if max(int(counts.sum()), len(d)) < np.iinfo(np.int32).max else np.int64
+    vals, out = None, []
+    for a, b in _row_blocks(len(r), counts):
+        K = _kernel_rows(smoothing, r[a:b], d, lo[a:b], counts[a:b], itype, weights)
+        # the pair values are formed once the first block is built, as they
+        # were after the whole matrix: forming them first made a study
+        # replicate about 10 % slower
+        if vals is None:
+            vals = columns(i, j)
+        out.append(K @ vals)
+    return out[0] if len(out) == 1 else np.concatenate(out)
+
+
+def _kernel_rows(smoothing, r, d, lo, counts, itype, weights):
+    """CSR rows of K for the grid values r, over the sorted pair distances
+    d; row k's entries are the consecutive pairs lo[k] .. lo[k] + counts[k] - 1."""
     indptr = np.zeros(len(r) + 1, dtype=itype)
     np.cumsum(counts, out=indptr[1:])
-    # entries of row k are the consecutive sorted pairs lo[k] .. lo[k] + counts[k] - 1
-    cols = np.arange(nnz, dtype=itype)
+    cols = np.arange(indptr[-1], dtype=itype)
     cols += np.repeat((lo - indptr[:-1]).astype(itype), counts)
     t = d[cols]
     t -= np.repeat(r, counts)
     kv = kernel1d_pdf(smoothing.kernel, smoothing.bandwidth, t)
     kv *= 2.0
-    if ec == "symmetricWeight":
-        xy = p.coords()
-        kv *= translation_weights(p.domain, xy[i], xy[j])[cols]
-    return csr_array((kv, cols, indptr), shape=(len(r), len(d))), i, j
+    if weights is not None:
+        kv *= weights[cols]
+    return csr_array((kv, cols, indptr), shape=(len(r), len(d)))
 
 
 def _normalized(tfs, p: MarkedPointPattern, smoothing, r, ec: str, stoyan_rule="pairs", pairs=None):
     """(normalized values, raw ratio, c_tf) of each test function, all from
     one product with the kernel matrix; a degenerate c_tf reads 0.0 and
     gives all-NaN normalized values."""
+    if p.n < 2:
+        raise ValidationError("mark correlation needs at least 2 marked points")
+    if ec not in ("none", "symmetricWeight"):
+        raise ValidationError(f"unknown edge correction {ec!r} for mark correlation")
+    if ec == "symmetricWeight" and p.is_network:
+        raise ValidationError("symmetricWeight edge correction is planar-only")
     marks = p.marks()
-    K, i, j = _kernel_matrix(p, smoothing, r, ec, pairs)
     mu, var = _moments(marks)
-    mi, mj = marks[i], marks[j]
-    cols = [_pair_values(tf, mi, mj, mu) for tf in tfs]
-    sums = K @ np.column_stack(cols + [np.ones(len(mi))])
+    # the per-pair arrays stay referenced until this call returns, as they did
+    # before the product was blocked: freeing them once stacked made the
+    # study slower (measured: more minor page faults per replicate)
+    pair_arrays = []
+
+    def columns(i, j):
+        mi, mj = marks[i], marks[j]
+        pair_arrays.extend([mi, mj] + [_pair_values(tf, mi, mj, mu) for tf in tfs])
+        return np.column_stack(pair_arrays[2:] + [np.ones(len(mi))])
+
+    sums = _kernel_product(p, smoothing, r, ec, columns, pairs)
     out = []
     for s, tf in enumerate(tfs):
         raw = _ratio(sums[:, s], sums[:, -1])

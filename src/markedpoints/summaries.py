@@ -39,8 +39,8 @@ def _check_same_domain(pa: MarkedPointPattern, pb: MarkedPointPattern):
 
 def _positive_intensities(lam, p, what) -> np.ndarray:
     vals = eval_intensity(lam, p)
-    if np.any(vals <= 0):
-        raise ValidationError(f"zero or negative {what} intensity at a data point")
+    if not np.all(vals > 0):  # NaN fails the test too
+        raise ValidationError(f"zero, negative or NaN {what} intensity at a data point")
     return vals
 
 
@@ -240,7 +240,7 @@ def mark_weighted_k(
     c = _constant(tf, marks, moments=(mu, var))
     if c == 0.0:
         raise NumericalError("degenerate mark normalization: pair average is zero")
-    lamv = _positive_intensities(lam, p, "")
+    lamv = _positive_intensities(lam, p, "mark-weighted")
     # each unordered pair i < j stands for both of its orders
     i, j, d = close_pairs(p, r[-1])
     w = _pair_values(tf, marks[i], marks[j], mu)

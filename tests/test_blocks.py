@@ -1,0 +1,211 @@
+"""The entry budget of dense and pair-sized arrays: outputs that do not
+depend on the block size or on the BLAS thread count, and peak memory
+bounded by the budget instead of by all pairs or all distances."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import markedpoints
+from markedpoints import (
+    KernelSpec,
+    LinearNetwork,
+    MarkedPointPattern,
+    PlanarWindow,
+    SmoothingSpec1D,
+    f_inhom,
+    h_cross_inhom,
+    intensity_network,
+    k_cross_inhom,
+    mark_corr_suite,
+    model_marks,
+    poisson_network,
+    r_grid,
+)
+from markedpoints import _dist
+from markedpoints._dist import close_pairs, cross_pairs
+
+from conftest import random_connected_network
+
+BLOCKS = [1, 7, 64]
+
+
+def _grid_network_arrays(*args):
+    """bench/inputs.grid_network_arrays, the benchmark's grid network."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.grid_network_arrays(*args)
+
+
+@pytest.fixture(scope="module")
+def net_patterns():
+    """Two patterns of about 120 and 60 points on one random network."""
+    rng = np.random.default_rng(31)
+    net = random_connected_network(rng, 25)
+    pa = poisson_network(120.0 / net.total_length, net, rng)
+    pb = poisson_network(60.0 / net.total_length, net, rng)
+    return pa.with_marks(rng.gamma(2.0, 1.5, pa.n)), pb
+
+
+def _same_under_blocks(monkeypatch, block, compute):
+    """compute() under the default budget and under a budget of block
+    entries, as two lists of arrays that must be equal (NaNs equal)."""
+    want = [np.asarray(v) for v in compute()]
+    monkeypatch.setattr(_dist, "_BLOCK", block)
+    got = [np.asarray(v) for v in compute()]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+def test_row_blocks_cover_rows_in_order_under_the_budget(monkeypatch):
+    monkeypatch.setattr(_dist, "_BLOCK", 10)
+    widths = np.array([3, 4, 12, 0, 5, 5, 1, 9])
+    blocks = list(_dist._row_blocks(len(widths), widths))
+    assert blocks == [(0, 2), (2, 3), (3, 6), (6, 8)]
+    assert all(widths[lo:hi].sum() <= 10 or hi - lo == 1 for lo, hi in blocks)
+    assert list(_dist._row_blocks(5, 4)) == [(0, 2), (2, 4), (4, 5)]
+    assert list(_dist._row_blocks(0, 4)) == []
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_network_pairs_block_invariant(monkeypatch, net_patterns, block):
+    pa, pb = net_patterns
+    _same_under_blocks(
+        monkeypatch, block, lambda: [*close_pairs(pa, 3.0), *cross_pairs(pa.domain, pa, pb, 3.0)]
+    )
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_model_iii_marks_block_invariant(monkeypatch, net_patterns, block):
+    pa, _ = net_patterns
+    rng = np.random.default_rng(0)
+    _same_under_blocks(monkeypatch, block, lambda: [model_marks("III", pa, rng, radius=2.5).marks()])
+
+
+def _suite_values(p, smoothing, r, ec="none"):
+    s = mark_corr_suite(p, smoothing, r, ec)
+    return [c.values for c in s.curves.values()] + [c.values for c in s.numerators.values()]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_mark_corr_suite_block_invariant(monkeypatch, net_patterns, block):
+    rng = np.random.default_rng(32)
+    w = PlanarWindow(0.0, 1.0, 0.0, 2.0)
+    p = MarkedPointPattern.from_columns(w, rng.uniform(size=(300, 2)) * [1.0, 2.0], marks=rng.gamma(2.0, 1.5, 300))
+    pa, _ = net_patterns
+    _same_under_blocks(
+        monkeypatch,
+        block,
+        lambda: _suite_values(p, None, r_grid(0.4, 100), "symmetricWeight")
+        + _suite_values(pa, SmoothingSpec1D(0.5), r_grid(4.0, 100)),
+    )
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_network_k_h_f_block_invariant(monkeypatch, net_patterns, block):
+    pa, pb = net_patterns
+    r = r_grid(3.0, 60)
+    # unequal per-point intensities, so the retention factors vary
+    la, lb = 120.0 / pa.domain.total_length, 40.0 + 20.0 * np.sin(np.arange(pb.n))
+    _same_under_blocks(
+        monkeypatch,
+        block,
+        lambda: [
+            k_cross_inhom(pa, pb, la, lb, "none", r).values,
+            h_cross_inhom(pa, pb, la, lb, r=r).values,
+            f_inhom(pb, lb, r=r).values,
+        ],
+    )
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_network_intensity_block_invariant(monkeypatch, net_patterns, block):
+    pa, pb = net_patterns
+
+    def compute():
+        est = intensity_network(pa, KernelSpec(1.5))
+        return [est.norms, est.evaluate(pa.locations()), est.evaluate(pb.locations()), est.integral()]
+
+    _same_under_blocks(monkeypatch, block, compute)
+
+
+# the network chain of the benchmark's `large` workload, on one grid network
+_CHAIN = """
+import hashlib, importlib.util, sys
+import numpy as np
+import markedpoints as mp
+spec = importlib.util.spec_from_file_location("bench_inputs", sys.argv[1])
+inputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(inputs)
+net = mp.LinearNetwork(*inputs.grid_network_arrays(np.random.default_rng(3), 30, 10.0, 100))
+rng = np.random.default_rng(4)
+pa = mp.poisson_network(1500.0 / net.total_length, net, rng)
+pb = mp.poisson_network(600.0 / net.total_length, net, rng)
+ea = mp.intensity_network(pa, mp.KernelSpec(20.0))
+eb = mp.intensity_network(pb, mp.KernelSpec(20.0))
+parts = [ea.norms, ea.evaluate(pa.locations()), eb.evaluate(pa.locations()), np.array([ea.integral()])]
+parts.append(mp.f_inhom(pb, eb, r=mp.r_grid(60.0, 250)).values)
+print(hashlib.sha256(b"".join(np.ascontiguousarray(v).tobytes() for v in parts)).hexdigest())
+"""
+
+
+def test_network_intensity_and_f_same_bytes_for_blas_threads():
+    """gemv splits its rows between BLAS threads, which moves last bits;
+    the network intensity sums each row on its own."""
+    inputs = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(markedpoints.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHAIN, str(inputs)], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
+
+
+def _traced_peak(call) -> float:
+    """Peak traced memory of call() in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def grid_pattern():
+    """About 2,900 uniform points on the benchmark's 30 x 30 grid network."""
+    net = LinearNetwork(*_grid_network_arrays(np.random.default_rng(5), 30, 10.0, 100))
+    net.vertex_distances()  # the cached V x V matrix is not the call's memory
+    return poisson_network(2900.0 / net.total_length, net, np.random.default_rng(6))
+
+
+def test_network_close_pairs_memory_bounded_by_the_budget(grid_pattern):
+    # the full i < j sweep of 2,900 points formed 484 MiB at once
+    assert grid_pattern.n > 2800
+    assert _traced_peak(lambda: close_pairs(grid_pattern, 30.0)) < 64
+
+
+def test_network_intensity_memory_bounded_by_the_budget(grid_pattern):
+    # the dense data x mesh distance matrix and its temporaries took 335 MiB
+    assert _traced_peak(lambda: intensity_network(grid_pattern, KernelSpec(20.0))) < 64
+
+
+def test_mark_corr_suite_memory_bounded_by_the_budget(unit_square):
+    # the whole kernel matrix at n = 10^4 took 253 MiB
+    rng = np.random.default_rng(7)
+    p = MarkedPointPattern.from_columns(unit_square, rng.uniform(size=(10_000, 2)), marks=rng.gamma(2.0, 1.5, 10_000))
+    assert _traced_peak(lambda: mark_corr_suite(p, None, r_grid(0.05, 512))) < 64

@@ -183,6 +183,14 @@ def test_cvl_criterion_zero_for_constant(unit_square):
     assert abs(val) <= 1e-12
 
 
+def test_cvl_criterion_rejects_nan_intensity(unit_square):
+    p = poisson_planar(100.0, unit_square, np.random.default_rng(11))
+    lam = np.full(p.n, 100.0)
+    lam[3] = np.nan
+    with pytest.raises(ValidationError, match="intensity must be positive"):
+        cvl_criterion(p, lam)
+
+
 def test_cvl_recovers_mass_balance(unit_square):
     rng = np.random.default_rng(13)
     p = poisson_planar(200.0, unit_square, rng)

@@ -139,6 +139,23 @@ def test_k_cross_zero_intensity_rejected(unit_square):
         k_cross_inhom(pi, pj, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("estimator", ["kcross", "hcross", "f", "kweighted"])
+def test_nan_per_point_intensity_rejected(unit_square, estimator):
+    # NaN is not > 0: it must not reach the curve as NaN values or an overflow
+    rng = np.random.default_rng(14)
+    p = MarkedPointPattern.from_columns(unit_square, rng.uniform(size=(50, 2)), marks=rng.gamma(2.0, 1.5, 50))
+    lam = np.full(50, 50.0)
+    lam[7] = np.nan
+    calls = {
+        "kcross": lambda: k_cross_inhom(p, p, lam, 50.0),
+        "hcross": lambda: h_cross_inhom(p, p, 50.0, lam),
+        "f": lambda: f_inhom(p, lam),
+        "kweighted": lambda: mark_weighted_k(p, STOYAN, lam),
+    }
+    with pytest.raises(ValidationError, match="NaN .*intensity"):
+        calls[estimator]()
+
+
 def test_k_cross_symmetry_constant_intensity(unit_square):
     rng = np.random.default_rng(4)
     pi = planar_pattern(unit_square, rng.uniform(size=(12, 2)))
