@@ -349,13 +349,24 @@ def _uniform_seg_off(net: LinearNetwork, n: int, rng: np.random.Generator):
     return seg, off
 
 
+# the most cells of an F grid, arc mesh or raster, checked before it is formed
+_MAX_CELLS = 1 << 24  # 128 MiB of doubles
+
+
+def _check_cells(cells, what: str):
+    if not 0 < cells <= _MAX_CELLS:  # NaN fails the test too
+        raise ValidationError(f"{what} of {cells:.0f} cells: a grid needs 1 to {_MAX_CELLS} cells")
+
+
 def _arc_cells(net: LinearNetwork, spacing: float):
     """Arc-length discretization: segment k is cut into m_k = max(1, ceil(L_k/spacing))
     equal cells. Returns per-cell arrays (segment, index i along it, m of its
     segment), in segment order."""
     if not 0 < spacing < np.inf:
         raise ValidationError(f"arc-length spacing must be positive and finite, got {spacing}")
-    m = np.maximum(1, np.ceil(net.seg_lengths / spacing).astype(int))
+    m = np.maximum(1.0, np.ceil(net.seg_lengths / spacing))
+    _check_cells(m.sum(), "arc mesh")
+    m = m.astype(int)
     seg = np.repeat(np.arange(net.n_segments), m)
     i = np.arange(len(seg)) - np.repeat(np.cumsum(m) - m, m)
     return seg, i, m[seg]

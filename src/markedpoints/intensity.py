@@ -21,7 +21,7 @@ from scipy.special import ndtr
 
 from ._dist import _row_blocks
 from .errors import NumericalError, ValidationError
-from .geometry import LinearNetwork, PlanarWindow, _arc_mesh, _cross_dist, _loc_arrays, _locations
+from .geometry import LinearNetwork, PlanarWindow, _arc_mesh, _check_cells, _cross_dist, _loc_arrays, _locations
 from .pattern import MarkedPointPattern, _fmt, _write_table
 
 __all__ = [
@@ -187,6 +187,7 @@ def _check_dims(dims) -> tuple[int, int]:
     nx, ny = (dims, dims) if np.isscalar(dims) else dims
     if nx < 16 or ny < 16:
         raise ValidationError(f"grid dims must be at least 16x16, got {nx}x{ny}")
+    _check_cells(int(nx) * int(ny), "raster")
     return int(nx), int(ny)
 
 
@@ -196,7 +197,7 @@ def intensity_uniform(p: MarkedPointPattern, k: KernelSpec, dims=(128, 128)) -> 
     true intensity is constant."""
     _check_planar(p)
     nx, ny = _check_dims(dims)
-    raw = _kernel_sum_raster(p, k, nx, ny, per_point_weights=None)
+    raw = _kernel_sum_raster(p, k, nx, ny, per_point_weights=np.ones(p.n))
     w = p.domain
     xs, ys = _cell_centers(w, nx, ny)
     c = np.outer(_axis_mass(k, w.xmin, w.xmax, xs), _axis_mass(k, w.ymin, w.ymax, ys))
@@ -208,27 +209,23 @@ def intensity_jones_diggle(p: MarkedPointPattern, k: KernelSpec, dims=(128, 128)
     window mass, so the field integrates to the point count exactly."""
     _check_planar(p)
     nx, ny = _check_dims(dims)
-    if p.n:
-        xy = p.coords()
-        wts = 1.0 / kernel_mass(k, p.domain, xy[:, 0], xy[:, 1])
-    else:
-        wts = np.zeros(0)
+    xy = p.coords()
+    wts = 1.0 / kernel_mass(k, p.domain, xy[:, 0], xy[:, 1])
     raw = _kernel_sum_raster(p, k, nx, ny, per_point_weights=wts)
     return IntensityEstimate(p.domain, raw, "jonesDiggle", k.bandwidth)
 
 
-def _kernel_sum_raster(p, k, nx, ny, per_point_weights, chunk=4096):
+def _kernel_sum_raster(p, k, nx, ny, per_point_weights):
     """Sum over points of the separable kernel on the cell centers: one
-    (nx, points) @ (points, ny) product per chunk of points, with per-point
-    weights folded into the x factors."""
+    (nx, points) @ (points, ny) product per row block of points (nx + ny
+    entries a point), with per-point weights folded into the x factors."""
     xs, ys = _cell_centers(p.domain, nx, ny)
     out = np.zeros((nx, ny))
     xy = p.coords()
-    for lo in range(0, p.n, chunk):
-        kx = kernel1d_pdf(k.family, k.bandwidth, xs[None, :] - xy[lo : lo + chunk, 0:1])
-        ky = kernel1d_pdf(k.family, k.bandwidth, ys[None, :] - xy[lo : lo + chunk, 1:2])
-        if per_point_weights is not None:
-            kx *= per_point_weights[lo : lo + chunk, None]
+    for lo, hi in _row_blocks(p.n, nx + ny):
+        kx = kernel1d_pdf(k.family, k.bandwidth, xs[None, :] - xy[lo:hi, 0:1])
+        ky = kernel1d_pdf(k.family, k.bandwidth, ys[None, :] - xy[lo:hi, 1:2])
+        kx *= per_point_weights[lo:hi, None]
         out += kx.T @ ky
     return out
 

@@ -121,7 +121,7 @@ def normalization(tf: TestFunction, marks, stoyan_rule: str = "pairs") -> float:
 def pair_average(tf: TestFunction, marks) -> float:
     """Sample average of tf over all ordered pairs i != j: for the built-ins
     one expression in n and the marks' mean and variance, O(n); the n x n
-    pair_weights matrix for a custom test function."""
+    pair_weights matrix of a custom one, in row blocks (O(_BLOCK) memory)."""
     return _constant(tf, marks)
 
 
@@ -144,8 +144,11 @@ def _constant(tf: TestFunction, marks, rule: str | None = None, moments=None) ->
             raise NumericalError("shimantani_i requires positive mark variance")
         # the centred marks sum to 0, so their ordered-pair products sum to -n var
         return -var / (n - 1) if rule is None else var
-    w = pair_weights(tf, m, mu, var)
-    return float((w.sum() - np.trace(w)) / (n * (n - 1)))
+    total = 0.0
+    for lo, hi in _row_blocks(n, n):
+        w = _elementwise(tf.fn, m[lo:hi, None], m[None, :])
+        total += w.sum() - np.trace(w, offset=lo)
+    return float(total / (n * (n - 1)))
 
 
 def _reach(smoothing: SmoothingSpec1D, r: np.ndarray) -> float:

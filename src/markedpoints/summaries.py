@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._dist import close_pairs, cross_pairs, translation_weights
+from ._dist import _row_blocks, close_pairs, cross_pairs, translation_weights
 from .curves import SummaryCurve, _r_values
 from .errors import NumericalError, ValidationError
-from .geometry import LinearNetwork, _arc_mesh, _border_dist, boundary_distance
+from .geometry import LinearNetwork, _arc_mesh, _border_dist, _check_cells, boundary_distance
 from .intensity import eval_intensity
 from .markcorr import TestFunction, _constant, _pair_values
 from .pattern import MarkedPointPattern, _moments
@@ -115,7 +115,7 @@ def _retention_factors(lam_j, pj: MarkedPointPattern, inf_lam_j):
     return 1.0 - inf_lam_j / lj, inf_lam_j
 
 
-def _retention_curve(domain, rows, cols, g, row_weights, r, chunk=2048):
+def _retention_curve(domain, rows, cols, g, row_weights, r):
     """1 - sum_u w_u P_u(r) / sum_u w_u over the rows u retained at r (border
     distance bdist_u >= r), NaN where none is, for P_u(r) = product of g_j
     over the points j of cols within distance r of row point u (rows:
@@ -123,19 +123,18 @@ def _retention_curve(domain, rows, cols, g, row_weights, r, chunk=2048):
 
     Each pair's factor goes into the first bin r_k >= d, and a cumulative
     product along r forms P_u. Pairs beyond min(max r, bdist_u) never count
-    and are dropped. Rows stream in chunks, so memory is O(chunk x len(r) +
-    pairs of a chunk).
+    and are dropped. Rows go in _row_blocks of len(r) entries a row, and
+    the running sums enter each block's first row, so the sums over rows
+    run in row order whatever the blocks are.
     """
     nr = len(r)
-    psums = np.zeros(nr)
-    wsums = np.zeros(nr)
-    counts = np.zeros(nr, dtype=np.int64)
-    for lo in range(0, len(row_weights), chunk):
+    psums = wsums = np.zeros(nr)  # each block rebinds them, none writes them
+    for lo, hi in _row_blocks(len(row_weights), nr):
         if isinstance(domain, LinearNetwork):
-            part = (rows[0][lo : lo + chunk], rows[1][lo : lo + chunk])
+            part = (rows[0][lo:hi], rows[1][lo:hi])
             bdist = _border_dist(domain, *part)
         else:
-            part = rows[lo : lo + chunk]
+            part = rows[lo:hi]
             bdist = boundary_distance(domain, part[:, 0], part[:, 1])
         i, j, d = cross_pairs(domain, part, cols, min(r[-1], bdist.max()))
         keep = d <= bdist[i]
@@ -143,13 +142,13 @@ def _retention_curve(domain, rows, cols, g, row_weights, r, chunk=2048):
         prod = np.ones((len(bdist), nr))
         np.multiply.at(prod.reshape(-1), i * nr + np.searchsorted(r, d), g[j])
         np.cumprod(prod, axis=1, out=prod)
-        ret = bdist[:, None] >= r[None, :]
-        wts = row_weights[lo : lo + chunk, None]
-        psums += (wts * prod * ret).sum(axis=0)
-        wsums += (wts * ret).sum(axis=0)
-        counts += ret.sum(axis=0)
+        wts = row_weights[lo:hi, None] * (bdist[:, None] >= r[None, :])
+        prod *= wts
+        prod[0] += psums
+        wts[0] += wsums
+        psums, wsums = prod.sum(axis=0), wts.sum(axis=0)
     vals = np.full(nr, np.nan)
-    ok = counts > 0
+    ok = wsums > 0  # the row weights are positive: some row is retained
     vals[ok] = 1.0 - psums[ok] / wsums[ok]
     return vals
 
@@ -200,13 +199,13 @@ def f_inhom(
             grid_spacing = min(w.width, w.height) / 128.0
         if not 0 < grid_spacing < np.inf:
             raise ValidationError(f"grid spacing must be positive and finite, got {grid_spacing}")
-        xs = np.arange(w.xmin + grid_spacing / 2.0, w.xmax, grid_spacing)
-        ys = np.arange(w.ymin + grid_spacing / 2.0, w.ymax, grid_spacing)
+        x0, y0 = w.xmin + grid_spacing / 2.0, w.ymin + grid_spacing / 2.0
+        # np.arange's lengths, checked before the grid is formed
+        _check_cells(np.ceil((w.xmax - x0) / grid_spacing) * np.ceil((w.ymax - y0) / grid_spacing), "F grid")
+        xs, ys = np.arange(x0, w.xmax, grid_spacing), np.arange(y0, w.ymax, grid_spacing)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         rows = np.column_stack([gx.ravel(), gy.ravel()])
         n_rows = len(rows)
-        if n_rows == 0:
-            raise ValidationError("empty evaluation grid: spacing too large for the window")
     g, inf_lam_j = _retention_factors(lam_j, pj, inf_lam_j)
     vals = _retention_curve(pj.domain, rows, pj, g, np.ones(n_rows), r)
     return SummaryCurve(r, vals, "f", None, {"inf_lam_j": inf_lam_j, "spacing": grid_spacing})

@@ -19,17 +19,25 @@ from markedpoints import (
     MarkedPointPattern,
     PlanarWindow,
     SmoothingSpec1D,
+    ValidationError,
     f_inhom,
     h_cross_inhom,
+    intensity_heat,
+    intensity_jones_diggle,
     intensity_network,
+    intensity_uniform,
     k_cross_inhom,
     mark_corr_suite,
     model_marks,
+    normalization,
+    pair_average,
     poisson_network,
     r_grid,
 )
+from markedpoints import TestFunction as MarkTestFunction
 from markedpoints import _dist
 from markedpoints._dist import close_pairs, cross_pairs
+from markedpoints.geometry import _MAX_CELLS, _check_cells
 
 from conftest import random_connected_network
 
@@ -129,6 +137,35 @@ def test_network_k_h_f_block_invariant(monkeypatch, net_patterns, block):
 
 
 @pytest.mark.parametrize("block", BLOCKS)
+def test_planar_h_f_block_invariant(monkeypatch, unit_square, block):
+    rng = np.random.default_rng(33)
+    xy = rng.uniform(size=(100, 2))
+    pa = MarkedPointPattern.from_columns(unit_square, xy[:50])
+    pb = MarkedPointPattern.from_columns(unit_square, xy[50:])
+    lb = 40.0 + 20.0 * np.sin(np.arange(pb.n))
+    # 9 r values: a budget of 64 entries takes 7 rows a block, whose sum
+    # must run in row order like the sum of one block of every row
+    r = r_grid(0.25, 8)
+    _same_under_blocks(
+        monkeypatch,
+        block,
+        lambda: [h_cross_inhom(pa, pb, 50.0, lb, r=r).values, f_inhom(pb, lb, grid_spacing=1.0 / 16.0, r=r).values],
+    )
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_custom_constant_block_invariant(monkeypatch, block):
+    # the oracle and tolerance of test_pair_average_matches_ordered_pair_loop
+    marks = np.random.default_rng(34).gamma(2.0, 1.5, 25)
+    custom = MarkTestFunction("custom", fn=lambda a, b: a * a - 3.0 * b)
+    terms = [custom.fn(a, b) for i, a in enumerate(marks) for j, b in enumerate(marks) if i != j]
+    want = sum(terms) / len(terms)
+    monkeypatch.setattr(_dist, "_BLOCK", block)
+    for got in (pair_average(custom, marks), normalization(custom, marks)):
+        assert abs(got - want) <= 1e-12 * sum(abs(t) for t in terms) / len(terms)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 def test_network_intensity_block_invariant(monkeypatch, net_patterns, block):
     pa, pb = net_patterns
 
@@ -209,3 +246,46 @@ def test_mark_corr_suite_memory_bounded_by_the_budget(unit_square):
     rng = np.random.default_rng(7)
     p = MarkedPointPattern.from_columns(unit_square, rng.uniform(size=(10_000, 2)), marks=rng.gamma(2.0, 1.5, 10_000))
     assert _traced_peak(lambda: mark_corr_suite(p, None, r_grid(0.05, 512))) < 64
+
+
+def test_planar_f_memory_bounded_by_the_budget(unit_square):
+    # rows of the 128 x 128 grid in chunks of 2,048 took 29.5 MiB
+    rng = np.random.default_rng(8)
+    p = MarkedPointPattern.from_columns(unit_square, rng.uniform(size=(1000, 2)))
+    lam = 900.0 + 200.0 * rng.uniform(size=p.n)
+    assert _traced_peak(lambda: f_inhom(p, lam, r=r_grid(0.25, 512))) < 16
+
+
+def test_planar_raster_memory_bounded_by_the_budget(unit_square):
+    # a 512 x 512 raster of 10^4 points in chunks of 4,096 points took 98.1 MiB
+    p = MarkedPointPattern.from_columns(unit_square, np.random.default_rng(9).uniform(size=(10_000, 2)))
+    assert _traced_peak(lambda: intensity_jones_diggle(p, KernelSpec(0.05), (512, 512))) < 32
+
+
+def test_custom_constant_memory_bounded_by_the_budget():
+    # the whole 4,000 x 4,000 ordered-pair matrix took 122 MiB
+    marks = np.random.default_rng(10).gamma(2.0, 1.5, 4000)
+    assert _traced_peak(lambda: normalization(MarkTestFunction("custom", fn=np.minimum), marks)) < 16
+
+
+def test_grid_outside_the_cap_refused_before_allocation(unit_square, net_patterns):
+    _check_cells(_MAX_CELLS, "grid")  # the cap itself is allowed
+    p = MarkedPointPattern.from_columns(unit_square, np.random.default_rng(11).uniform(size=(50, 2)))
+    pn, _ = net_patterns
+    side = 4097  # 4097^2 cells, just above 2^24
+    calls = [
+        lambda: f_inhom(p, 50.0, grid_spacing=1.0 / side),
+        lambda: f_inhom(p, 50.0, grid_spacing=5.0),  # no cell at all
+        lambda: f_inhom(pn, 10.0, grid_spacing=pn.domain.total_length / (_MAX_CELLS + 1)),
+        lambda: intensity_network(pn, KernelSpec(1.5), mesh_spacing=pn.domain.total_length / (_MAX_CELLS + 1)),
+        lambda: intensity_uniform(p, KernelSpec(0.1), (side, side)),
+        lambda: intensity_jones_diggle(p, KernelSpec(0.1), (side, side)),
+        lambda: intensity_heat(p, 0.1, (16, _MAX_CELLS // 16 + 1)),
+    ]
+    for call in calls:
+
+        def refused():
+            with pytest.raises(ValidationError, match="a grid needs 1 to 16777216 cells"):
+                call()
+
+        assert _traced_peak(refused) < 1

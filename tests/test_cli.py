@@ -289,6 +289,20 @@ K_NOT_FINITE = {
     "summary_kweighted_lambda_underflow": (["--stat", "kweighted", "--lambda-const", "1e-200"], 4),
 }
 
+# an F grid, F mesh or raster just above the 2^24-cell cap (exit 3), refused
+# before it is formed; PLANAR is the planar pattern, NETWORK_PATTERN one
+# simulated on TREE, and MESH a spacing that cuts TREE into more than 2^24 cells
+GRID_OVER_CAP = {
+    "summary_f_grid_over_cap": ["summary", "--pattern", "PLANAR", "--window", "0,1,0,1", "--stat", "f",
+                                "--lambda-const", "30", "--grid-spacing", repr(1.0 / 4097)],
+    "summary_network_f_mesh_over_cap": ["summary", "--pattern", "NETWORK_PATTERN", "--network", "TREE", "--stat", "f",
+                                        "--lambda-const", "0.05", "--grid-spacing", "MESH"],
+    "summary_plugin_raster_over_cap": ["summary", "--pattern", "PLANAR", "--window", "0,1,0,1", "--stat", "f",
+                                       "--sigma", "0.1", "--grid", "4097"],
+    "intensity_raster_over_cap": ["intensity", "--pattern", "PLANAR", "--window", "0,1,0,1", "--sigma", "0.1",
+                                  "--grid", "4097"],
+}
+
 
 @pytest.mark.parametrize(
     "case, code",
@@ -311,7 +325,8 @@ K_NOT_FINITE = {
     + [(case, 2) for case in NON_FINITE_FLAGS]
     + [(case, 3) for case in UNUSABLE_PATHS]
     + [(case, 3) for case in SAMPLER_INPUTS]
-    + [(case, code) for case, (_, code) in K_NOT_FINITE.items()],
+    + [(case, code) for case, (_, code) in K_NOT_FINITE.items()]
+    + [(case, 3) for case in GRID_OVER_CAP],
 )
 def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, case, code):
     env = dict(os.environ)
@@ -361,6 +376,13 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
     elif case in K_NOT_FINITE:
         argv = ["summary", "--pattern", planar_csv, "--window", "0,1,0,1", "--type-i", "a", "--type-j", "b"]
         argv += K_NOT_FINITE[case][0]
+    elif case in GRID_OVER_CAP:
+        mesh = repr(load_network(tree_file).total_length / (2**24 + 1))
+        paths = {"PLANAR": planar_csv, "TREE": tree_file, "MESH": mesh}
+        if "NETWORK_PATTERN" in GRID_OVER_CAP[case]:
+            assert main(["simulate", "--model", "modelII", "--network", tree_file, "--out-dir", str(tmp_path / "sim")]) == 0
+            paths["NETWORK_PATTERN"] = str(tmp_path / "sim" / "pattern.csv")
+        argv = [paths.get(a, a) for a in GRID_OVER_CAP[case]]
     proc = subprocess.run(
         [sys.executable, "-m", "markedpoints.cli"] + argv + out,
         env=env, capture_output=True, text=True, timeout=120,
@@ -371,6 +393,8 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
         assert "bad.json" in proc.stderr and "vertex coordinates must be finite" in proc.stderr
     if case in UNUSABLE_PATHS:
         assert (str(tmp_path) if "directory" in case else "named") in proc.stderr
+    if case in GRID_OVER_CAP:
+        assert "a grid needs 1 to 16777216 cells" in proc.stderr
 
 
 ENVELOPE_SMALL = dict(nsim=39, seed=7, n_expected=30.0, rmax=100.0, bins=16, bandwidth=25.0)

@@ -28,6 +28,7 @@ from markedpoints import (
     kernel_mass,
     poisson_planar,
 )
+from markedpoints import _dist
 from markedpoints.intensity import _kernel_sum_raster, heat_evolve, kernel1d_pdf
 
 from conftest import planar_pattern
@@ -307,17 +308,19 @@ def test_three_estimators_agree_in_interior(unit_square):
 
 @pytest.mark.parametrize("family", ["gaussian", "epanechnikov", "box"])
 @pytest.mark.parametrize("weighted", [False, True])
-@pytest.mark.parametrize("chunk", [4096, 16])
-def test_kernel_sum_raster_matches_point_loop(unit_square, family, weighted, chunk):
+@pytest.mark.parametrize("points_per_block", [4096, 16])
+def test_kernel_sum_raster_matches_point_loop(monkeypatch, unit_square, family, weighted, points_per_block):
+    # a point takes nx + ny = 32 + 24 entries of the block budget
+    monkeypatch.setattr(_dist, "_BLOCK", points_per_block * (32 + 24))
     rng = np.random.default_rng(23)
     p = planar_pattern(unit_square, rng.uniform(size=(40, 2)))
     k = KernelSpec(0.08, family)
-    wts = rng.uniform(0.5, 2.0, size=p.n) if weighted else None
-    got = _kernel_sum_raster(p, k, 32, 24, wts, chunk)
+    wts = rng.uniform(0.5, 2.0, size=p.n) if weighted else np.ones(p.n)
+    got = _kernel_sum_raster(p, k, 32, 24, wts)
     xs, ys = (np.arange(32) + 0.5) / 32, (np.arange(24) + 0.5) / 24
     want = np.zeros((32, 24))
     for i, (x, y) in enumerate(p.coords()):
-        kx = kernel1d_pdf(family, 0.08, xs - x) * (1.0 if wts is None else wts[i])
+        kx = kernel1d_pdf(family, 0.08, xs - x) * wts[i]
         want += np.outer(kx, kernel1d_pdf(family, 0.08, ys - y))
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * want.max())
 
