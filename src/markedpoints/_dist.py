@@ -1,7 +1,12 @@
 """Radius-bounded pair engine shared by the estimator modules: the pairs
-within a cutoff and their distances, Euclidean or shortest-path; and the
-entry budget within which the estimators form every dense or pair-sized
-array, one block of rows at a time."""
+within a cutoff and their distances, Euclidean or shortest-path; the r bin
+of each distance; and the entry budget within which the estimators form
+every dense or pair-sized array, one block of rows at a time.
+
+Planar pairs come from a k-d tree. Network pairs that fit in one block are
+swept whole; larger sets take their candidates from a k-d tree on the
+planar embedding, one row block at a time, and keep the candidates whose
+exact shortest-path distance is within the cutoff."""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ValidationError
-from .geometry import LinearNetwork, _cross_dist, _sp_dist
+from .geometry import LinearNetwork, _cross_dist, _embed, _sp_dist
 from .pattern import MarkedPointPattern
 
 # entries of a dense or pair-sized array formed at once
@@ -29,27 +34,50 @@ def _row_blocks(n_rows: int, width):
         lo = hi
 
 
+def _bins(r, d):
+    """The bin of each distance d >= 0 on a strictly increasing grid r from
+    0: the first k with r[k] >= d, or len(r) beyond r[-1], as
+    np.searchsorted gives it, without a binary search per distance.
+
+    A table of at most _BLOCK entries maps each equal-width bucket of
+    [0, r[-1]] to the number of grid values in lower buckets; every such
+    value lies below every distance of the bucket, since the bucket of a
+    value is monotone in it. From that first guess each bin steps up while
+    r[k] < d, at most as often as grid values share the bucket.
+    """
+    top, nb = r[-1], max(0, min(_BLOCK, 8 * len(r)) - 1)
+
+    def bucket(x):
+        t = np.minimum(x, top) / top
+        t *= nb
+        return t.astype(np.intp)  # the floor, for t >= 0
+
+    k = np.searchsorted(bucket(r), np.arange(nb + 1)).take(bucket(d))
+    rk = np.append(r, np.inf)  # a distance beyond r[-1] stops at len(r)
+    idx = np.flatnonzero(rk.take(k) < d)
+    while len(idx):
+        k[idx] += 1
+        idx = idx[rk.take(k[idx]) < d[idx]]
+    return k
+
+
 def close_pairs(p: MarkedPointPattern, cutoff: float):
     """Unordered pairs i < j at distance d <= cutoff, as arrays (i, j, d).
 
     Distances are bit-identical to the matching entries of cdist or
     network_cross_distances, so the cutoff test agrees with a filter on the
-    dense matrix. On networks every pair i < j is tried, in row blocks of
-    the sweep: O(n^2) time in O(_BLOCK) memory.
+    dense matrix. On networks the pairs come in row-major order: when all
+    pairs i < j fit in one block they are all tried, otherwise a k-d tree
+    search proposes the candidates (_network_pairs), in O(_BLOCK) memory.
     """
     if p.is_network:
         n, cols = p.n, p.seg_off()
-        parts = []
-        # row i of the i < j sweep holds n - 1 - i pairs
-        for lo, hi in _row_blocks(n, np.arange(n - 1, -1, -1)):
-            i, j = np.triu_indices(hi - lo, 1, n - lo)
-            if lo:
-                i += lo
-                j += lo
-            d = _sp_dist(p.domain, cols, cols, i, j)
-            keep = d <= cutoff
-            parts.append((i[keep], j[keep], d[keep]))
-        return _joined(parts)
+        if n * (n - 1) // 2 > _BLOCK:
+            return _network_pairs(p.domain, cols, cols, cutoff, upper=True)
+        i, j = np.triu_indices(n, 1)
+        d = _sp_dist(p.domain, cols, cols, i, j)
+        keep = d <= cutoff
+        return i[keep], j[keep], d[keep]
     xy = p.coords()
     # the tree rounds differently from cdist: search a hair wider, filter exactly
     ij = cKDTree(xy).query_pairs(cutoff * (1.0 + 1e-9), output_type="ndarray")
@@ -57,6 +85,39 @@ def close_pairs(p: MarkedPointPattern, cutoff: float):
     d = _euclidean(xy, xy, i, j)
     keep = d <= cutoff
     return i[keep], j[keep], d[keep]
+
+
+def _network_pairs(net: LinearNetwork, a, b, cutoff: float, upper: bool):
+    """Pairs (i, j, d) of the (segment, offset) columns a and b at
+    shortest-path distance d <= cutoff, in row-major order, with j > i only
+    when upper.
+
+    A path of length L moves the planar embedding at most kappa * L, for
+    kappa = net._stretch, the largest chord / length ratio of any segment
+    (at least 1), so a k-d tree query at radius kappa * cutoff, widened for
+    rounding, misses no pair. Each row block of a is queried against a tree
+    of all of b, at most _BLOCK candidates a block, and its candidates are
+    sorted row-major and filtered by the exact distance, the one _sp_dist
+    gives the sweep.
+    """
+    reach = net._stretch * cutoff
+    # the embedding of a location rounds by a few ulp of the coordinates
+    radius = reach + 1e-9 * (reach + np.abs(net.vertices).max())
+    xa, nb = _embed(net, *a), len(b[0])
+    tree = cKDTree(_embed(net, *b))
+    parts = []
+    for lo, hi in _row_blocks(len(xa), nb):
+        ijv = cKDTree(xa[lo:hi]).sparse_distance_matrix(tree, radius, output_type="ndarray")
+        i, j = ijv["i"] + lo, ijv["j"]
+        key = i * nb + j
+        if upper:
+            key = key[j > i]
+        key.sort()
+        i, j = np.divmod(key, nb)
+        d = _sp_dist(net, a, b, i, j)
+        keep = d <= cutoff
+        parts.append((i[keep], j[keep], d[keep]))
+    return _joined(parts)
 
 
 def _joined(parts):
@@ -102,18 +163,18 @@ def cross_pairs(domain, a, b, cutoff: float):
     if na == 0 or nb == 0:
         return _joined([])
     if network:
-        parts = []
-        for lo, hi in _row_blocks(na, nb):
-            dc = _cross_dist(domain, (a[0][lo:hi], a[1][lo:hi]), b)
-            i, j = np.nonzero(dc <= cutoff)
-            parts.append((i + lo, j, dc[i, j]))
-        return _joined(parts)
+        if na * nb > _BLOCK:
+            return _network_pairs(domain, a, b, cutoff, upper=False)
+        dc = _cross_dist(domain, a, b)
+        i, j = np.nonzero(dc <= cutoff)
+        return i, j, dc[i, j]
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     # the tree rounds differently from cdist: search a hair wider, filter exactly
     ijv = cKDTree(a).sparse_distance_matrix(
         cKDTree(b), cutoff * (1.0 + 1e-9), output_type="ndarray"
     )
-    i, j = ijv["i"], ijv["j"]
+    # contiguous index arrays gather faster than the strided record fields
+    i, j = ijv["i"].copy(), ijv["j"].copy()
     d = _euclidean(a, b, i, j)
     keep = d <= cutoff
     return i[keep], j[keep], d[keep]

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import LinearNetwork
+from .geometry import LinearNetwork, _check_cells
 from .pattern import _fmt, _write_table
 
 __all__ = ["SummaryCurve", "r_grid"]
@@ -23,9 +23,11 @@ def check_r_grid(r) -> np.ndarray:
 
 
 def r_grid(r_max: float, bins: int = 512) -> np.ndarray:
-    """Uniform grid of bins+1 values from 0 to r_max inclusive."""
+    """Uniform grid of bins+1 values from 0 to r_max inclusive, at most
+    geometry._MAX_CELLS of them."""
     if not 0 < r_max < np.inf or bins < 1:
         raise ValidationError(f"need a finite r_max > 0 and bins >= 1, got {r_max}, {bins}")
+    _check_cells(bins + 1, "r grid")
     return np.linspace(0.0, float(r_max), bins + 1)
 
 

@@ -145,6 +145,8 @@ class LinearNetwork:
                 raise ValidationError("lengths/segments size mismatch")
         if not np.all((0 < self.seg_lengths) & (self.seg_lengths < np.inf)):
             raise ValidationError("every segment length must be positive and finite")
+        # a path of length L moves the planar embedding at most _stretch * L
+        self._stretch = max(1.0, float((euclid / self.seg_lengths).max()))
         self.total_length = float(self.seg_lengths.sum())
 
         ends = np.concatenate([self.segments, self.segments[:, ::-1]])

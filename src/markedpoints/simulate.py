@@ -23,6 +23,7 @@ from .geometry import (
     PlanarWindow,
     _arc_cells,
     _border_dist,
+    _check_cells,
     _cross_dist,
     _loc_arrays,
     _locations,
@@ -178,6 +179,7 @@ def lgcp_network(
     if step is None:
         step = net.total_length / 500.0
     seg, i, m = _arc_cells(net, step)
+    _check_cells(len(seg) ** 2, "LGCP covariance")  # it and its factor are cells x cells
     t0, t1 = i / m, (i + 1) / m
     mid = (t0 + t1) / 2.0
     d0 = _cross_dist(net, (seg, mid), _loc_arrays(net, [spec.anchor]))[:, 0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._dist import _row_blocks, close_pairs, cross_pairs, translation_weights
+from ._dist import _bins, _row_blocks, close_pairs, cross_pairs, translation_weights
 from .curves import SummaryCurve, _r_values
 from .errors import NumericalError, ValidationError
 from .geometry import LinearNetwork, _arc_mesh, _border_dist, _check_cells, boundary_distance
@@ -47,15 +47,15 @@ def _positive_intensities(lam, p, what) -> np.ndarray:
 def _k_step_curve(i, j, d, w, r, ec, pa, pb) -> np.ndarray:
     """Nondecreasing step function sum_{pairs with d <= r} w on the r grid,
     from the pairs (i, j, d) with d <= max(r) and their weights w: one
-    bincount on the r bins and a cumulative sum, O(pairs)."""
+    bincount on the r bins of _dist._bins and a cumulative sum, O(pairs)."""
     if ec not in ("none", "translation"):
         raise ValidationError(f"unknown edge correction {ec!r}")
     if ec == "translation" and pa.is_network:
         raise ValidationError("translation correction is defined for planar rectangles only")
     if ec == "translation":
         w = w * translation_weights(pa.domain, pa.coords()[i], pb.coords()[j])
-    # pair q enters every r_k >= d_q, from its bin k = searchsorted(r, d_q) on
-    vals = np.cumsum(np.bincount(np.searchsorted(r, d), weights=w, minlength=len(r)))
+    # pair q enters every r_k >= d_q, from its bin on
+    vals = np.cumsum(np.bincount(_bins(r, d), weights=w, minlength=len(r)))
     if not np.all(np.isfinite(vals)):
         raise NumericalError("K is not finite: a pair weight over an intensity product overflows")
     return vals
@@ -121,9 +121,9 @@ def _retention_curve(domain, rows, cols, g, row_weights, r):
     over the points j of cols within distance r of row point u (rows:
     planar coordinates or network (segment, offset) columns).
 
-    Each pair's factor goes into the first bin r_k >= d, and a cumulative
-    product along r forms P_u. Pairs beyond min(max r, bdist_u) never count
-    and are dropped. Rows go in _row_blocks of len(r) entries a row, and
+    Each pair's factor goes into the first bin r_k >= d (_dist._bins), and
+    a cumulative product along r forms P_u. Pairs beyond min(max r,
+    bdist_u) never count and are dropped. Rows go in _row_blocks of len(r) entries a row, and
     the running sums enter each block's first row, so the sums over rows
     run in row order whatever the blocks are.
     """
@@ -140,7 +140,7 @@ def _retention_curve(domain, rows, cols, g, row_weights, r):
         keep = d <= bdist[i]
         i, j, d = i[keep], j[keep], d[keep]
         prod = np.ones((len(bdist), nr))
-        np.multiply.at(prod.reshape(-1), i * nr + np.searchsorted(r, d), g[j])
+        np.multiply.at(prod.reshape(-1), i * nr + _bins(r, d), g[j])
         np.cumprod(prod, axis=1, out=prod)
         wts = row_weights[lo:hi, None] * (bdist[:, None] >= r[None, :])
         prod *= wts

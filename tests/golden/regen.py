@@ -1,7 +1,7 @@
 """Write the golden artifact set that tests/test_golden.py compares with a
-fresh run: the CLI outputs that row blocks, sum orders and BLAS threads can
-move (planar and network F, H and J curves, planar rasters) and the study
-bands of models I-III.
+fresh run: the CLI outputs that row blocks, sum orders, pair searches and
+BLAS threads can move (planar and network K, mark-weighted K, F, H and J
+curves, planar rasters) and the study bands of models I-III.
 
     PYTHONPATH=src python tests/golden/regen.py           # rewrite tests/golden
     PYTHONPATH=src python tests/golden/regen.py OUT_DIR   # write the set elsewhere
@@ -40,6 +40,9 @@ from markedpoints.cli import main
 
 PLANAR = ["--pattern", "INPUTS/planar.csv", "--window", "0,1,0,1", "--rmax", "0.05"]
 NETWORK = ["--pattern", "INPUTS/network.csv", "--network", "INPUTS/tree.json"]
+# 1,400 points: their pairs take more than one row block, so the network pair
+# engine searches candidates instead of sweeping every pair
+DENSE = ["--pattern", "INPUTS/network_dense.csv", "--network", "INPUTS/tree.json"]
 SUMMARY = ["summary", "--type-i", "a", "--type-j", "b", "--bins", "64", "--stat"]
 # 5,000 points on a 24 x 24 raster take more than one row block of points
 RASTER = ["intensity", "--sigma", "0.05", "--grid", "24", "--pattern", "INPUTS/planar.csv", "--window", "0,1,0,1"]
@@ -52,6 +55,10 @@ CASES = {
     "summary_f_network": SUMMARY + ["f"] + NETWORK,
     "summary_hcross_network": SUMMARY + ["hcross"] + NETWORK,
     "summary_jcross_network": SUMMARY + ["jcross"] + NETWORK,
+    "summary_kcross_planar": SUMMARY + ["kcross"] + PLANAR,
+    "summary_kcross_network": SUMMARY + ["kcross"] + DENSE,
+    "summary_kweighted_planar": SUMMARY + ["kweighted"] + PLANAR,
+    "summary_kweighted_network": SUMMARY + ["kweighted"] + DENSE,
     "intensity_uniform": RASTER + ["--method", "uniform"],
     "intensity_jd": RASTER + ["--method", "jd"],
     "study_modelI": STUDY + ["modelI"],
@@ -65,8 +72,9 @@ def versions() -> dict:
 
 
 def write_inputs(inputs: Path):
-    """A 5,000-point planar pattern and a 300-point network pattern on the
-    dendrite tree, each with types a and b and gamma marks."""
+    """A 5,000-point planar pattern, and a 300-point and a 1,400-point
+    network pattern on the dendrite tree, each with types a and b and gamma
+    marks."""
     rng = np.random.default_rng(20240)
     types = np.where(np.arange(5000) % 2, "a", "b")
     window = PlanarWindow(0.0, 1.0, 0.0, 1.0)
@@ -77,6 +85,10 @@ def write_inputs(inputs: Path):
     p = poisson_network(300.0 / net.total_length, net, rng)
     p = p.with_marks(rng.gamma(2.0, 1.5, p.n)).with_labels(np.where(np.arange(p.n) % 2, "a", "b"))
     save_pattern_csv(p, inputs / "network.csv")
+    rng = np.random.default_rng(20241)
+    p = poisson_network(1400.0 / net.total_length, net, rng)
+    p = p.with_marks(rng.gamma(2.0, 1.5, p.n)).with_labels(np.where(np.arange(p.n) % 2, "a", "b"))
+    save_pattern_csv(p, inputs / "network_dense.csv")
 
 
 def regenerate(out: Path):

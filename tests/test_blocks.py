@@ -1,22 +1,29 @@
 """The entry budget of dense and pair-sized arrays: outputs that do not
 depend on the block size or on the BLAS thread count, and peak memory
-bounded by the budget instead of by all pairs or all distances."""
+bounded by the budget instead of by all pairs or all distances. A budget
+patched small also sends network pairs through the k-d candidate search
+instead of the one-block sweep, and the r bins through a small table."""
 
 import importlib.util
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import markedpoints
 from markedpoints import (
+    GaussianFieldSpec,
     KernelSpec,
     LinearNetwork,
     MarkedPointPattern,
+    NetworkLocation,
     PlanarWindow,
     SmoothingSpec1D,
     ValidationError,
@@ -27,6 +34,7 @@ from markedpoints import (
     intensity_network,
     intensity_uniform,
     k_cross_inhom,
+    lgcp_network,
     mark_corr_suite,
     model_marks,
     normalization,
@@ -91,6 +99,91 @@ def test_network_pairs_block_invariant(monkeypatch, net_patterns, block):
     _same_under_blocks(
         monkeypatch, block, lambda: [*close_pairs(pa, 3.0), *cross_pairs(pa.domain, pa, pb, 3.0)]
     )
+
+
+def _pair_cases():
+    """Random networks, a loop, explicit lengths below and above the chords
+    and two coincident vertices, each with two patterns that put every
+    fifth point on a segment's first vertex and every fifth on its last."""
+    rng = np.random.default_rng(35)
+    nets = {f"random{k}": random_connected_network(rng, 15 + 5 * k) for k in range(3)}
+    angle = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    ring = np.column_stack([np.cos(angle), np.sin(angle)]) * 10.0
+    nets["loop"] = LinearNetwork(ring, [[k, (k + 1) % 12] for k in range(12)])
+    base = random_connected_network(rng, 20)
+    chords = base.seg_lengths
+    for name, lo, hi in (("lengths_below_chords", 0.2, 1.0), ("lengths_above_chords", 1.0, 4.0)):
+        nets[name] = LinearNetwork(base.vertices, base.segments, chords * rng.uniform(lo, hi, len(chords)))
+    # vertex 20 sits on vertex 0, joined to it by a segment of length 2 and to vertex 5
+    verts = np.vstack([base.vertices, base.vertices[:1]])
+    segs = np.vstack([base.segments, [[0, 20], [20, 5]]])
+    lengths = np.append(chords, [2.0, np.hypot(*(verts[5] - verts[0]))])
+    nets["coincident_vertices"] = LinearNetwork(verts, segs, lengths)
+    cases = {}
+    for name, net in nets.items():
+        patterns = []
+        for n in (80, 45):
+            seg, off = rng.integers(0, net.n_segments, n), rng.uniform(size=n)
+            off[::5], off[1::5] = 0.0, 1.0
+            patterns.append(MarkedPointPattern.from_columns(net, (seg, off)))
+        cases[name] = patterns
+    return cases
+
+
+PAIR_CASES = _pair_cases()
+
+
+@pytest.mark.parametrize("block", [7, 500])
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_network_pair_search_equals_the_sweep(monkeypatch, case, block):
+    pa, pb = PAIR_CASES[case]
+    net = pa.domain
+    assert pa.n * (pa.n - 1) // 2 <= _dist._BLOCK and pa.n * pb.n <= _dist._BLOCK  # one block: the sweep
+    d = np.unique(close_pairs(pa, np.inf)[2])
+    assert d[0] == 0.0  # points on one vertex through different segments
+    # zero, exact pair distances and a cutoff past every pair
+    cutoffs = [0.0, d[len(d) // 10], d[len(d) // 2], 2.0 * d[-1]]
+    want = [[*close_pairs(pa, c), *cross_pairs(net, pa, pb, c), *cross_pairs(net, pb, pa, c)] for c in cutoffs]
+    searches = []
+    search = _dist._network_pairs
+    monkeypatch.setattr(_dist, "_network_pairs", lambda *args, **kw: searches.append(1) or search(*args, **kw))
+    monkeypatch.setattr(_dist, "_BLOCK", block)
+    got = [[*close_pairs(pa, c), *cross_pairs(net, pa, pb, c), *cross_pairs(net, pb, pa, c)] for c in cutoffs]
+    assert len(searches) == 3 * len(cutoffs)
+    for g_all, w_all in zip(got, want):
+        for g, w in zip(g_all, w_all):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+def _grids():
+    """Strictly increasing grids from 0: uniform or geometric, with the
+    last value anywhere from 1e-300 to 1e300."""
+    top = st.floats(1e-300, 1e300)
+    uniform = st.builds(lambda t, n: np.linspace(0.0, t, n), top, st.integers(2, 600))
+    geometric = st.builds(
+        lambda t, n, span: np.append(0.0, np.geomspace(max(t * 10.0**-span, 1e-300), t, n)),
+        top, st.integers(1, 600), st.integers(1, 200),
+    )
+    return st.one_of(uniform, geometric).filter(lambda r: np.all(np.diff(r) > 0))
+
+
+@given(r=_grids(), data=st.data(), block=st.sampled_from([1, 7, 64, 1 << 18]))
+def test_bins_equal_searchsorted(r, data, block):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    on = r[rng.integers(0, len(r), 40)]
+    d = np.concatenate([
+        rng.uniform(0.0, r[-1], 200),
+        on, np.nextafter(on, 0.0), np.nextafter(on, np.inf),  # grid values and one ulp either side
+        [r[-1] * 2.0, np.inf, np.nextafter(r[-1], np.inf), 0.0],  # beyond the grid
+    ])
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("error", RuntimeWarning)
+        patch.setattr(_dist, "_BLOCK", block)  # a table of 1 to 2^18 entries
+        got = _dist._bins(r, d)
+        empty = _dist._bins(r, np.zeros(0))
+    np.testing.assert_array_equal(got, np.searchsorted(r, d))
+    assert len(empty) == 0
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -231,9 +324,18 @@ def grid_pattern():
 
 
 def test_network_close_pairs_memory_bounded_by_the_budget(grid_pattern):
-    # the full i < j sweep of 2,900 points formed 484 MiB at once
+    # the full i < j sweep of 2,900 points formed 484 MiB at once, its row
+    # blocks 33.6 MiB; the candidate search holds little beyond the 57,000
+    # pairs it returns (1.3 MiB) and their blocks before they are joined
     assert grid_pattern.n > 2800
-    assert _traced_peak(lambda: close_pairs(grid_pattern, 30.0)) < 64
+    assert _traced_peak(lambda: close_pairs(grid_pattern, 30.0)) < 4
+
+
+def test_network_cross_pairs_memory_bounded_by_the_budget(grid_pattern):
+    # dense row blocks of point x point distances took 15.6 MiB for the
+    # 117,000 ordered pairs (2.7 MiB) returned
+    net = grid_pattern.domain
+    assert _traced_peak(lambda: cross_pairs(net, grid_pattern, grid_pattern, 30.0)) < 8
 
 
 def test_network_intensity_memory_bounded_by_the_budget(grid_pattern):
@@ -281,6 +383,10 @@ def test_grid_outside_the_cap_refused_before_allocation(unit_square, net_pattern
         lambda: intensity_uniform(p, KernelSpec(0.1), (side, side)),
         lambda: intensity_jones_diggle(p, KernelSpec(0.1), (side, side)),
         lambda: intensity_heat(p, 0.1, (16, _MAX_CELLS // 16 + 1)),
+        lambda: r_grid(1.0, _MAX_CELLS),  # bins + 1 values
+        # 4,097 cells pass the cell cap, but their covariance has 4,097^2 entries
+        lambda: lgcp_network(GaussianFieldSpec(0.0, lambda a, b: 0.0 * a * b, NetworkLocation(0, 0.5)),
+                             pn.domain, pn.domain.total_length / 4097, np.random.default_rng(12)),
     ]
     for call in calls:
 

@@ -301,6 +301,9 @@ GRID_OVER_CAP = {
                                        "--sigma", "0.1", "--grid", "4097"],
     "intensity_raster_over_cap": ["intensity", "--pattern", "PLANAR", "--window", "0,1,0,1", "--sigma", "0.1",
                                   "--grid", "4097"],
+    # 2^24 + 1 r values, or 5,640 LGCP cells on the bundled tree: 3.2e7 covariance entries
+    "markcorr_bins_over_cap": ["markcorr", "--pattern", "PLANAR", "--window", "0,1,0,1", "--bins", str(2**24)],
+    "simulate_lgcp_covariance_over_cap": ["simulate", "--model", "lgcp", "--lgcp-step", "0.5"],
 }
 
 
@@ -507,10 +510,13 @@ _VALID = {
     "--base-cosine": "0.02,0.005,20", "--lgcp-mu": "-3", "--lgcp-var": "0.25", "--lgcp-step": "50",
     "--a": "1", "--b": "1", "--tau": "1", "--radius": "10", "--nsim": "19", "--level": "0.8",
 }
-# flags that set how much work a run does are never left at their defaults
-# and never take a large value: no size preflight guards them yet
+# flags that set how much work a run does are never left at their defaults,
+# and take a large value only where a size preflight refuses it before any
+# allocation: 2^24 + 1 r values, or LGCP cells whose covariance passes 2^24
+# entries on either network
 _SIZE_FLAGS = {"--grid", "--bins", "--nsim", "--n-expected", "--rate", "--grid-spacing", "--lgcp-step",
                "--nu", "--base-const"}
+_OVER_CAP = {"--bins": [str(2**24)], "--lgcp-step": ["0.03"]}
 _FILE_FLAGS = {"--pattern": ("planar.csv", "network.csv"), "--network": ("net.json",), "metadata": ("meta.json",)}
 
 
@@ -568,7 +574,7 @@ def _contract_argv(draw, files):
             values = _BAD + [_OMIT] if name in bad else sorted(action.choices) + [_OMIT]
         else:
             omit = [] if name in _SIZE_FLAGS else [_OMIT]
-            values = _BAD + omit if name in bad else [_VALID[name]] + omit
+            values = _BAD + omit if name in bad else [_VALID[name]] + _OVER_CAP.get(name, []) + omit
         value = draw(st.sampled_from(values))
         if value is not _OMIT:
             argv += [name, value] if action.option_strings else [value]
