@@ -1,7 +1,9 @@
 """Write the golden artifact set that tests/test_golden.py compares with a
 fresh run: the CLI outputs that row blocks, sum orders, pair searches and
 BLAS threads can move (planar and network K, mark-weighted K, F, H and J
-curves, planar rasters) and the study bands of models I-III.
+curves, mark correlation suites, planar rasters with a fixed and a cvl
+bandwidth), the study bands of models I-III, a single-statistic envelope
+and simulated linked Cox and model III patterns.
 
     PYTHONPATH=src python tests/golden/regen.py           # rewrite tests/golden
     PYTHONPATH=src python tests/golden/regen.py OUT_DIR   # write the set elsewhere
@@ -47,6 +49,7 @@ SUMMARY = ["summary", "--type-i", "a", "--type-j", "b", "--bins", "64", "--stat"
 # 5,000 points on a 24 x 24 raster take more than one row block of points
 RASTER = ["intensity", "--sigma", "0.05", "--grid", "24", "--pattern", "INPUTS/planar.csv", "--window", "0,1,0,1"]
 STUDY = ["envelope", "--stat", "suite", "--nsim", "39", "--bins", "30", "--model"]
+MARKCORR = ["markcorr", "--tf", "suite", "--bins", "64"]
 
 CASES = {
     "summary_f_planar": SUMMARY + ["f"] + PLANAR,
@@ -64,6 +67,12 @@ CASES = {
     "study_modelI": STUDY + ["modelI"],
     "study_modelII": STUDY + ["modelII"],
     "study_modelIII": STUDY + ["modelIII"],
+    "markcorr_planar": MARKCORR + PLANAR,
+    "markcorr_network": MARKCORR + NETWORK,
+    "intensity_jd_cvl": ["intensity", "--method", "jd", "--sigma", "cvl", "--grid", "16"] + PLANAR[:4],
+    "envelope_modelII_stoyan": ["envelope", "--model", "modelII", "--stat", "stoyan", "--nsim", "39", "--bins", "30"],
+    "simulate_linked": ["simulate", "--model", "linked", "--window", "0,1,0,1", "--nu", "2", "--base-cosine", "40,10,0.5"],
+    "simulate_modelIII": ["simulate", "--model", "modelIII"],
 }
 
 
