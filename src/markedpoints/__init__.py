@@ -19,14 +19,11 @@ from .geometry import (
     all_pairs_network_distances,
     boundary_distance,
     load_network,
+    network_arc_mesh,
     network_cross_distances,
-    network_disc_measure,
-    network_distance,
     save_network,
     synthetic_tree_network,
-    uniform_point_on_network,
     uniform_points_on_network,
-    window_erode,
 )
 from .intensity import (
     IntensityEstimate,
@@ -55,7 +52,6 @@ from .markcorr import (
     mark_corr_suite,
     normalization,
     pair_average,
-    pair_weights,
 )
 from .pattern import (
     MarkedPoint,

@@ -65,11 +65,11 @@ class SummaryCurve:
             if self.theoretical.shape != self.r.shape:
                 raise ValidationError("theoretical curve length mismatch")
 
-    def same_grid(self, other: "SummaryCurve") -> bool:
-        return np.array_equal(self.r, other.r)
-
     def to_csv(self, path):
-        items = "".join(f" {k}={v}" for k, v in sorted(self.meta.items()))
+        """Curve CSV; float metadata in the '#' line is written at 12
+        significant digits, as the values are, and other metadata with str()."""
+        fmt = lambda v: format(v, ".12g") if isinstance(v, float) else v
+        items = "".join(f" {k}={fmt(v)}" for k, v in sorted(self.meta.items()))
         header, cols = ["r", "value"], [self.r, self.values]
         if self.theoretical is not None:
             header.append("theoretical")

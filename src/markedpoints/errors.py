@@ -5,6 +5,8 @@ problems (CLI exit code 3) and numerical degeneracies such as non-PSD
 covariances or zero normalizations (CLI exit code 4).
 """
 
+__all__ = ["MarkedPointsError", "ValidationError", "NumericalError"]
+
 
 class MarkedPointsError(Exception):
     """Base class for all package errors."""

@@ -21,13 +21,10 @@ __all__ = [
     "PlanarWindow",
     "LinearNetwork",
     "NetworkLocation",
-    "window_erode",
     "boundary_distance",
-    "network_distance",
     "all_pairs_network_distances",
     "network_cross_distances",
-    "network_disc_measure",
-    "uniform_point_on_network",
+    "uniform_points_on_network",
     "network_arc_mesh",
     "load_network",
     "save_network",
@@ -68,21 +65,6 @@ class PlanarWindow:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         return (x >= self.xmin) & (x <= self.xmax) & (y >= self.ymin) & (y <= self.ymax)
-
-
-def window_erode(w: PlanarWindow, r: float) -> PlanarWindow:
-    """Shrink the window by r on all four sides (the r-reduced window).
-
-    Raises ValidationError if the erosion is empty, i.e. 2r reaches the
-    shorter side.
-    """
-    if r < 0:
-        raise ValidationError(f"erosion distance must be nonnegative, got {r}")
-    if 2.0 * r >= min(w.width, w.height):
-        raise ValidationError(
-            f"erosion by r={r} empties the window (min side {min(w.width, w.height)})"
-        )
-    return PlanarWindow(w.xmin + r, w.xmax - r, w.ymin + r, w.ymax - r)
 
 
 def boundary_distance(w: PlanarWindow, x, y) -> np.ndarray:
@@ -187,11 +169,6 @@ class LinearNetwork:
             self._vertex_dist = D
         return self._vertex_dist
 
-    def diameter_upper_bound(self) -> float:
-        """Cheap upper bound on the largest point-to-point distance."""
-        D = self.vertex_distances()
-        return float(D.max() + self.seg_lengths.max())
-
 
 def _loc_arrays(net: LinearNetwork, locs) -> tuple[np.ndarray, np.ndarray]:
     """(segment, offset) columns of NetworkLocation objects, range-checked:
@@ -274,11 +251,6 @@ def network_cross_distances(net: LinearNetwork, locs_a, locs_b) -> np.ndarray:
     return _cross_dist(net, _loc_arrays(net, locs_a), _loc_arrays(net, locs_b))
 
 
-def network_distance(net: LinearNetwork, a: NetworkLocation, b: NetworkLocation) -> float:
-    """Shortest-path distance between two locations on the network."""
-    return float(network_cross_distances(net, [a], [b])[0, 0])
-
-
 def all_pairs_network_distances(net: LinearNetwork, locs) -> np.ndarray:
     """Symmetric matrix of pairwise shortest-path distances, zero diagonal."""
     if len(locs) == 0:
@@ -286,11 +258,6 @@ def all_pairs_network_distances(net: LinearNetwork, locs) -> np.ndarray:
     M = network_cross_distances(net, locs, locs)
     np.fill_diagonal(M, 0.0)
     return M
-
-
-def border_distances(net: LinearNetwork, locs) -> np.ndarray:
-    """Distance from each location to the nearest degree-1 vertex (inf if none)."""
-    return _border_dist(net, *_loc_arrays(net, locs))
 
 
 def _border_dist(net: LinearNetwork, seg, off) -> np.ndarray:
@@ -303,36 +270,6 @@ def _border_dist(net: LinearNetwork, seg, off) -> np.ndarray:
     near = net.vertex_distances()[:, border].min(axis=1)
     d0, d1 = _end_distances(net, seg, off)
     return np.minimum(d0 + near[net.segments[seg, 0]], d1 + near[net.segments[seg, 1]])
-
-
-def network_disc_measure(net: LinearNetwork, u: NetworkLocation, r: float) -> float:
-    """Total network length within shortest-path distance r of u.
-
-    Computed from u's distances to every vertex, read off the cached vertex
-    distance matrix: each segment contributes the merged reach from its two
-    endpoints, capped at the segment length; the segment carrying u is
-    split at u into two pieces that reach u at distance 0.
-    """
-    seg, off = _loc_arrays(net, [u])
-    if not r >= 0:
-        raise ValidationError(f"radius must be nonnegative, got {r}")
-    s = seg[0]
-    a, b = net.segments[s]
-    (d0,), (d1,) = _end_distances(net, seg, off)
-    D = net.vertex_distances()
-    dv = np.minimum(d0 + D[a], d1 + D[b])
-    la = off[0] * net.seg_lengths[s]
-    length = np.append(net.seg_lengths, [la, net.seg_lengths[s] - la])
-    length[s] = 0.0
-    da = np.append(dv[net.segments[:, 0]], [dv[a], 0.0])
-    db = np.append(dv[net.segments[:, 1]], [0.0, dv[b]])
-    reach = np.clip(r - da, 0.0, length) + np.clip(r - db, 0.0, length)
-    return float(np.minimum(length, reach).sum())
-
-
-def uniform_point_on_network(net: LinearNetwork, rng: np.random.Generator) -> NetworkLocation:
-    """One location uniform with respect to arc length."""
-    return uniform_points_on_network(net, 1, rng)[0]
 
 
 def uniform_points_on_network(net: LinearNetwork, n: int, rng: np.random.Generator):
@@ -420,18 +357,13 @@ def load_network(path) -> LinearNetwork:
         raise ValidationError(f"network file {path} has malformed vertices or segments: {e}") from None
 
 
-def synthetic_tree_network(
-    core_depth: int = 5,
-    core_segment: float = 30.0,
-    arm_segments: int = 3,
-    arm_segment: float = 80.0,
-    spread_degrees: float = 34.0,
-) -> LinearNetwork:
+def synthetic_tree_network(core_depth: int = 5) -> LinearNetwork:
     """Bundled dendrite-like tree used by the simulation-study runner.
 
-    A densely branching core (two binary half-trees grown along the x+y
-    diagonal) carries most of the junctions within a radius of about five
-    core segments; four straight arms shorter than 250 units radiate from
+    A densely branching core (two binary half-trees of core_depth levels of
+    30-unit segments, grown along the x+y diagonal and splitting 34 degrees
+    either side) carries most of the junctions within a radius of about five
+    core segments; four straight arms of three 80-unit segments radiate from
     the center along the same diagonal. The core concentrates
     neighbourhood mass at the 60-100 distance scale while the bipolar arm
     layout makes the x+y coordinate score roughly linear in arc distance
@@ -440,25 +372,25 @@ def synthetic_tree_network(
     """
     vertices = [(0.0, 0.0)]
     segments = []
-    spread = np.deg2rad(spread_degrees)
+    spread = np.deg2rad(34.0)
 
-    def grow(parent_idx, x, y, angle, length, level):
-        nx_, ny_ = x + length * np.cos(angle), y + length * np.sin(angle)
+    def grow(parent_idx, x, y, angle, level):
+        nx_, ny_ = x + 30.0 * np.cos(angle), y + 30.0 * np.sin(angle)
         vertices.append((nx_, ny_))
         idx = len(vertices) - 1
         segments.append((parent_idx, idx))
         if level < core_depth:
-            grow(idx, nx_, ny_, angle - spread, length, level + 1)
-            grow(idx, nx_, ny_, angle + spread, length, level + 1)
+            grow(idx, nx_, ny_, angle - spread, level + 1)
+            grow(idx, nx_, ny_, angle + spread, level + 1)
 
     diag = np.pi / 4.0
-    grow(0, 0.0, 0.0, diag, core_segment, 1)
-    grow(0, 0.0, 0.0, diag + np.pi, core_segment, 1)
+    grow(0, 0.0, 0.0, diag, 1)
+    grow(0, 0.0, 0.0, diag + np.pi, 1)
     for ang_deg in (22.5, 67.5, 202.5, 247.5):
         ang = np.deg2rad(ang_deg)
         px, py, parent = 0.0, 0.0, 0
-        for _ in range(arm_segments):
-            px, py = px + arm_segment * np.cos(ang), py + arm_segment * np.sin(ang)
+        for _ in range(3):
+            px, py = px + 80.0 * np.cos(ang), py + 80.0 * np.sin(ang)
             vertices.append((px, py))
             idx = len(vertices) - 1
             segments.append((parent, idx))

@@ -385,12 +385,10 @@ def bandwidth_cvl(
     p: MarkedPointPattern,
     dims=(128, 128),
     interval: tuple[float, float] = None,
-    n_candidates: int = 30,
-    family: str = "gaussian",
 ) -> float:
     """Bandwidth minimizing the reciprocal-intensity mass-balance criterion
-    over a logarithmic grid of candidates, using the uniformly-corrected
-    estimator; ties go to the smaller bandwidth."""
+    over a logarithmic grid of 30 candidates, using the uniformly-corrected
+    estimator with the Gaussian kernel; ties go to the smaller bandwidth."""
     _check_planar(p)
     if p.n < 1:
         raise ValidationError("bandwidth selection needs at least one point")
@@ -401,8 +399,8 @@ def bandwidth_cvl(
     if not (0 < lo < hi):
         raise ValidationError(f"empty bandwidth search interval ({lo}, {hi})")
     best_sigma, best_val = None, np.inf
-    for sigma in np.geomspace(lo, hi, n_candidates):
-        est = intensity_uniform(p, KernelSpec(float(sigma), family), dims)
+    for sigma in np.geomspace(lo, hi, 30):
+        est = intensity_uniform(p, KernelSpec(float(sigma)), dims)
         val = cvl_criterion(p, est)
         if val < best_val:
             best_sigma, best_val = float(sigma), val

@@ -28,7 +28,6 @@ __all__ = [
     "VARIOGRAM",
     "SHIMANTANI_I",
     "SmoothingSpec1D",
-    "pair_weights",
     "normalization",
     "pair_average",
     "mark_corr",
@@ -97,23 +96,14 @@ def _pair_values(tf: TestFunction, mi, mj, mu: float) -> np.ndarray:
     return 0.5 * (_elementwise(tf.fn, mi, mj) + _elementwise(tf.fn, mj, mi))
 
 
-def pair_weights(tf: TestFunction, marks, mu: float, var: float) -> np.ndarray:
-    """Full matrix of tf(m_i, m_j); the diagonal is never used by callers."""
-    m = np.asarray(marks, dtype=float)
-    if tf.name == "shimantani_i" and var <= 0:
-        raise NumericalError("shimantani_i requires positive mark variance")
-    if tf.name == "custom":
-        return _elementwise(tf.fn, m[:, None], m[None, :])
-    return _pair_values(tf, m[:, None], m[None, :], mu)
-
-
 def normalization(tf: TestFunction, marks, stoyan_rule: str = "pairs") -> float:
     """Normalization constant c_tf.
 
     The sample average of tf over all ordered pairs (pair_average), except
     shimantani_i which is scaled by the population mark variance (Moran
     convention). stoyan_rule="mean-squared" switches the Stoyan constant to
-    the classical squared mean mark.
+    the classical squared mean mark; any rule other than "pairs" and
+    "mean-squared" raises ValidationError.
     """
     return _constant(tf, marks, stoyan_rule)
 
@@ -121,13 +111,15 @@ def normalization(tf: TestFunction, marks, stoyan_rule: str = "pairs") -> float:
 def pair_average(tf: TestFunction, marks) -> float:
     """Sample average of tf over all ordered pairs i != j: for the built-ins
     one expression in n and the marks' mean and variance, O(n); the n x n
-    pair_weights matrix of a custom one, in row blocks (O(_BLOCK) memory)."""
+    matrix of tf(m_i, m_j) of a custom one, in row blocks (O(_BLOCK) memory)."""
     return _constant(tf, marks)
 
 
 def _constant(tf: TestFunction, marks, rule: str | None = None, moments=None) -> float:
     """normalization() under the Stoyan rule `rule`, or pair_average() for
     rule None; moments are the marks' _moments when the caller has them."""
+    if rule not in (None, "pairs", "mean-squared"):
+        raise ValidationError(f"stoyan_rule must be 'pairs' or 'mean-squared', got {rule!r}")
     m = np.asarray(marks, dtype=float)
     n = len(m)
     if n < 2:
@@ -284,8 +276,11 @@ def mark_corr(
     unnormalized ratio (the conditional mean of tf at distance r), which
     for the variogram test function is the classical raw mark variogram.
     A zero normalization constant raises NumericalError unless
-    degenerate="nan", in which case the normalized curve is all-NaN.
+    degenerate="nan", in which case the normalized curve is all-NaN; any
+    other value of degenerate than "raise" and "nan" raises ValidationError.
     """
+    if degenerate not in ("raise", "nan"):
+        raise ValidationError(f"degenerate must be 'raise' or 'nan', got {degenerate!r}")
     ((curve, numer, c),) = _curves([tf], p, smoothing, r, ec, stoyan_rule)
     if c == 0.0 and degenerate == "raise":
         raise NumericalError(f"degenerate normalization for {tf.name}: c_tf = 0")

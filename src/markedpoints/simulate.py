@@ -172,10 +172,11 @@ def lgcp_network(
     The field is sampled on a regular arc-length discretization via a
     Cholesky factor of the induced covariance (nugget added on the
     diagonal); each cell then receives an independent Poisson count with
-    mean exp(Z) times the cell length.
+    mean exp(Z) times the cell length. rng is required, as for every
+    sampler: None raises ValidationError.
     """
     if rng is None:
-        rng = np.random.default_rng()
+        raise ValidationError("lgcp_network needs a numpy Generator rng")
     if step is None:
         step = net.total_length / 500.0
     seg, i, m = _arc_cells(net, step)
@@ -283,12 +284,12 @@ def linked_balanced_cox(
     base_sampler,
     w: PlanarWindow,
     rng: np.random.Generator,
-    check_grid: int = 64,
 ) -> MarkedPointPattern:
     """Bivariate Cox pattern: component fields proportional (linked,
     Z1 = nu Z2) or complementary (balanced, Z1 = nu - Z2).
 
-    base_sampler(rng) must return (field, upper_bound). Components are
+    base_sampler(rng) must return (field, upper_bound); the field is checked
+    on a 64 x 64 grid spanning the window. Components are
     labeled "1" and "2"; given the field draw they are independent
     inhomogeneous Poisson processes.
     """
@@ -299,8 +300,8 @@ def linked_balanced_cox(
     if not 0 < nu < np.inf:
         raise ValidationError(f"nu must be positive and finite, got {nu}")
     z2, bound2 = base_sampler(rng)
-    xs = np.linspace(w.xmin, w.xmax, check_grid)
-    ys = np.linspace(w.ymin, w.ymax, check_grid)
+    xs = np.linspace(w.xmin, w.xmax, 64)
+    ys = np.linspace(w.ymin, w.ymax, 64)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     vals2 = _elementwise(z2, gx.ravel(), gy.ravel())
     if np.any(vals2 < 0):

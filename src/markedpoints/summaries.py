@@ -213,7 +213,7 @@ def f_inhom(
 
 def j_cross_inhom(h_curve: SummaryCurve, f_curve: SummaryCurve) -> SummaryCurve:
     """J = (1 - H) / (1 - F); NaN where F is within 1e-12 of 1 or H is NaN."""
-    if not h_curve.same_grid(f_curve):
+    if not np.array_equal(h_curve.r, f_curve.r):
         raise ValidationError("H and F curves are on different r grids")
     h, f = h_curve.values, f_curve.values
     vals = np.full_like(h, np.nan)

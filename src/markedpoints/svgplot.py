@@ -155,8 +155,8 @@ def _write_svg(path, parts, title, width, height):
         fh.write("\n".join(head + parts + ["</svg>"]) + "\n")
 
 
-def envelope_panels_svg(path, panels, title=None, panel_width=520, panel_height=190):
-    """Stacked panels, one per (label, EnvelopeBand)."""
+def envelope_panels_svg(path, panels, title=None):
+    """Stacked 520 x 190 panels, one per (label, EnvelopeBand)."""
     head = 22 if title else 0
     parts = []
     for idx, (label, band) in enumerate(panels):
@@ -164,24 +164,23 @@ def envelope_panels_svg(path, panels, title=None, panel_width=520, panel_height=
         if band.observed is not None:
             stack.append(band.observed.values)
         ylim = _limits(np.concatenate(stack))
-        panel = _Panel(0, head + idx * panel_height, panel_width, panel_height,
-                       (float(band.r[0]), float(band.r[-1])), ylim)
+        panel = _Panel(0, head + idx * 190, 520, 190, (float(band.r[0]), float(band.r[-1])), ylim)
         parts += _band_polygon(panel, band.r, band.lo, band.hi, "#c9d8ef")
         parts += _polyline(panel, band.r, band.mean, "#1f4e9c", 1.5)
         if band.observed is not None:
             parts += _polyline(panel, band.r, band.observed.values, "#b3312a", 1.5)
         parts += _axes(panel, label)
-    _write_svg(path, parts, title, panel_width, head + panel_height * len(panels))
+    _write_svg(path, parts, title, 520, head + 190 * len(panels))
 
 
-def curves_svg(path, curves, title=None, panel_width=520, panel_height=260):
-    """Single panel with one polyline per (label, SummaryCurve)."""
+def curves_svg(path, curves, title=None):
+    """Single 520 x 260 panel with one polyline per (label, SummaryCurve)."""
     colors = ["#1f4e9c", "#b3312a", "#2a7a2a", "#7a4fa3", "#a3682a", "#2a7a7a"]
     head = 22 if title else 0
     allvals = np.concatenate([c.values for _, c in curves])
     r0 = curves[0][1].r
     ylim = _limits(allvals)
-    panel = _Panel(0, head, panel_width, panel_height, (float(r0[0]), float(r0[-1])), ylim)
+    panel = _Panel(0, head, 520, 260, (float(r0[0]), float(r0[-1])), ylim)
     parts = []
     for i, (label, curve) in enumerate(curves):
         col = colors[i % len(colors)]
@@ -193,4 +192,4 @@ def curves_svg(path, curves, title=None, panel_width=520, panel_height=260):
         if curve.theoretical is not None:
             parts += _polyline(panel, curve.r, curve.theoretical, "#888", 1.0, dash="4,3")
     parts += _axes(panel, "")
-    _write_svg(path, parts, title, panel_width, head + panel_height)
+    _write_svg(path, parts, title, 520, head + 260)

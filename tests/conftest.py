@@ -94,6 +94,12 @@ def planar_pattern(window, xy, marks=None, labels=None):
     return MarkedPointPattern(window, pts)
 
 
+def location_distance(net, a, b) -> float:
+    """Shortest-path distance between two NetworkLocations: a 1 x 1
+    network_cross_distances."""
+    return float(network_cross_distances(net, [a], [b])[0, 0])
+
+
 def dense_distances(pa, pb=None):
     """Full (na, nb) distance matrix between two patterns on one domain:
     cdist on planar windows, network_cross_distances on networks."""

@@ -16,39 +16,15 @@ from markedpoints import (
     all_pairs_network_distances,
     boundary_distance,
     load_network,
-    network_disc_measure,
-    network_distance,
     save_network,
-    uniform_point_on_network,
     uniform_points_on_network,
-    window_erode,
 )
-from markedpoints.geometry import border_distances, network_arc_mesh, network_cross_distances
+from markedpoints.geometry import _border_dist, _loc_arrays, network_arc_mesh, network_cross_distances
 
-from conftest import random_connected_network, shortest_path_by_enumeration
+from conftest import location_distance, random_connected_network, shortest_path_by_enumeration
 
 
 # ---------------- windows ----------------
-
-
-def test_erode_identity(unit_square):
-    assert window_erode(unit_square, 0.0) == unit_square
-
-
-def test_erode_quarter(unit_square):
-    w = window_erode(unit_square, 0.25)
-    assert w == PlanarWindow(0.25, 0.75, 0.25, 0.75)
-    assert w.area == pytest.approx(0.25)
-
-
-def test_erode_empty_raises(unit_square):
-    with pytest.raises(ValidationError):
-        window_erode(unit_square, 0.5)
-
-
-def test_erode_area_nonincreasing(unit_square):
-    areas = [window_erode(unit_square, r).area for r in np.linspace(0, 0.49, 20)]
-    assert np.all(np.diff(areas) <= 0)
 
 
 def test_boundary_distance_values(unit_square):
@@ -124,7 +100,7 @@ def path_network():
 
 def test_path_distance():
     net = path_network()
-    d = network_distance(net, NetworkLocation(0, 0.0), NetworkLocation(1, 1.0))
+    d = location_distance(net, NetworkLocation(0, 0.0), NetworkLocation(1, 1.0))
     assert d == pytest.approx(2.0)
 
 
@@ -133,13 +109,13 @@ def test_triangle_detour():
     net = LinearNetwork(
         [[0, 0], [1, 0], [0.5, 1]], [[0, 1], [1, 2], [0, 2]], lengths=[3.0, 1.0, 1.0]
     )
-    d = network_distance(net, NetworkLocation(0, 0.0), NetworkLocation(0, 1.0))
+    d = location_distance(net, NetworkLocation(0, 0.0), NetworkLocation(0, 1.0))
     assert d == pytest.approx(2.0)
 
 
 def test_same_point_zero():
     net = path_network()
-    assert network_distance(net, NetworkLocation(0, 0.37), NetworkLocation(0, 0.37)) == 0.0
+    assert location_distance(net, NetworkLocation(0, 0.37), NetworkLocation(0, 0.37)) == 0.0
 
 
 def test_all_pairs_single_point():
@@ -166,7 +142,7 @@ def test_all_pairs_matches_pairwise_calls():
     for i in range(6):
         for j in range(6):
             if i != j:
-                assert m[i, j] == network_distance(net, locs[i], locs[j])
+                assert m[i, j] == location_distance(net, locs[i], locs[j])
     assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == 0.0)
 
@@ -198,52 +174,16 @@ def test_metric_axioms_on_random_triples(seed):
         NetworkLocation(int(rng.integers(net.n_segments)), float(rng.uniform()))
         for _ in range(3)
     )
-    dab = network_distance(net, a, b)
-    dba = network_distance(net, b, a)
-    dac = network_distance(net, a, c)
-    dcb = network_distance(net, c, b)
+    dab = location_distance(net, a, b)
+    dba = location_distance(net, b, a)
+    dac = location_distance(net, a, c)
+    dcb = location_distance(net, c, b)
     assert dab == dba
     assert dab <= dac + dcb + 1e-9
-    assert network_distance(net, a, a) == 0.0
+    assert location_distance(net, a, a) == 0.0
 
 
-# ---------------- disc measure ----------------
-
-
-def test_disc_measure_zero_radius():
-    net = path_network()
-    assert network_disc_measure(net, NetworkLocation(0, 0.3), 0.0) == 0.0
-
-
-def test_disc_measure_rejects_nan_radius():
-    with pytest.raises(ValidationError, match="nonnegative"):
-        network_disc_measure(path_network(), NetworkLocation(0, 0.3), float("nan"))
-
-
-def test_disc_measure_single_segment():
-    net = LinearNetwork([[0, 0], [10, 0]], [[0, 1]])
-    assert network_disc_measure(net, NetworkLocation(0, 0.5), 2.0) == pytest.approx(4.0)
-
-
-def test_disc_measure_y_junction():
-    net = LinearNetwork(
-        [[0, 0], [1, 0], [-0.5, 1], [-0.5, -1]],
-        [[0, 1], [0, 2], [0, 3]],
-        lengths=[1.0, 1.0, 1.0],
-    )
-    got = network_disc_measure(net, NetworkLocation(0, 0.0), 0.5)
-    assert got == pytest.approx(1.5)
-
-
-def test_disc_measure_monotone_and_saturates():
-    rng = np.random.default_rng(3)
-    net = random_connected_network(rng, 6)
-    u = NetworkLocation(2, 0.4)
-    rs = np.linspace(0, net.total_length + 10, 25)
-    vals = [network_disc_measure(net, u, r) for r in rs]
-    assert np.all(np.diff(vals) >= -1e-12)
-    assert vals[-1] == pytest.approx(net.total_length)
-    assert max(vals) <= net.total_length + 1e-9
+# ---------------- arc mesh ----------------
 
 
 def test_arc_mesh_cells_per_segment_and_total_weight():
@@ -261,17 +201,6 @@ def test_arc_mesh_cells_per_segment_and_total_weight():
         assert abs(wts.sum() - net.total_length) <= 1e-12
 
 
-def test_disc_measure_against_dense_sampling():
-    rng = np.random.default_rng(17)
-    net = random_connected_network(rng, 6)
-    u = NetworkLocation(1, 0.25)
-    mesh, wts = network_arc_mesh(net, net.total_length / 20000.0)
-    d = network_cross_distances(net, [u], mesh)[0]
-    for r in [0.5, 1.5, 3.0]:
-        approx = wts[d <= r].sum()
-        assert network_disc_measure(net, u, r) == pytest.approx(approx, abs=4 * wts.max())
-
-
 # ---------------- sampling ----------------
 
 
@@ -285,8 +214,8 @@ def test_uniform_sampling_segment_frequency():
 
 def test_uniform_sampling_deterministic():
     net = path_network()
-    a = uniform_point_on_network(net, np.random.default_rng(99))
-    b = uniform_point_on_network(net, np.random.default_rng(99))
+    a = uniform_points_on_network(net, 1, np.random.default_rng(99))
+    b = uniform_points_on_network(net, 1, np.random.default_rng(99))
     assert a == b
 
 
@@ -308,7 +237,7 @@ def test_network_json_roundtrip(tmp_path):
 
 def test_border_distances_on_path():
     net = LinearNetwork([[0, 0], [10, 0]], [[0, 1]])
-    d = border_distances(net, [NetworkLocation(0, 0.3)])
+    d = _border_dist(net, *_loc_arrays(net, [NetworkLocation(0, 0.3)]))
     assert d[0] == pytest.approx(3.0)
 
 
@@ -346,7 +275,7 @@ def test_border_distances_match_cross_distances(case):
     for net in nets:
         locs = uniform_points_on_network(net, 300, rng) + [NetworkLocation(0, 0.0), NetworkLocation(0, 1.0)]
         want = _border_oracle(net, locs)
-        got = border_distances(net, locs)
+        got = _border_dist(net, *_loc_arrays(net, locs))
         assert np.array_equal(np.isinf(got), np.isinf(want))
         ok = np.isfinite(want)
         assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * want[ok])
@@ -355,5 +284,5 @@ def test_border_distances_match_cross_distances(case):
 def test_border_distances_on_loop_are_infinite():
     ang = 2.0 * np.pi * np.arange(6) / 6
     net = LinearNetwork(np.column_stack([np.cos(ang), np.sin(ang)]), [[k, (k + 1) % 6] for k in range(6)])
-    d = border_distances(net, uniform_points_on_network(net, 20, np.random.default_rng(1)))
+    d = _border_dist(net, *_loc_arrays(net, uniform_points_on_network(net, 20, np.random.default_rng(1))))
     assert np.all(np.isinf(d))

@@ -22,16 +22,15 @@ from markedpoints import (
     ValidationError,
     mark_corr,
     mark_corr_suite,
-    network_distance,
     normalization,
     pair_average,
-    pair_weights,
 )
 from markedpoints import TestFunction as MarkTestFunction
 from markedpoints._dist import close_pairs
 from markedpoints.intensity import kernel1d_pdf, kernel1d_support
+from markedpoints.markcorr import _pair_values
 
-from conftest import dense_distances, planar_pattern, random_connected_network
+from conftest import dense_distances, location_distance, planar_pattern, random_connected_network
 
 
 def mark_corr_oracle(xy, marks, tf_fn, h, kernel, r_values):
@@ -54,17 +53,15 @@ def mark_corr_oracle(xy, marks, tf_fn, h, kernel, r_values):
 
 
 def test_pair_weights_hand_values():
-    w = pair_weights(STOYAN, [2.0, 4.0], 3.0, 1.0)
+    m = np.array([2.0, 4.0])
+    w = _pair_values(STOYAN, m[:, None], m[None, :], 3.0)
     assert w[0, 1] == 8.0 and w[1, 0] == 8.0
-    w = pair_weights(VARIOGRAM, [5.0, 5.0], 5.0, 0.0)
+    m = np.array([5.0, 5.0])
+    w = _pair_values(VARIOGRAM, m[:, None], m[None, :], 5.0)
     assert np.all(w == 0.0)
-    w = pair_weights(SHIMANTANI_I, [-1.0, 1.0], 0.0, 1.0)
+    m = np.array([-1.0, 1.0])
+    w = _pair_values(SHIMANTANI_I, m[:, None], m[None, :], 0.0)
     assert w[0, 1] == -1.0
-
-
-def test_pair_weights_shimantani_needs_variance():
-    with pytest.raises(NumericalError, match="variance"):
-        pair_weights(SHIMANTANI_I, [3.0, 3.0], 3.0, 0.0)
 
 
 def test_normalization_hand_values():
@@ -374,6 +371,19 @@ def test_degenerate_shimantani_constant_marks(unit_square):
     assert np.array_equal(suite.numerators["shimantani_i"].values, raw.values, equal_nan=True)
 
 
+def test_rule_names_are_validated(unit_square):
+    # a misspelt rule is refused, not read as the default
+    with pytest.raises(ValidationError, match="stoyan_rule must be 'pairs' or 'mean-squared'"):
+        normalization(STOYAN, [1.0, 2.0, 4.0], stoyan_rule="mean_squared")
+    assert normalization(STOYAN, [1.0, 2.0, 4.0], stoyan_rule="mean-squared") == pytest.approx(49.0 / 9.0)
+    p = planar_pattern(unit_square, [(0.4, 0.5), (0.6, 0.5), (0.5, 0.7)], marks=[1.0, 2.0, 4.0])
+    sm, r = SmoothingSpec1D(0.1, "box"), np.array([0.0, 0.2])
+    with pytest.raises(ValidationError, match="stoyan_rule must be"):
+        mark_corr(p, STOYAN, sm, r, stoyan_rule="mean_squared")
+    with pytest.raises(ValidationError, match="degenerate must be 'raise' or 'nan'"):
+        mark_corr(p, STOYAN, sm, r, degenerate="nan ")
+
+
 def test_symmetric_weight_points_on_opposite_window_edges(unit_square):
     xy = [(0.0, 0.5), (1.0, 0.5), (0.3, 0.4), (0.45, 0.6), (0.6, 0.55)]
     marks = [1.0, 2.0, 1.5, 2.5, 3.0]
@@ -451,7 +461,7 @@ def _pair_engine_cases(draw):
         net = random_connected_network(rng, draw(st.integers(2, 6)))
         locs = [NetworkLocation(int(rng.integers(net.n_segments)), float(rng.uniform())) for _ in range(n)]
         p = MarkedPointPattern(net, [MarkedPoint(loc, mark=m) for loc, m in zip(locs, marks)])
-        dist = lambda a, b: network_distance(net, locs[a], locs[b])
+        dist = lambda a, b: location_distance(net, locs[a], locs[b])
         scale = 4.0
     else:
         if kind == "lattice":

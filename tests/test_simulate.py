@@ -144,6 +144,14 @@ def test_lgcp_cap_after_the_field_draw():
         lgcp_network(spec, net, 5.0, np.random.default_rng(0))
 
 
+def test_lgcp_needs_an_rng():
+    # no sampler draws from unseeded entropy
+    net = LinearNetwork([[0, 0], [100, 0]], [[0, 1]])
+    spec = GaussianFieldSpec(mean=0.0, cov=const_cov(0.25), anchor=NetworkLocation(0, 0.5))
+    with pytest.raises(ValidationError, match="rng"):
+        lgcp_network(spec, net, 10.0)
+
+
 def test_lgcp_asymmetric_cov_rejected():
     net = LinearNetwork([[0, 0], [100, 0]], [[0, 1]])
     spec = GaussianFieldSpec(
@@ -245,7 +253,7 @@ def test_model_marks_ii_bounds():
     marked = model_marks("II", p, rng)
     m = marked.marks()
     assert np.all(m >= 0)
-    assert np.all(m <= net.diameter_upper_bound())
+    assert np.all(m <= net.vertex_distances().max() + net.seg_lengths.max())
 
 
 def test_model_marks_ii_requires_border():

@@ -31,7 +31,7 @@ from markedpoints import (
 )
 from markedpoints import TestFunction as MarkTestFunction
 from markedpoints._dist import cross_pairs
-from markedpoints.geometry import border_distances, network_arc_mesh, network_cross_distances
+from markedpoints.geometry import _border_dist, _loc_arrays, network_arc_mesh, network_cross_distances
 from markedpoints.summaries import translation_weights
 
 from conftest import dense_distances, planar_pattern, random_connected_network
@@ -319,6 +319,18 @@ def test_j_grid_mismatch(unit_square):
         j_cross_inhom(h, f)
 
 
+def test_curve_csv_comment_floats_at_12_digits(tmp_path):
+    # a last-bit move of a float in the metadata leaves the file's bytes alone
+    x = 1691.9915606123877
+    written = []
+    for k, v in enumerate([x, np.nextafter(x, np.inf)]):
+        meta = {"inf_lam_j": v, "n": 7, "sigma": "scott"}
+        SummaryCurve(np.array([0.0, 0.1]), np.array([0.5, 0.75]), "f", None, meta).to_csv(tmp_path / f"{k}.csv")
+        written.append((tmp_path / f"{k}.csv").read_bytes())
+    assert written[0] == written[1]
+    assert written[0].startswith(b"# statistic=f inf_lam_j=1691.99156061 n=7 sigma=scott\n")
+
+
 # ---------------- mark-weighted K and mark-sum ----------------
 
 
@@ -487,7 +499,7 @@ def _rows_to(domain, rows, p):
 
 def _border(domain, rows):
     if isinstance(domain, LinearNetwork):
-        return border_distances(domain, rows)
+        return _border_dist(domain, *_loc_arrays(domain, rows))
     x, y = rows[:, 0], rows[:, 1]
     return np.minimum.reduce([x - domain.xmin, domain.xmax - x, y - domain.ymin, domain.ymax - y])
 
