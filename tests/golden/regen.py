@@ -2,7 +2,7 @@
 fresh run: the CLI outputs that row blocks, sum orders, pair searches and
 BLAS threads can move (planar and network K, mark-weighted K, F, H and J
 curves, mark correlation suites, planar rasters with a fixed and a cvl
-bandwidth), the study bands of models I-III, a single-statistic envelope
+bandwidth and with the Epanechnikov kernel), the study bands of models I-III, a single-statistic envelope
 and simulated linked Cox and model III patterns.
 
     PYTHONPATH=src python tests/golden/regen.py           # rewrite tests/golden
@@ -70,6 +70,9 @@ CASES = {
     "markcorr_planar": MARKCORR + PLANAR,
     "markcorr_network": MARKCORR + NETWORK,
     "intensity_jd_cvl": ["intensity", "--method", "jd", "--sigma", "cvl", "--grid", "16"] + PLANAR[:4],
+    # the compact kernel in 2-D, where most points lie outside a cell's support
+    "intensity_epanechnikov": ["intensity", "--method", "uniform", "--kernel", "epanechnikov", "--sigma", "0.05",
+                               "--grid", "16"] + PLANAR[:4],
     "envelope_modelII_stoyan": ["envelope", "--model", "modelII", "--stat", "stoyan", "--nsim", "39", "--bins", "30"],
     "simulate_linked": ["simulate", "--model", "linked", "--window", "0,1,0,1", "--nu", "2", "--base-cosine", "40,10,0.5"],
     "simulate_modelIII": ["simulate", "--model", "modelIII"],
