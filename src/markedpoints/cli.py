@@ -120,6 +120,8 @@ def _plugin_sigma(args, p) -> float:
         sx, sy = bandwidth_scott(p)
         return float(np.sqrt(sx * sy))
     if args.sigma == "cvl":
+        if args.kernel != "gaussian":  # the only kernel bandwidth_cvl searches
+            raise ValidationError(f"--sigma cvl needs --kernel gaussian, got --kernel {args.kernel}")
         return bandwidth_cvl(p, (args.grid, args.grid))
     try:
         sigma = float(args.sigma)

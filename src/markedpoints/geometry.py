@@ -291,6 +291,12 @@ def _uniform_seg_off(net: LinearNetwork, n: int, rng: np.random.Generator):
 # the most cells of an F grid, arc mesh or raster, checked before it is formed
 _MAX_CELLS = 1 << 24  # 128 MiB of doubles
 
+# the most entries of a mark-correlation kernel matrix (the pairs in the
+# kernel support of each r value, summed over r), checked before any is
+# formed; the matrix is built in blocks, so this bounds time, not memory:
+# 20-30 ns an entry, and 1.2e7 entries in the largest input of the tests
+_MAX_ENTRIES = 1 << 28
+
 
 def _check_cells(cells, what: str):
     if not 0 < cells <= _MAX_CELLS:  # NaN fails the test too

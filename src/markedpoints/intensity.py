@@ -62,16 +62,17 @@ def kernel1d_pdf(family: str, h: float, t) -> np.ndarray:
     if family == "gaussian":
         return np.exp(-0.5 * u * u) / (np.sqrt(2.0 * np.pi) * h)
     # compact kernels are evaluated in place in u, the one full-size array
-    outside = ~((u >= -1.0) & (u <= 1.0))
     if family == "epanechnikov":
         u *= u
         np.subtract(1.0, u, out=u)
         u *= 0.75
         u /= h
-    elif family == "box":
-        u.fill(0.5 / h)
-    else:
+        # 1 - u*u < 0 exactly where |u| > 1; fmax maps those and NaN to 0
+        return np.fmax(u, 0.0, out=u)
+    if family != "box":
         raise ValidationError(f"unknown kernel family {family!r}")
+    outside = ~((u >= -1.0) & (u <= 1.0))
+    u.fill(0.5 / h)
     u[outside] = 0.0
     return u
 

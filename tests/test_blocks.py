@@ -43,7 +43,7 @@ from markedpoints import (
     r_grid,
 )
 from markedpoints import TestFunction as MarkTestFunction
-from markedpoints import _dist
+from markedpoints import _dist, markcorr
 from markedpoints._dist import close_pairs, cross_pairs
 from markedpoints.geometry import _MAX_CELLS, _check_cells
 
@@ -348,6 +348,33 @@ def test_mark_corr_suite_memory_bounded_by_the_budget(unit_square):
     rng = np.random.default_rng(7)
     p = MarkedPointPattern.from_columns(unit_square, rng.uniform(size=(10_000, 2)), marks=rng.gamma(2.0, 1.5, 10_000))
     assert _traced_peak(lambda: mark_corr_suite(p, None, r_grid(0.05, 512))) < 64
+
+
+def test_kernel_entries_over_the_cap_refused_before_any_row(monkeypatch, unit_square):
+    # the cap bounds the kernel matrix's entries (r values x pairs in their
+    # support); with it patched to one entry fewer than the input needs, the
+    # suite is refused before any kernel row is formed
+    rng = np.random.default_rng(13)
+    p = MarkedPointPattern.from_columns(unit_square, rng.uniform(size=(400, 2)), marks=rng.gamma(2.0, 1.5, 400))
+    sm, r = SmoothingSpec1D(0.02), r_grid(0.25, 4096)
+    d = np.sort(close_pairs(p, 0.27)[2])
+    entries = int((np.searchsorted(d, r + 0.02, side="right") - np.searchsorted(d, r - 0.02)).sum())
+    assert entries > 8 * 10**6
+    rows = []
+    kernel_rows = markcorr._kernel_rows
+    monkeypatch.setattr(markcorr, "_kernel_rows", lambda *args: rows.append(1) or kernel_rows(*args))
+    monkeypatch.setattr(markcorr, "_MAX_ENTRIES", entries - 1)
+
+    def refused():
+        with pytest.raises(ValidationError, match=f"of {entries} entries: at most {entries - 1};"):
+            mark_corr_suite(p, sm, r)
+
+    # refused: the pairs and the r rows' bounds (1.0 MiB); run: 10.1 MiB
+    assert _traced_peak(refused) < 2
+    assert not rows
+    monkeypatch.setattr(markcorr, "_MAX_ENTRIES", entries)  # the cap itself is allowed
+    assert _traced_peak(lambda: mark_corr_suite(p, sm, r)) > 8
+    assert rows
 
 
 def test_planar_f_memory_bounded_by_the_budget(unit_square):

@@ -304,6 +304,21 @@ GRID_OVER_CAP = {
     # 2^24 + 1 r values, or 5,640 LGCP cells on the bundled tree: 3.2e7 covariance entries
     "markcorr_bins_over_cap": ["markcorr", "--pattern", "PLANAR", "--window", "0,1,0,1", "--bins", str(2**24)],
     "simulate_lgcp_covariance_over_cap": ["simulate", "--model", "lgcp", "--lgcp-step", "0.5"],
+    # a mark-correlation kernel matrix above the entry cap, which the child
+    # process patches down to ENTRY_CAP entries (at the real cap the input
+    # would have to run for minutes first)
+    "markcorr_entries_over_cap": ["markcorr", "--pattern", "PLANAR", "--window", "0,1,0,1", "--bins", "64"],
+}
+ENTRY_CAP = 1000
+PATCHED_ENTRY_CAP = (
+    f"import sys; import markedpoints.markcorr as m; m._MAX_ENTRIES = {ENTRY_CAP}; "
+    "from markedpoints.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+# --sigma cvl picks a Gaussian bandwidth, so it refuses another --kernel
+CVL_OTHER_KERNEL = {
+    "intensity_cvl_epanechnikov": ["intensity", "--sigma", "cvl", "--kernel", "epanechnikov"],
+    "summary_cvl_box": ["summary", "--stat", "f", "--sigma", "cvl", "--kernel", "box"],
 }
 
 
@@ -329,7 +344,8 @@ GRID_OVER_CAP = {
     + [(case, 3) for case in UNUSABLE_PATHS]
     + [(case, 3) for case in SAMPLER_INPUTS]
     + [(case, code) for case, (_, code) in K_NOT_FINITE.items()]
-    + [(case, 3) for case in GRID_OVER_CAP],
+    + [(case, 3) for case in GRID_OVER_CAP]
+    + [(case, 3) for case in CVL_OTHER_KERNEL],
 )
 def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, case, code):
     env = dict(os.environ)
@@ -386,8 +402,11 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
             assert main(["simulate", "--model", "modelII", "--network", tree_file, "--out-dir", str(tmp_path / "sim")]) == 0
             paths["NETWORK_PATTERN"] = str(tmp_path / "sim" / "pattern.csv")
         argv = [paths.get(a, a) for a in GRID_OVER_CAP[case]]
+    elif case in CVL_OTHER_KERNEL:
+        argv = CVL_OTHER_KERNEL[case] + ["--pattern", planar_csv, "--window", "0,1,0,1"]
+    entry = ["-c", PATCHED_ENTRY_CAP] if case == "markcorr_entries_over_cap" else ["-m", "markedpoints.cli"]
     proc = subprocess.run(
-        [sys.executable, "-m", "markedpoints.cli"] + argv + out,
+        [sys.executable] + entry + argv + out,
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == code, proc.stderr
@@ -396,8 +415,12 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
         assert "bad.json" in proc.stderr and "vertex coordinates must be finite" in proc.stderr
     if case in UNUSABLE_PATHS:
         assert (str(tmp_path) if "directory" in case else "named") in proc.stderr
-    if case in GRID_OVER_CAP:
+    if case == "markcorr_entries_over_cap":
+        assert f"entries: at most {ENTRY_CAP}" in proc.stderr
+    elif case in GRID_OVER_CAP:
         assert "a grid needs 1 to 16777216 cells" in proc.stderr
+    if case in CVL_OTHER_KERNEL:
+        assert "--sigma cvl needs --kernel gaussian" in proc.stderr
 
 
 ENVELOPE_SMALL = dict(nsim=39, seed=7, n_expected=30.0, rmax=100.0, bins=16, bandwidth=25.0)

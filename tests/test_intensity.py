@@ -1,9 +1,12 @@
 """Kernel masses, the three planar estimators, bandwidth rules, network smoothing."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from markedpoints import (
     KernelSpec,
@@ -47,6 +50,41 @@ def test_kernel_mass_corner_quarter():
 
 def test_kernel_mass_edge_half():
     assert kernel_mass(KernelSpec(1.0), BIG, 500.0, 0.0) == pytest.approx(0.5, abs=1e-9)
+
+
+def _masked_epanechnikov(h, t):
+    """The Epanechnikov kernel written with a mask: the polynomial in the
+    same operation order, then 0 wherever -1 <= t/h <= 1 fails (NaN too)."""
+    u = t / h
+    outside = ~((u >= -1.0) & (u <= 1.0))
+    v = (1.0 - u * u) * 0.75 / h
+    v[outside] = 0.0
+    return v
+
+
+@st.composite
+def _epanechnikov_args(draw):
+    """A bandwidth h and points t at the support's ends (+-h and one ulp
+    either side), +-0, +-inf, NaN and inside or just outside the support."""
+    h = draw(st.floats(1e-300, 1e300))
+    edges = [s * np.nextafter(h, to) for s in (1.0, -1.0) for to in (0.0, h, np.inf)]
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    inside = draw(st.lists(st.floats(-2.0, 2.0), max_size=8))
+    t = draw(st.permutations(edges + special + [h * s for s in inside]))
+    return h, np.array(t)
+
+
+@given(_epanechnikov_args())
+def test_epanechnikov_clip_matches_the_masked_formula(args):
+    # kernel1d_pdf clips the polynomial at 0 instead of masking |t/h| > 1;
+    # the oracles call kernel1d_pdf themselves, so only this pins it
+    h, t = args
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = kernel1d_pdf("epanechnikov", h, t)
+        want = _masked_epanechnikov(h, t)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # no -0.0 either
 
 
 @pytest.mark.parametrize("family", ["gaussian", "epanechnikov", "box"])

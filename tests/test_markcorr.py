@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from markedpoints import (
     BEISBART_KERSCHER,
+    LinearNetwork,
     MarkedPoint,
     MarkedPointPattern,
     NetworkLocation,
@@ -28,7 +29,8 @@ from markedpoints import (
 from markedpoints import TestFunction as MarkTestFunction
 from markedpoints._dist import close_pairs
 from markedpoints.intensity import kernel1d_pdf, kernel1d_support
-from markedpoints.markcorr import _pair_values
+from markedpoints import markcorr
+from markedpoints.markcorr import _pair_values, _reach
 
 from conftest import dense_distances, location_distance, planar_pattern, random_connected_network
 
@@ -517,6 +519,83 @@ def test_pair_engine_matches_ordered_pair_oracle(case):
         assert np.array_equal(curve.values, expect, equal_nan=True)
         if tf.name in suite.curves:
             assert np.array_equal(suite.curves[tf.name].values, raws[1] / c if c != 0.0 else expect, equal_nan=True)
+
+
+def _stable_sort_reference(smoothing, r, pairs):
+    """(i, j, d, lo, counts) of the kernel product, written out with the
+    stable sort of the pair distances."""
+    supp = kernel1d_support(smoothing.kernel, smoothing.bandwidth)
+    i, j, d = pairs
+    keep = np.nonzero(d >= (r - supp).min())[0]
+    keep = keep[np.argsort(d[keep], kind="stable")]
+    i, j, d = i[keep], j[keep], d[keep]
+    lo = np.searchsorted(d, r - supp, side="left")
+    return i, j, d, lo, np.searchsorted(d, r + supp, side="right") - lo
+
+
+def _lattice_network(k):
+    """k x k vertices at integer coordinates, joined to their right and upper
+    neighbours by segments of length 1."""
+    v = np.arange(k * k).reshape(k, k)
+    segs = np.concatenate([np.stack([v[:, :-1].ravel(), v[:, 1:].ravel()], 1),
+                           np.stack([v[:-1, :].ravel(), v[1:, :].ravel()], 1)])
+    xy = np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"), -1).reshape(-1, 2)
+    return LinearNetwork(xy.astype(float), segs)
+
+
+def _sort_case(case):
+    """(pattern, smoothing, r grid): tie-free uniform points, or inputs whose
+    pair distances tie in many places."""
+    rng = np.random.default_rng(17)
+    if case == "uniform":
+        p = MarkedPointPattern.from_columns(PlanarWindow(0, 1, 0, 1), rng.uniform(size=(300, 2)))
+        return p, SmoothingSpec1D(0.02), np.linspace(0.0, 0.25, 33)
+    if case == "planar_lattice":  # integer coordinates: exact distances repeat
+        xy = np.stack(np.meshgrid(np.arange(16.0), np.arange(16.0)), -1).reshape(-1, 2)
+        return MarkedPointPattern.from_columns(PlanarWindow(0, 15, 0, 15), xy), SmoothingSpec1D(0.5), np.linspace(0, 4, 33)
+    if case == "network_lattice":  # points a quarter and three quarters along every unit segment
+        net = _lattice_network(8)
+        seg = np.repeat(np.arange(net.n_segments), 2)
+        off = np.tile([0.25, 0.75], net.n_segments)
+        return MarkedPointPattern.from_columns(net, (seg, off)), SmoothingSpec1D(0.5), np.linspace(0, 4, 33)
+    # duplicated: every point twice, so distance 0 and each distance to a third point repeat
+    xy = np.repeat(rng.uniform(size=(150, 2)), 2, axis=0)
+    return MarkedPointPattern.from_columns(PlanarWindow(0, 1, 0, 1), xy), SmoothingSpec1D(0.02), np.linspace(0, 0.25, 33)
+
+
+@pytest.mark.parametrize("case", ["uniform", "planar_lattice", "network_lattice", "duplicated"])
+def test_kernel_product_pairs_match_the_stable_sort(monkeypatch, case):
+    # the kernel product sorts the pair distances with numpy's default sort,
+    # and with the stable sort when two distances are equal; either way its
+    # pair order and kernel rows must be the stable sort's
+    p, smoothing, r = _sort_case(case)
+    pairs = close_pairs(p, _reach(smoothing, r))
+    want = _stable_sort_reference(smoothing, r, pairs)
+    ties = bool(np.any(want[2][1:] == want[2][:-1]))
+    assert ties == (case != "uniform")
+    kinds, rows, seen = [], [], {}
+    argsort, kernel_rows = np.argsort, markcorr._kernel_rows
+
+    def spy_argsort(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    def spy_rows(smoothing, r, d, lo, counts, *rest):
+        rows.append((d, lo, counts))
+        return kernel_rows(smoothing, r, d, lo, counts, *rest)
+
+    def columns(i, j):
+        seen["ij"] = (i, j)
+        return np.ones((len(i), 1))
+
+    monkeypatch.setattr(np, "argsort", spy_argsort)
+    monkeypatch.setattr(markcorr, "_kernel_rows", spy_rows)
+    markcorr._kernel_product(p, smoothing, r, "none", columns, pairs)
+    monkeypatch.undo()
+    got = seen["ij"] + (rows[0][0], np.concatenate([b[1] for b in rows]), np.concatenate([b[2] for b in rows]))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert kinds == ([None, "stable"] if ties else [None])  # which sort ran
 
 
 def test_close_pairs_agree_with_dense_distances(unit_square):
