@@ -66,9 +66,11 @@ def kernel1d_pdf(family: str, h: float, t) -> np.ndarray:
         u *= u
         np.subtract(1.0, u, out=u)
         u *= 0.75
+        # 1 - u*u < 0 exactly where |u| > 1; fmax maps those and NaN to +0,
+        # which, unlike a tiny negative value, stays +0 when divided by h
+        np.fmax(u, 0.0, out=u)
         u /= h
-        # 1 - u*u < 0 exactly where |u| > 1; fmax maps those and NaN to 0
-        return np.fmax(u, 0.0, out=u)
+        return u
     if family != "box":
         raise ValidationError(f"unknown kernel family {family!r}")
     outside = ~((u >= -1.0) & (u <= 1.0))
