@@ -121,12 +121,17 @@ def _network_pairs(net: LinearNetwork, a, b, cutoff: float, upper: bool):
 
 
 def _joined(parts):
-    """The (i, j, d) arrays of row blocks, in block order."""
+    """The (i, j, d) arrays of the row blocks in the list parts, in block
+    order; parts is emptied. One column is joined at a time and its block
+    parts are dropped once joined, so the peak is the output and one
+    column's parts, not the output twice."""
     if len(parts) == 1:
         return parts[0]
     if not parts:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    return tuple(np.concatenate(c) for c in zip(*parts))
+    columns = list(zip(*parts))
+    parts.clear()
+    return tuple(np.concatenate(columns.pop(0)) for _ in range(3))
 
 
 def _euclidean(xy_a, xy_b, i, j) -> np.ndarray:

@@ -292,9 +292,11 @@ def _uniform_seg_off(net: LinearNetwork, n: int, rng: np.random.Generator):
 _MAX_CELLS = 1 << 24  # 128 MiB of doubles
 
 # the most entries of a mark-correlation kernel matrix (the pairs in the
-# kernel support of each r value, summed over r), checked before any is
-# formed; the matrix is built in blocks, so this bounds time, not memory:
-# 20-30 ns an entry, and 1.2e7 entries in the largest input of the tests
+# kernel support of each r value, summed over r) and of the H and F
+# retention products (rows x r values), checked before any is formed; both
+# are built in blocks, so this bounds time, not memory: 20-30 ns an entry,
+# and at most 1.2e7 kernel and 8.4e6 retention entries (F, 16,384 grid
+# cells x 513 r values) in the largest inputs of the tests and benchmark
 _MAX_ENTRIES = 1 << 28
 
 

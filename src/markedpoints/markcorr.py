@@ -209,12 +209,17 @@ def _kernel_rows(smoothing, r, d, lo, counts, itype, weights):
     np.cumsum(counts, out=indptr[1:])
     cols = np.arange(indptr[-1], dtype=itype)
     cols += np.repeat((lo - indptr[:-1]).astype(itype), counts)
-    t = d[cols]
+    # numpy gathers through an int32 index 2-4x slower, holding the GIL
+    # throughout; through an intp one it releases the GIL, so the replicate
+    # threads overlap. Each gather casts its own index and frees it at once:
+    # an intp copy of cols kept alive for both gathers made the study slower
+    # (measured: more minor page faults and system time per replicate)
+    t = d[cols.astype(np.intp, copy=False)]
     t -= np.repeat(r, counts)
     kv = kernel1d_pdf(smoothing.kernel, smoothing.bandwidth, t)
     kv *= 2.0
     if weights is not None:
-        kv *= weights[cols]
+        kv *= weights[cols.astype(np.intp, copy=False)]
     return csr_array((kv, cols, indptr), shape=(len(r), len(d)))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from ._dist import _bins, _row_blocks, close_pairs, cross_pairs, translation_weights
 from .curves import SummaryCurve, _r_values
 from .errors import NumericalError, ValidationError
-from .geometry import LinearNetwork, _arc_mesh, _border_dist, _check_cells, boundary_distance
+from .geometry import _MAX_ENTRIES, LinearNetwork, _arc_mesh, _border_dist, _check_cells, boundary_distance
 from .intensity import eval_intensity
 from .markcorr import TestFunction, _constant, _pair_values
 from .pattern import MarkedPointPattern, _moments
@@ -115,11 +115,12 @@ def _retention_factors(lam_j, pj: MarkedPointPattern, inf_lam_j):
     return 1.0 - inf_lam_j / lj, inf_lam_j
 
 
-def _retention_curve(domain, rows, cols, g, row_weights, r):
+def _retention_curve(domain, rows, cols, g, row_weights, r, what):
     """1 - sum_u w_u P_u(r) / sum_u w_u over the rows u retained at r (border
     distance bdist_u >= r), NaN where none is, for P_u(r) = product of g_j
     over the points j of cols within distance r of row point u (rows:
-    planar coordinates or network (segment, offset) columns).
+    planar coordinates or network (segment, offset) columns). More than
+    _MAX_ENTRIES rows x r values (the rows are `what`) are refused up front.
 
     Each pair's factor goes into the first bin r_k >= d (_dist._bins), and
     a cumulative product along r forms P_u. Pairs beyond min(max r,
@@ -127,9 +128,13 @@ def _retention_curve(domain, rows, cols, g, row_weights, r):
     the running sums enter each block's first row, so the sums over rows
     run in row order whatever the blocks are.
     """
-    nr = len(r)
+    nr, n_rows = len(r), len(row_weights)
+    if n_rows * nr > _MAX_ENTRIES:
+        raise ValidationError(
+            f"{n_rows} {what} at {nr} r values make {n_rows * nr} entries: at most {_MAX_ENTRIES}; use fewer r values"
+        )
     psums = wsums = np.zeros(nr)  # each block rebinds them, none writes them
-    for lo, hi in _row_blocks(len(row_weights), nr):
+    for lo, hi in _row_blocks(n_rows, nr):
         if isinstance(domain, LinearNetwork):
             part = (rows[0][lo:hi], rows[1][lo:hi])
             bdist = _border_dist(domain, *part)
@@ -173,7 +178,7 @@ def h_cross_inhom(
     li = _positive_intensities(lam_i, pi, "type-i")
     g, inf_lam_j = _retention_factors(lam_j, pj, inf_lam_j)
     rows = pi.seg_off() if pi.is_network else pi.coords()
-    vals = _retention_curve(pi.domain, rows, pj, g, 1.0 / li, r)
+    vals = _retention_curve(pi.domain, rows, pj, g, 1.0 / li, r, "H type-i points")
     return SummaryCurve(r, vals, "hcross", None, {"inf_lam_j": inf_lam_j})
 
 
@@ -207,7 +212,7 @@ def f_inhom(
         rows = np.column_stack([gx.ravel(), gy.ravel()])
         n_rows = len(rows)
     g, inf_lam_j = _retention_factors(lam_j, pj, inf_lam_j)
-    vals = _retention_curve(pj.domain, rows, pj, g, np.ones(n_rows), r)
+    vals = _retention_curve(pj.domain, rows, pj, g, np.ones(n_rows), r, "F grid cells")
     return SummaryCurve(r, vals, "f", None, {"inf_lam_j": inf_lam_j, "spacing": grid_spacing})
 
 

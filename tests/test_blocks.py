@@ -43,7 +43,7 @@ from markedpoints import (
     r_grid,
 )
 from markedpoints import TestFunction as MarkTestFunction
-from markedpoints import _dist, markcorr
+from markedpoints import _dist, markcorr, summaries
 from markedpoints._dist import close_pairs, cross_pairs
 from markedpoints.geometry import _MAX_CELLS, _check_cells
 
@@ -323,19 +323,31 @@ def grid_pattern():
     return poisson_network(2900.0 / net.total_length, net, np.random.default_rng(6))
 
 
+def _output_mib(pairs) -> float:
+    return sum(a.nbytes for a in pairs) / 2**20
+
+
 def test_network_close_pairs_memory_bounded_by_the_budget(grid_pattern):
     # the full i < j sweep of 2,900 points formed 484 MiB at once, its row
     # blocks 33.6 MiB; the candidate search holds little beyond the 57,000
-    # pairs it returns (1.3 MiB) and their blocks before they are joined
+    # pairs it returns (1.3 MiB) and their blocks while they are joined.
+    # Joining every column at once held all the blocks and the output
+    # (2.74 MiB, 2.1 x the output); one column at a time, the output and
+    # one column's blocks (1.87 MiB, 1.43 x)
     assert grid_pattern.n > 2800
-    assert _traced_peak(lambda: close_pairs(grid_pattern, 30.0)) < 4
+    peak = _traced_peak(lambda: close_pairs(grid_pattern, 30.0))
+    assert peak < 4
+    assert peak < 1.6 * _output_mib(close_pairs(grid_pattern, 30.0))
 
 
 def test_network_cross_pairs_memory_bounded_by_the_budget(grid_pattern):
     # dense row blocks of point x point distances took 15.6 MiB for the
-    # 117,000 ordered pairs (2.7 MiB) returned
+    # 117,000 ordered pairs (2.7 MiB) returned; joining their blocks every
+    # column at once took 5.55 MiB, one column at a time 3.81 MiB
     net = grid_pattern.domain
-    assert _traced_peak(lambda: cross_pairs(net, grid_pattern, grid_pattern, 30.0)) < 8
+    peak = _traced_peak(lambda: cross_pairs(net, grid_pattern, grid_pattern, 30.0))
+    assert peak < 8
+    assert peak < 1.6 * _output_mib(cross_pairs(net, grid_pattern, grid_pattern, 30.0))
 
 
 def test_network_intensity_memory_bounded_by_the_budget(grid_pattern):
@@ -375,6 +387,35 @@ def test_kernel_entries_over_the_cap_refused_before_any_row(monkeypatch, unit_sq
     monkeypatch.setattr(markcorr, "_MAX_ENTRIES", entries)  # the cap itself is allowed
     assert _traced_peak(lambda: mark_corr_suite(p, sm, r)) > 8
     assert rows
+
+
+@pytest.mark.parametrize("stat", ["f", "h"])
+def test_retention_entries_over_the_cap_refused_before_any_row(monkeypatch, unit_square, stat):
+    # H and F cost rows x r values (type-i points, or F grid cells, at each
+    # r); with the cap patched to one entry fewer than the input needs, the
+    # curve is refused before the first row block searches its pairs
+    rng = np.random.default_rng(14)
+    p = MarkedPointPattern.from_columns(unit_square, rng.uniform(size=(2000, 2)))
+    r = r_grid(0.25, 512)
+    if stat == "f":
+        entries, call = 128 * 128 * len(r), lambda: f_inhom(p, 2000.0, r=r)
+    else:
+        entries, call = p.n * len(r), lambda: h_cross_inhom(p, p, 2000.0, 2000.0, r=r)
+    searches = []
+    search = summaries.cross_pairs
+    monkeypatch.setattr(summaries, "cross_pairs", lambda *args: searches.append(1) or search(*args))
+    monkeypatch.setattr(summaries, "_MAX_ENTRIES", entries - 1)
+
+    def refused():
+        with pytest.raises(ValidationError, match=f" make {entries} entries: at most {entries - 1};"):
+            call()
+
+    # refused: the F grid (0.6 MiB); run: 9-11 MiB of row blocks
+    assert _traced_peak(refused) < 1
+    assert not searches
+    monkeypatch.setattr(summaries, "_MAX_ENTRIES", entries)  # the cap itself is allowed
+    assert _traced_peak(call) > 4
+    assert searches
 
 
 def test_planar_f_memory_bounded_by_the_budget(unit_square):

@@ -304,14 +304,21 @@ GRID_OVER_CAP = {
     # 2^24 + 1 r values, or 5,640 LGCP cells on the bundled tree: 3.2e7 covariance entries
     "markcorr_bins_over_cap": ["markcorr", "--pattern", "PLANAR", "--window", "0,1,0,1", "--bins", str(2**24)],
     "simulate_lgcp_covariance_over_cap": ["simulate", "--model", "lgcp", "--lgcp-step", "0.5"],
-    # a mark-correlation kernel matrix above the entry cap, which the child
-    # process patches down to ENTRY_CAP entries (at the real cap the input
-    # would have to run for minutes first)
+    # a mark-correlation kernel matrix, and H and F retention products (type-i
+    # points or F grid cells x r values), above the entry cap, which the
+    # child process patches down to ENTRY_CAP entries (at the real cap the
+    # input would have to run for minutes first)
     "markcorr_entries_over_cap": ["markcorr", "--pattern", "PLANAR", "--window", "0,1,0,1", "--bins", "64"],
+    "summary_f_entries_over_cap": ["summary", "--pattern", "PLANAR", "--window", "0,1,0,1", "--stat", "f",
+                                   "--lambda-const", "30"],
+    "summary_hcross_entries_over_cap": ["summary", "--pattern", "PLANAR", "--window", "0,1,0,1", "--stat", "hcross",
+                                        "--type-i", "a", "--type-j", "b", "--lambda-const", "30"],
 }
 ENTRY_CAP = 1000
+ENTRIES_OVER_CAP = [case for case in GRID_OVER_CAP if case.endswith("_entries_over_cap")]
 PATCHED_ENTRY_CAP = (
-    f"import sys; import markedpoints.markcorr as m; m._MAX_ENTRIES = {ENTRY_CAP}; "
+    "import sys; import markedpoints.markcorr as m, markedpoints.summaries as s; "
+    f"m._MAX_ENTRIES = s._MAX_ENTRIES = {ENTRY_CAP}; "
     "from markedpoints.cli import main; sys.exit(main(sys.argv[1:]))"
 )
 
@@ -404,7 +411,7 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
         argv = [paths.get(a, a) for a in GRID_OVER_CAP[case]]
     elif case in CVL_OTHER_KERNEL:
         argv = CVL_OTHER_KERNEL[case] + ["--pattern", planar_csv, "--window", "0,1,0,1"]
-    entry = ["-c", PATCHED_ENTRY_CAP] if case == "markcorr_entries_over_cap" else ["-m", "markedpoints.cli"]
+    entry = ["-c", PATCHED_ENTRY_CAP] if case in ENTRIES_OVER_CAP else ["-m", "markedpoints.cli"]
     proc = subprocess.run(
         [sys.executable] + entry + argv + out,
         env=env, capture_output=True, text=True, timeout=120,
@@ -415,7 +422,7 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
         assert "bad.json" in proc.stderr and "vertex coordinates must be finite" in proc.stderr
     if case in UNUSABLE_PATHS:
         assert (str(tmp_path) if "directory" in case else "named") in proc.stderr
-    if case == "markcorr_entries_over_cap":
+    if case in ENTRIES_OVER_CAP:
         assert f"entries: at most {ENTRY_CAP}" in proc.stderr
     elif case in GRID_OVER_CAP:
         assert "a grid needs 1 to 16777216 cells" in proc.stderr

@@ -64,8 +64,10 @@ def _masked_epanechnikov(h, t):
 
 def _epanechnikov_points(h, inside):
     """Points at the support's ends (+-h and one ulp either side), +-0,
-    +-inf, NaN, and h * s for each s in inside."""
-    edges = [s * np.nextafter(h, to) for s in (1.0, -1.0) for to in (0.0, h, np.inf)]
+    +-inf, NaN, and h * s for each s in inside; one ulp above the largest
+    float is inf."""
+    with np.errstate(over="ignore"):
+        edges = [s * np.nextafter(h, to) for s in (1.0, -1.0) for to in (0.0, h, np.inf)]
     return edges + [0.0, -0.0, np.inf, -np.inf, np.nan] + [h * s for s in inside]
 
 
@@ -78,6 +80,7 @@ def _epanechnikov_args(draw):
 
 # past h = 1.35e308, 0.75 (1 - u*u) / h underflows to -0.0 just outside the support
 @example((1.7e308, np.array(_epanechnikov_points(1.7e308, []) * 2)))
+@example((float(np.finfo(float).max), np.array(_epanechnikov_points(float(np.finfo(float).max), [2.0, 0.5]))))
 @given(_epanechnikov_args())
 def test_epanechnikov_clip_matches_the_masked_formula(args):
     # kernel1d_pdf clips the polynomial at 0 instead of masking |t/h| > 1;

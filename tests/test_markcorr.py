@@ -27,7 +27,7 @@ from markedpoints import (
     pair_average,
 )
 from markedpoints import TestFunction as MarkTestFunction
-from markedpoints._dist import close_pairs
+from markedpoints._dist import close_pairs, translation_weights
 from markedpoints.intensity import kernel1d_pdf, kernel1d_support
 from markedpoints import markcorr
 from markedpoints.markcorr import _pair_values, _reach
@@ -596,6 +596,72 @@ def test_kernel_product_pairs_match_the_stable_sort(monkeypatch, case):
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     assert kinds == ([None, "stable"] if ties else [None])  # which sort ran
+
+
+def _kernel_rows_args(case, ec):
+    """(smoothing, r, d, lo, counts, weights) of markcorr._kernel_rows for all
+    of the r grid of a _sort_case input, with the weights of ec."""
+    p, smoothing, r = _sort_case(case)
+    i, j, d, lo, counts = _stable_sort_reference(smoothing, r, close_pairs(p, _reach(smoothing, r)))
+    weights = translation_weights(p.domain, p.coords()[i], p.coords()[j]) if ec == "symmetricWeight" else None
+    return smoothing, r, d, lo, counts, weights
+
+
+KERNEL_ROWS_CASES = [
+    (case, ec, itype)
+    for case, ec in [("uniform", "none"), ("uniform", "symmetricWeight"), ("network_lattice", "none")]
+    for itype in (np.int32, np.int64)
+]
+
+
+@pytest.mark.parametrize("case, ec, itype", KERNEL_ROWS_CASES)
+def test_kernel_rows_match_the_gather_through_cols(case, ec, itype):
+    # _kernel_rows gathers d and the weights through an intp copy of its
+    # column index; the CSR arrays must be those of the gather through the
+    # column index itself, written out here
+    smoothing, r, d, lo, counts, weights = _kernel_rows_args(case, ec)
+    indptr = np.zeros(len(r) + 1, dtype=itype)
+    np.cumsum(counts, out=indptr[1:])
+    cols = np.arange(indptr[-1], dtype=itype)
+    cols += np.repeat((lo - indptr[:-1]).astype(itype), counts)
+    assert cols.dtype == itype and len(cols) > 1000
+    t = d[cols]
+    t -= np.repeat(r, counts)
+    kv = kernel1d_pdf(smoothing.kernel, smoothing.bandwidth, t)
+    kv *= 2.0
+    if weights is not None:
+        kv *= weights[cols]
+    K = markcorr._kernel_rows(smoothing, r, d, lo, counts, itype, weights)
+    assert K.indices.dtype == K.indptr.dtype == itype  # the CSR matrix keeps its index type
+    assert np.array_equal(K.data, kv)
+    assert np.array_equal(K.indices, cols)
+    assert np.array_equal(K.indptr, indptr)
+
+
+class _IndexSpy(np.ndarray):
+    """An array that records the dtype of every array index it is read
+    through; the values read are plain arrays."""
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            self.seen.append(key.dtype)
+        return np.asarray(self)[key]
+
+
+@pytest.mark.parametrize("case, ec, itype", KERNEL_ROWS_CASES)
+def test_kernel_rows_gather_through_intp_indices(case, ec, itype):
+    # numpy gathers through an int32 index holding the GIL and through an
+    # intp one releasing it, so the replicate threads overlap only when every
+    # gather of d and of the weights goes through intp
+    smoothing, r, d, lo, counts, weights = _kernel_rows_args(case, ec)
+    want = markcorr._kernel_rows(smoothing, r, d, lo, counts, itype, weights)
+    d_spy, w_spy = (None if a is None else a.view(_IndexSpy) for a in (d, weights))
+    spies = [spy for spy in (d_spy, w_spy) if spy is not None]
+    for spy in spies:
+        spy.seen = []
+    got = markcorr._kernel_rows(smoothing, r, d_spy, lo, counts, itype, w_spy)
+    assert [spy.seen for spy in spies] == [[np.dtype(np.intp)]] * len(spies)
+    assert np.array_equal(got.data, want.data)
 
 
 def test_close_pairs_agree_with_dense_distances(unit_square):
