@@ -149,59 +149,6 @@ def _reach(smoothing: SmoothingSpec1D, r: np.ndarray) -> float:
     return float(r.max() + kernel1d_support(smoothing.kernel, smoothing.bandwidth))
 
 
-def _kernel_product(p: MarkedPointPattern, smoothing: SmoothingSpec1D, r: np.ndarray, ec: str, columns, pairs=None):
-    """K @ columns(i, j) for the sparse (len(r), pairs) matrix K with
-    K[k, q] = 2 K_h(d_q - r_k) e_q over the unordered pairs q = (i, j) with
-    r_k - supp <= d_q <= r_k + supp; columns maps the pair index arrays i, j
-    to a (pairs, m) array of per-pair values.
-
-    For symmetric per-pair values v, (K @ v)[k] is the kernel sum over
-    ordered pairs i != j; e is the symmetricWeight edge correction or 1.
-    K is formed and multiplied in blocks of consecutive r rows of at most
-    _BLOCK entries, so it never exists whole; each row's sum runs over its
-    own entries in order, so the blocks leave every value unchanged.
-    pairs, when given, is close_pairs(p, cutoff) for a cutoff of at least
-    _reach(smoothing, r); farther pairs sort last and get no entry.
-    """
-    supp = kernel1d_support(smoothing.kernel, smoothing.bandwidth)
-    r_lo, r_hi = r - supp, r + supp
-    i, j, d = close_pairs(p, _reach(smoothing, r)) if pairs is None else pairs
-    keep = np.nonzero(d >= r_lo.min())[0]
-    d = d[keep]
-    # numpy's default sort is several times faster than the stable one, and
-    # without a tie every sort gives the stable permutation
-    order = np.argsort(d)
-    ds = d[order]
-    if np.any(ds[1:] == ds[:-1]):
-        order = np.argsort(d, kind="stable")
-        ds = d[order]
-    keep = keep[order]
-    i, j, d = i[keep], j[keep], ds
-    lo = np.searchsorted(d, r_lo, side="left")
-    counts = np.searchsorted(d, r_hi, side="right") - lo
-    entries = int(counts.sum())
-    if entries > _MAX_ENTRIES:
-        raise ValidationError(
-            f"mark correlation kernel matrix of {entries} entries: at most {_MAX_ENTRIES}; "
-            "use fewer r values or a smaller bandwidth"
-        )
-    weights = None
-    if ec == "symmetricWeight":
-        xy = p.coords()
-        weights = translation_weights(p.domain, xy[i], xy[j])
-    itype = np.int32 if max(entries, len(d)) < np.iinfo(np.int32).max else np.int64
-    vals, out = None, []
-    for a, b in _row_blocks(len(r), counts):
-        K = _kernel_rows(smoothing, r[a:b], d, lo[a:b], counts[a:b], itype, weights)
-        # the pair values are formed once the first block is built, as they
-        # were after the whole matrix: forming them first made a study
-        # replicate about 10 % slower
-        if vals is None:
-            vals = columns(i, j)
-        out.append(K @ vals)
-    return out[0] if len(out) == 1 else np.concatenate(out)
-
-
 def _kernel_rows(smoothing, r, d, lo, counts, itype, weights):
     """CSR rows of K for the grid values r, over the sorted pair distances
     d; row k's entries are the consecutive pairs lo[k] .. lo[k] + counts[k] - 1."""
@@ -224,9 +171,15 @@ def _kernel_rows(smoothing, r, d, lo, counts, itype, weights):
 
 
 def _normalized(tfs, p: MarkedPointPattern, smoothing, r, ec: str, stoyan_rule="pairs", pairs=None):
-    """(normalized values, raw ratio, c_tf) of each test function, all from
-    one product with the kernel matrix; a degenerate c_tf reads 0.0 and
-    gives all-NaN normalized values."""
+    """(normalized values, raw ratio, c_tf) of each test function from one
+    product K @ v; a degenerate c_tf reads 0.0 and gives all-NaN values.
+
+    K[k, q] = 2 K_h(d_q - r_k) e_q over the unordered pairs q = (i, j) with
+    |d_q - r_k| <= supp, e the symmetricWeight edge correction or 1; v holds
+    the test functions of each pair's marks and a ones column, so (K @ v)[k]
+    sums over ordered pairs i != j. K goes in blocks of consecutive r rows of
+    at most _BLOCK entries, each row summed in order: the blocks change no
+    value. pairs, if given, is close_pairs(p, c) for a c >= _reach(smoothing, r)."""
     if p.n < 2:
         raise ValidationError("mark correlation needs at least 2 marked points")
     if ec not in ("none", "symmetricWeight"):
@@ -235,17 +188,37 @@ def _normalized(tfs, p: MarkedPointPattern, smoothing, r, ec: str, stoyan_rule="
         raise ValidationError("symmetricWeight edge correction is planar-only")
     marks = p.marks()
     mu, var = _moments(marks)
-    # the per-pair arrays stay referenced until this call returns, as they did
-    # before the product was blocked: freeing them once stacked made the
-    # study slower (measured: more minor page faults per replicate)
-    pair_arrays = []
-
-    def columns(i, j):
-        mi, mj = marks[i], marks[j]
-        pair_arrays.extend([mi, mj] + [_pair_values(tf, mi, mj, mu) for tf in tfs])
-        return np.column_stack(pair_arrays[2:] + [np.ones(len(mi))])
-
-    sums = _kernel_product(p, smoothing, r, ec, columns, pairs)
+    supp = kernel1d_support(smoothing.kernel, smoothing.bandwidth)
+    i, j, d = close_pairs(p, _reach(smoothing, r)) if pairs is None else pairs
+    # numpy's default sort is several times faster than the stable one, and
+    # without a tie every sort gives the stable permutation
+    order = np.argsort(d)
+    ds = d[order]
+    if np.any(ds[1:] == ds[:-1]):  # a tie: ds is the same, the permutation may not be
+        order = np.argsort(d, kind="stable")
+    i, j, d = i[order], j[order], ds
+    lo = np.searchsorted(d, r - supp, side="left")
+    counts = np.searchsorted(d, r + supp, side="right") - lo
+    entries = int(counts.sum())
+    if entries > _MAX_ENTRIES:
+        raise ValidationError(
+            f"mark correlation kernel matrix of {entries} entries: at most {_MAX_ENTRIES}; "
+            "use fewer r values or a smaller bandwidth"
+        )
+    weights = translation_weights(p.domain, p.coords()[i], p.coords()[j]) if ec == "symmetricWeight" else None
+    itype = np.int32 if len(d) < np.iinfo(np.int32).max else np.int64  # entries < 2^28 < 2^31
+    vals, sums = None, []
+    for a, b in _row_blocks(len(r), counts):
+        K = _kernel_rows(smoothing, r[a:b], d, lo[a:b], counts[a:b], itype, weights)
+        if vals is None:
+            # the pair values are formed after the first block and stay referenced
+            # until this call returns: forming them first, or freeing them once
+            # stacked, made a study replicate slower (3-10x the minor page faults)
+            mi, mj = marks[i], marks[j]
+            tv = [_pair_values(tf, mi, mj, mu) for tf in tfs] + [np.ones(len(d))]
+            vals = np.column_stack(tv)
+        sums.append(K @ vals)
+    sums = sums[0] if len(sums) == 1 else np.concatenate(sums)
     out = []
     for s, tf in enumerate(tfs):
         raw = _ratio(sums[:, s], sums[:, -1])

@@ -44,14 +44,17 @@ def _positive_intensities(lam, p, what) -> np.ndarray:
     return vals
 
 
+def _check_k_ec(ec: str, p: MarkedPointPattern):
+    if ec not in ("none", "translation"):
+        raise ValidationError(f"unknown edge correction {ec!r}")
+    if ec == "translation" and p.is_network:
+        raise ValidationError("translation correction is defined for planar rectangles only")
+
+
 def _k_step_curve(i, j, d, w, r, ec, pa, pb) -> np.ndarray:
     """Nondecreasing step function sum_{pairs with d <= r} w on the r grid,
     from the pairs (i, j, d) with d <= max(r) and their weights w: one
     bincount on the r bins of _dist._bins and a cumulative sum, O(pairs)."""
-    if ec not in ("none", "translation"):
-        raise ValidationError(f"unknown edge correction {ec!r}")
-    if ec == "translation" and pa.is_network:
-        raise ValidationError("translation correction is defined for planar rectangles only")
     if ec == "translation":
         w = w * translation_weights(pa.domain, pa.coords()[i], pb.coords()[j])
     # pair q enters every r_k >= d_q, from its bin on
@@ -71,6 +74,7 @@ def k_cross_inhom(
 ) -> SummaryCurve:
     """Cross-type inhomogeneous K: intensity-reweighted pair counts between
     two sub-patterns, scaled by the domain size."""
+    _check_k_ec(ec, pi)
     _check_same_domain(pi, pj)
     r = _r_values(pi.domain, r)
     size = pi.domain_size
@@ -78,10 +82,10 @@ def k_cross_inhom(
         theo = None if pi.is_network else np.pi * r**2
     if theo is not None and not np.isfinite(theo[-1]):
         raise ValidationError(f"theoretical K (pi r^2) is not finite at r = {r[-1]:g}")
-    if pi.n == 0 or pj.n == 0:
-        return SummaryCurve(r, np.zeros_like(r), "kcross", theo, {"ec": ec})
     li = _positive_intensities(lam_i, pi, "type-i")
     lj = _positive_intensities(lam_j, pj, "type-j")
+    if pi.n == 0 or pj.n == 0:
+        return SummaryCurve(r, np.zeros_like(r), "kcross", theo, {"ec": ec})
     i, j, d = cross_pairs(pi.domain, pi, pj, r[-1])
     with np.errstate(all="ignore"):  # intensity products can underflow; a non-finite K raises
         vals = _k_step_curve(i, j, d, 1.0 / (li[i] * lj[j]) / size, r, ec, pi, pj)
@@ -236,6 +240,7 @@ def mark_weighted_k(
 ) -> SummaryCurve:
     """Mark-weighted inhomogeneous K: pair contributions weighted by a mark
     test function and normalized by its sample average over ordered pairs."""
+    _check_k_ec(ec, p)
     r = _r_values(p.domain, r)
     if p.n < 2:
         raise ValidationError("mark-weighted K needs at least 2 marked points")

@@ -322,6 +322,16 @@ PATCHED_ENTRY_CAP = (
     "from markedpoints.cli import main; sys.exit(main(sys.argv[1:]))"
 )
 
+# K checks its edge correction and intensities even when a pattern is empty:
+# every point of the tree pattern has type a, so kdot's other types are
+# empty; the message is the one the pattern with three points of type b gives
+K_EMPTY_OTHERS = {
+    "summary_kdot_empty_others_translation": (["--ec", "translation", "--lambda-const", "0.05"],
+                                              "translation correction is defined for planar rectangles only"),
+    "summary_kdot_empty_others_lambda_negative": (["--lambda-const", "-1"],
+                                                  "zero, negative or NaN type-i intensity at a data point"),
+}
+
 # --sigma cvl picks a Gaussian bandwidth, so it refuses another --kernel
 CVL_OTHER_KERNEL = {
     "intensity_cvl_epanechnikov": ["intensity", "--sigma", "cvl", "--kernel", "epanechnikov"],
@@ -352,9 +362,10 @@ CVL_OTHER_KERNEL = {
     + [(case, 3) for case in SAMPLER_INPUTS]
     + [(case, code) for case, (_, code) in K_NOT_FINITE.items()]
     + [(case, 3) for case in GRID_OVER_CAP]
-    + [(case, 3) for case in CVL_OTHER_KERNEL],
+    + [(case, 3) for case in CVL_OTHER_KERNEL]
+    + [(case, 3) for case in K_EMPTY_OTHERS],
 )
-def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, case, code):
+def test_bad_input_exit_code_without_traceback(tmp_path, capsys, tree_file, planar_csv, case, code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(markedpoints.__file__))
     out = ["--out-dir", str(tmp_path / "out")]
@@ -411,6 +422,17 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
         argv = [paths.get(a, a) for a in GRID_OVER_CAP[case]]
     elif case in CVL_OTHER_KERNEL:
         argv = CVL_OTHER_KERNEL[case] + ["--pattern", planar_csv, "--window", "0,1,0,1"]
+    elif case in K_EMPTY_OTHERS:
+        flags, message = K_EMPTY_OTHERS[case]
+        kdot = {}
+        for name, n_b in (("all_a", 0), ("mixed", 3)):
+            path = tmp_path / f"{name}.csv"
+            _write_table(path, ["segment", "offset", "type"],
+                         [[str(k) for k in range(12)], ["0.5"] * 12, ["b"] * n_b + ["a"] * (12 - n_b)])
+            kdot[name] = ["summary", "--pattern", str(path), "--network", tree_file, "--stat", "kdot", "--type-i", "a"]
+        assert main(kdot["mixed"] + flags + ["--out-dir", str(tmp_path / "mixed")]) == 3
+        assert message in capsys.readouterr().err
+        argv = kdot["all_a"] + flags
     entry = ["-c", PATCHED_ENTRY_CAP] if case in ENTRIES_OVER_CAP else ["-m", "markedpoints.cli"]
     proc = subprocess.run(
         [sys.executable] + entry + argv + out,
@@ -428,6 +450,8 @@ def test_bad_input_exit_code_without_traceback(tmp_path, tree_file, planar_csv, 
         assert "a grid needs 1 to 16777216 cells" in proc.stderr
     if case in CVL_OTHER_KERNEL:
         assert "--sigma cvl needs --kernel gaussian" in proc.stderr
+    if case in K_EMPTY_OTHERS:
+        assert message in proc.stderr
 
 
 ENVELOPE_SMALL = dict(nsim=39, seed=7, n_expected=30.0, rmax=100.0, bins=16, bandwidth=25.0)

@@ -522,8 +522,8 @@ def test_pair_engine_matches_ordered_pair_oracle(case):
 
 
 def _stable_sort_reference(smoothing, r, pairs):
-    """(i, j, d, lo, counts) of the kernel product, written out with the
-    stable sort of the pair distances."""
+    """(i, j, d, lo, counts) of _normalized's kernel matrix, written out
+    with the stable sort of the pair distances."""
     supp = kernel1d_support(smoothing.kernel, smoothing.bandwidth)
     i, j, d = pairs
     keep = np.nonzero(d >= (r - supp).min())[0]
@@ -564,17 +564,19 @@ def _sort_case(case):
 
 
 @pytest.mark.parametrize("case", ["uniform", "planar_lattice", "network_lattice", "duplicated"])
-def test_kernel_product_pairs_match_the_stable_sort(monkeypatch, case):
-    # the kernel product sorts the pair distances with numpy's default sort,
-    # and with the stable sort when two distances are equal; either way its
-    # pair order and kernel rows must be the stable sort's
+def test_normalized_pairs_match_the_stable_sort(monkeypatch, case):
+    # _normalized sorts the pair distances with numpy's default sort, and
+    # with the stable sort when two distances are equal; either way its pair
+    # order and kernel rows must be the stable sort's. The marks are the
+    # point indices, so the marks a pair's values are formed from are (i, j)
     p, smoothing, r = _sort_case(case)
+    p = p.with_marks(np.arange(p.n, dtype=float))
     pairs = close_pairs(p, _reach(smoothing, r))
     want = _stable_sort_reference(smoothing, r, pairs)
     ties = bool(np.any(want[2][1:] == want[2][:-1]))
     assert ties == (case != "uniform")
-    kinds, rows, seen = [], [], {}
-    argsort, kernel_rows = np.argsort, markcorr._kernel_rows
+    kinds, rows, seen = [], [], []
+    argsort, kernel_rows, pair_values = np.argsort, markcorr._kernel_rows, markcorr._pair_values
 
     def spy_argsort(a, *args, **kwargs):
         kinds.append(kwargs.get("kind"))
@@ -584,17 +586,20 @@ def test_kernel_product_pairs_match_the_stable_sort(monkeypatch, case):
         rows.append((d, lo, counts))
         return kernel_rows(smoothing, r, d, lo, counts, *rest)
 
-    def columns(i, j):
-        seen["ij"] = (i, j)
-        return np.ones((len(i), 1))
+    def spy_values(tf, mi, mj, mu):
+        seen.append((mi.astype(np.intp), mj.astype(np.intp)))
+        return pair_values(tf, mi, mj, mu)
 
     monkeypatch.setattr(np, "argsort", spy_argsort)
     monkeypatch.setattr(markcorr, "_kernel_rows", spy_rows)
-    markcorr._kernel_product(p, smoothing, r, "none", columns, pairs)
+    monkeypatch.setattr(markcorr, "_pair_values", spy_values)
+    markcorr._normalized([STOYAN], p, smoothing, r, "none", pairs=pairs)
     monkeypatch.undo()
-    got = seen["ij"] + (rows[0][0], np.concatenate([b[1] for b in rows]), np.concatenate([b[2] for b in rows]))
+    assert len(seen) == 1
+    got = seen[0] + (rows[0][0], np.concatenate([b[1] for b in rows]), np.concatenate([b[2] for b in rows]))
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+    assert len(rows[0][0]) == len(pairs[2])  # every pair passed in reaches the kernel rows
     assert kinds == ([None, "stable"] if ties else [None])  # which sort ran
 
 

@@ -122,6 +122,22 @@ def test_k_cross_empty_is_zero(unit_square):
     assert np.all(curve.values == 0.0)
 
 
+def test_k_checks_its_arguments_when_a_pattern_is_empty(unit_square):
+    # the edge correction and both intensities are checked before the
+    # all-zero curve of an empty pattern is returned
+    empty = planar_pattern(unit_square, [])
+    some = planar_pattern(unit_square, [(0.6, 0.5), (0.2, 0.3)])
+    r = np.array([0.0, 0.2])
+    with pytest.raises(ValidationError, match="unknown edge correction 'bogus'"):
+        k_cross_inhom(empty, empty, 1.0, 1.0, ec="bogus")
+    with pytest.raises(ValidationError, match="negative or NaN type-i intensity"):
+        k_cross_inhom(some, empty, -1.0, 1.0, "none", r)
+    with pytest.raises(ValidationError, match="negative or NaN type-j intensity"):
+        k_cross_inhom(empty, some, 1.0, np.array([1.0, np.nan]), "none", r)
+    with pytest.raises(ValidationError, match="unknown edge correction 'bogus'"):
+        mark_weighted_k(some.with_marks([1.0, 2.0]), STOYAN, 1.0, ec="bogus", r=r)
+
+
 def test_k_cross_monotone_and_theoretical(unit_square):
     rng = np.random.default_rng(0)
     pi = planar_pattern(unit_square, rng.uniform(size=(30, 2)))
