@@ -174,15 +174,13 @@ def cross_pairs(domain, a, b, cutoff: float):
         i, j = np.nonzero(dc <= cutoff)
         return i, j, dc[i, j]
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    # the tree rounds differently from cdist: search a hair wider, filter exactly
+    # search a hair wider, so no rounding in the tree's pruning loses a pair,
+    # and filter exactly: its distances are cdist's, sqrt(dx*dx + dy*dy)
     ijv = cKDTree(a).sparse_distance_matrix(
         cKDTree(b), cutoff * (1.0 + 1e-9), output_type="ndarray"
     )
-    # contiguous index arrays gather faster than the strided record fields
-    i, j = ijv["i"].copy(), ijv["j"].copy()
-    d = _euclidean(a, b, i, j)
-    keep = d <= cutoff
-    return i[keep], j[keep], d[keep]
+    keep = ijv["v"] <= cutoff
+    return ijv["i"][keep], ijv["j"][keep], ijv["v"][keep]
 
 
 def translation_weights(window, xy_a, xy_b) -> np.ndarray:

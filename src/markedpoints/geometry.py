@@ -163,9 +163,10 @@ class LinearNetwork:
         per pair.
         """
         if self._vertex_dist is None:
-            D = dijkstra(self._graph, directed=False)
-            il = np.tril_indices(self.n_vertices, k=-1)
-            D[il] = D.T[il]
+            # _graph holds each segment in both directions
+            D = dijkstra(self._graph, directed=True)
+            for k in range(1, self.n_vertices):
+                D[k, :k] = D[:k, k]
             self._vertex_dist = D
         return self._vertex_dist
 

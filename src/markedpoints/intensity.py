@@ -50,30 +50,43 @@ class KernelSpec:
     family: str = "gaussian"
 
     def __post_init__(self):
-        if not 0 < self.bandwidth < np.inf:
-            raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        _check_bandwidth(self.bandwidth, "bandwidth")
         if self.family not in _FAMILIES:
             raise ValidationError(f"unknown kernel family {self.family!r}")
 
 
+def _check_bandwidth(h, what: str):
+    """A positive bandwidth with a finite square, the heat estimator's time."""
+    h = float(h)
+    if not (h > 0 and h * h < np.inf):  # NaN fails the test too
+        raise ValidationError(f"{what} must be positive with a finite square, got {h}")
+
+
 def kernel1d_pdf(family: str, h: float, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    u = np.divide(t, h, out=np.empty_like(t))
-    if family == "gaussian":
-        return np.exp(-0.5 * u * u) / (np.sqrt(2.0 * np.pi) * h)
-    # compact kernels are evaluated in place in u, the one full-size array
-    if family == "epanechnikov":
+    # |t| / h or u * u past the float range is inf, where every density is 0
+    with np.errstate(over="ignore"):
+        u = np.divide(t, h, out=np.empty_like(t))
+        # each kernel is evaluated in place in u, the one full-size array
         u *= u
-        np.subtract(1.0, u, out=u)
-        u *= 0.75
-        # 1 - u*u < 0 exactly where |u| > 1; fmax maps those and NaN to +0,
-        # which, unlike a tiny negative value, stays +0 when divided by h
-        np.fmax(u, 0.0, out=u)
-        u /= h
-        return u
+        if family == "gaussian":
+            # scaling by -0.5 is exact: exp gets the value of -0.5 * u * u, or,
+            # where u * u is subnormal, a value whose exp is 1 as well
+            u *= -0.5
+            np.exp(u, out=u)
+            u /= np.sqrt(2.0 * np.pi) * h
+            return u
+        if family == "epanechnikov":
+            np.subtract(1.0, u, out=u)
+            u *= 0.75
+            # 1 - u*u < 0 exactly where |u| > 1; fmax maps those and NaN to +0,
+            # which, unlike a tiny negative value, stays +0 when divided by h
+            np.fmax(u, 0.0, out=u)
+            u /= h
+            return u
     if family != "box":
         raise ValidationError(f"unknown kernel family {family!r}")
-    outside = ~((u >= -1.0) & (u <= 1.0))
+    outside = ~(u <= 1.0)  # u * u, so NaN is outside too
     u.fill(0.5 / h)
     u[outside] = 0.0
     return u
@@ -204,6 +217,8 @@ def intensity_uniform(p: MarkedPointPattern, k: KernelSpec, dims=(128, 128)) -> 
     w = p.domain
     xs, ys = _cell_centers(w, nx, ny)
     c = np.outer(_axis_mass(k, w.xmin, w.xmax, xs), _axis_mass(k, w.ymin, w.ymax, ys))
+    if not np.all(c > 0):
+        raise NumericalError("kernel window mass vanished at a raster cell")
     return IntensityEstimate(w, raw / c, "uniform", k.bandwidth)
 
 
@@ -213,8 +228,10 @@ def intensity_jones_diggle(p: MarkedPointPattern, k: KernelSpec, dims=(128, 128)
     _check_planar(p)
     nx, ny = _check_dims(dims)
     xy = p.coords()
-    wts = 1.0 / kernel_mass(k, p.domain, xy[:, 0], xy[:, 1])
-    raw = _kernel_sum_raster(p, k, nx, ny, per_point_weights=wts)
+    mass = kernel_mass(k, p.domain, xy[:, 0], xy[:, 1])
+    if not np.all(mass > 0):
+        raise NumericalError("kernel window mass vanished for a data point")
+    raw = _kernel_sum_raster(p, k, nx, ny, per_point_weights=1.0 / mass)
     return IntensityEstimate(p.domain, raw, "jonesDiggle", k.bandwidth)
 
 
@@ -272,8 +289,7 @@ def intensity_heat(p: MarkedPointPattern, sigma: float, dims=(128, 128)) -> Inte
     step of heat_evolve."""
     _check_planar(p)
     nx, ny = _check_dims(dims)
-    if not 0 < sigma < np.inf:
-        raise ValidationError(f"sigma must be positive and finite, got {sigma}")
+    _check_bandwidth(sigma, "sigma")
     w = p.domain
     dx, dy = w.width / nx, w.height / ny
     if sigma < 2.0 * max(dx, dy):

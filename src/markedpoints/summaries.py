@@ -39,8 +39,8 @@ def _check_same_domain(pa: MarkedPointPattern, pb: MarkedPointPattern):
 
 def _positive_intensities(lam, p, what) -> np.ndarray:
     vals = eval_intensity(lam, p)
-    if not np.all(vals > 0):  # NaN fails the test too
-        raise ValidationError(f"zero, negative or NaN {what} intensity at a data point")
+    if not np.all((vals > 0) & (vals < np.inf)):  # NaN fails the test too
+        raise ValidationError(f"infinite, zero, negative or NaN {what} intensity at a data point")
     return vals
 
 
@@ -86,9 +86,13 @@ def k_cross_inhom(
     lj = _positive_intensities(lam_j, pj, "type-j")
     if pi.n == 0 or pj.n == 0:
         return SummaryCurve(r, np.zeros_like(r), "kcross", theo, {"ec": ec})
-    i, j, d = cross_pairs(pi.domain, pi, pj, r[-1])
+    # no point is its own neighbour: when pj is pi, each pair i < j counts in both orders
+    i, j, d = close_pairs(pi, r[-1]) if pj is pi else cross_pairs(pi.domain, pi, pj, r[-1])
     with np.errstate(all="ignore"):  # intensity products can underflow; a non-finite K raises
-        vals = _k_step_curve(i, j, d, 1.0 / (li[i] * lj[j]) / size, r, ec, pi, pj)
+        w = 1.0 / (li[i] * lj[j]) / size
+        if pj is pi:
+            w += 1.0 / (li[j] * lj[i]) / size
+        vals = _k_step_curve(i, j, d, w, r, ec, pi, pj)
     return SummaryCurve(r, vals, "kcross", theo, {"ec": ec})
 
 
@@ -127,17 +131,21 @@ def _retention_curve(domain, rows, cols, g, row_weights, r, what):
     _MAX_ENTRIES rows x r values (the rows are `what`) are refused up front.
 
     Each pair's factor goes into the first bin r_k >= d (_dist._bins), and
-    a cumulative product along r forms P_u. Pairs beyond min(max r,
-    bdist_u) never count and are dropped. Rows go in _row_blocks of len(r) entries a row, and
-    the running sums enter each block's first row, so the sums over rows
-    run in row order whatever the blocks are.
+    a cumulative product along r forms P_u. Row u is retained at the first
+    K_u r values (those <= bdist_u), so a block takes the pairs within the
+    largest of its rows' last retained r values, r[max K_u - 1], and its
+    products stop at that bin: a pair past its own row's last one enters
+    only that row's zero-weight columns, whose +-0 terms leave every sum
+    as it is. Rows go in _row_blocks of len(r) entries a row, and the
+    running sums enter each block's first row, so the sums over rows run
+    in row order whatever the blocks are.
     """
     nr, n_rows = len(r), len(row_weights)
     if n_rows * nr > _MAX_ENTRIES:
         raise ValidationError(
             f"{n_rows} {what} at {nr} r values make {n_rows * nr} entries: at most {_MAX_ENTRIES}; use fewer r values"
         )
-    psums = wsums = np.zeros(nr)  # each block rebinds them, none writes them
+    psums, wsums = np.zeros(nr), np.zeros(nr)
     for lo, hi in _row_blocks(n_rows, nr):
         if isinstance(domain, LinearNetwork):
             part = (rows[0][lo:hi], rows[1][lo:hi])
@@ -145,17 +153,18 @@ def _retention_curve(domain, rows, cols, g, row_weights, r, what):
         else:
             part = rows[lo:hi]
             bdist = boundary_distance(domain, part[:, 0], part[:, 1])
-        i, j, d = cross_pairs(domain, part, cols, min(r[-1], bdist.max()))
-        keep = d <= bdist[i]
-        i, j, d = i[keep], j[keep], d[keep]
-        prod = np.ones((len(bdist), nr))
-        np.multiply.at(prod.reshape(-1), i * nr + _bins(r, d), g[j])
+        K = np.searchsorted(r, bdist, side="right")  # r[0] = 0 <= bdist: K >= 1
+        # numpy sums a one-column array pairwise, not in row order
+        m = min(nr, max(2, K.max()))
+        i, j, d = cross_pairs(domain, part, cols, r[K.max() - 1])
+        prod = np.ones((len(bdist), m))
+        np.multiply.at(prod.reshape(-1), i * m + _bins(r, d), g[j])
         np.cumprod(prod, axis=1, out=prod)
-        wts = row_weights[lo:hi, None] * (bdist[:, None] >= r[None, :])
+        wts = row_weights[lo:hi, None] * (bdist[:, None] >= r[None, :m])
         prod *= wts
-        prod[0] += psums
-        wts[0] += wsums
-        psums, wsums = prod.sum(axis=0), wts.sum(axis=0)
+        prod[0] += psums[:m]
+        wts[0] += wsums[:m]
+        psums[:m], wsums[:m] = prod.sum(axis=0), wts.sum(axis=0)
     vals = np.full(nr, np.nan)
     ok = wsums > 0  # the row weights are positive: some row is retained
     vals[ok] = 1.0 - psums[ok] / wsums[ok]

@@ -1,6 +1,8 @@
 """Shared fixtures and independent oracle helpers."""
 
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,15 @@ def random_connected_network(rng, n_vertices, extra_edge_prob=0.3):
             if (a, b) not in edges and rng.uniform() < extra_edge_prob:
                 edges.add((a, b))
     return LinearNetwork(pts, sorted(edges))
+
+
+def grid_network_arrays(*args):
+    """bench/inputs.grid_network_arrays, the benchmark's grid network."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.grid_network_arrays(*args)
 
 
 def shortest_path_by_enumeration(net, source, target):

@@ -4,7 +4,6 @@ bounded by the budget instead of by all pairs or all distances. A budget
 patched small also sends network pairs through the k-d candidate search
 instead of the one-block sweep, and the r bins through a small table."""
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -47,18 +46,9 @@ from markedpoints import _dist, markcorr, summaries
 from markedpoints._dist import close_pairs, cross_pairs
 from markedpoints.geometry import _MAX_CELLS, _check_cells
 
-from conftest import random_connected_network
+from conftest import grid_network_arrays, random_connected_network
 
 BLOCKS = [1, 7, 64]
-
-
-def _grid_network_arrays(*args):
-    """bench/inputs.grid_network_arrays, the benchmark's grid network."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.grid_network_arrays(*args)
 
 
 @pytest.fixture(scope="module")
@@ -318,7 +308,7 @@ def _traced_peak(call) -> float:
 @pytest.fixture(scope="module")
 def grid_pattern():
     """About 2,900 uniform points on the benchmark's 30 x 30 grid network."""
-    net = LinearNetwork(*_grid_network_arrays(np.random.default_rng(5), 30, 10.0, 100))
+    net = LinearNetwork(*grid_network_arrays(np.random.default_rng(5), 30, 10.0, 100))
     net.vertex_distances()  # the cached V x V matrix is not the call's memory
     return poisson_network(2900.0 / net.total_length, net, np.random.default_rng(6))
 

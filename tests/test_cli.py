@@ -332,6 +332,15 @@ K_EMPTY_OTHERS = {
                                                   "zero, negative or NaN type-i intensity at a data point"),
 }
 
+# bandwidths at the ends of the float range: a square past it (exit 3), and a
+# kernel so wide that its window mass at a cell or a point rounds to 0 (exit 4)
+EXTREME_SIGMA = {
+    "intensity_heat_sigma_square_overflows": (["--method", "heat", "--sigma", "1e155"], 3),
+    "intensity_uniform_sigma_square_overflows": (["--method", "uniform", "--sigma", "1e300"], 3),
+    "intensity_uniform_window_mass_vanishes": (["--method", "uniform", "--sigma", "1e154"], 4),
+    "intensity_jd_point_mass_vanishes": (["--method", "jd", "--sigma", "1e154"], 4),
+}
+
 # --sigma cvl picks a Gaussian bandwidth, so it refuses another --kernel
 CVL_OTHER_KERNEL = {
     "intensity_cvl_epanechnikov": ["intensity", "--sigma", "cvl", "--kernel", "epanechnikov"],
@@ -363,7 +372,8 @@ CVL_OTHER_KERNEL = {
     + [(case, code) for case, (_, code) in K_NOT_FINITE.items()]
     + [(case, 3) for case in GRID_OVER_CAP]
     + [(case, 3) for case in CVL_OTHER_KERNEL]
-    + [(case, 3) for case in K_EMPTY_OTHERS],
+    + [(case, 3) for case in K_EMPTY_OTHERS]
+    + [(case, code) for case, (_, code) in EXTREME_SIGMA.items()],
 )
 def test_bad_input_exit_code_without_traceback(tmp_path, capsys, tree_file, planar_csv, case, code):
     env = dict(os.environ)
@@ -422,6 +432,8 @@ def test_bad_input_exit_code_without_traceback(tmp_path, capsys, tree_file, plan
         argv = [paths.get(a, a) for a in GRID_OVER_CAP[case]]
     elif case in CVL_OTHER_KERNEL:
         argv = CVL_OTHER_KERNEL[case] + ["--pattern", planar_csv, "--window", "0,1,0,1"]
+    elif case in EXTREME_SIGMA:
+        argv = ["intensity", "--pattern", planar_csv, "--window", "0,1,0,1", "--grid", "16"] + EXTREME_SIGMA[case][0]
     elif case in K_EMPTY_OTHERS:
         flags, message = K_EMPTY_OTHERS[case]
         kdot = {}
@@ -571,6 +583,8 @@ _VALID = {
 _SIZE_FLAGS = {"--grid", "--bins", "--nsim", "--n-expected", "--rate", "--grid-spacing", "--lgcp-step",
                "--nu", "--base-const"}
 _OVER_CAP = {"--bins": [str(2**24)], "--lgcp-step": ["0.03"]}
+# bandwidths whose square overflows or whose kernel underflows everywhere
+_EXTREME = {"--sigma": ["1e155", "1e300", "1e-300"]}
 _FILE_FLAGS = {"--pattern": ("planar.csv", "network.csv"), "--network": ("net.json",), "metadata": ("meta.json",)}
 
 
@@ -628,7 +642,7 @@ def _contract_argv(draw, files):
             values = _BAD + [_OMIT] if name in bad else sorted(action.choices) + [_OMIT]
         else:
             omit = [] if name in _SIZE_FLAGS else [_OMIT]
-            values = _BAD + omit if name in bad else [_VALID[name]] + _OVER_CAP.get(name, []) + omit
+            values = _BAD + omit if name in bad else [_VALID[name]] + _OVER_CAP.get(name, []) + _EXTREME.get(name, []) + omit
         value = draw(st.sampled_from(values))
         if value is not _OMIT:
             argv += [name, value] if action.option_strings else [value]

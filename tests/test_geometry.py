@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from markedpoints import (
     LinearNetwork,
@@ -21,7 +22,7 @@ from markedpoints import (
 )
 from markedpoints.geometry import _border_dist, _loc_arrays, network_arc_mesh, network_cross_distances
 
-from conftest import location_distance, random_connected_network, shortest_path_by_enumeration
+from conftest import grid_network_arrays, location_distance, random_connected_network, shortest_path_by_enumeration
 
 
 # ---------------- windows ----------------
@@ -163,6 +164,23 @@ def test_vertex_distances_match_enumeration_sample():
         for a in range(net.n_vertices):
             for b in range(a + 1, net.n_vertices):
                 assert D[a, b] == shortest_path_by_enumeration(net, a, b)
+
+
+def test_vertex_distances_one_way_equal_the_undirected_mirror():
+    # one directed Dijkstra over both directions of every segment, mirrored
+    # row by row, gives the bits of an undirected Dijkstra mirrored through
+    # its lower-triangle indices
+    rng = np.random.default_rng(8)
+    nets = [random_connected_network(rng, n, p) for n in (2, 5, 12, 40) for p in (0.0, 0.3)]
+    for m in (3, 12):
+        ring = np.column_stack([np.cos(2 * np.pi * np.arange(m) / m), np.sin(2 * np.pi * np.arange(m) / m)])
+        nets.append(LinearNetwork(ring * 7.3, [[k, (k + 1) % m] for k in range(m)]))
+    nets.append(LinearNetwork(*grid_network_arrays(np.random.default_rng(5), 30, 10.0, 100)))
+    for net in nets:
+        want = dijkstra(net._graph, directed=False)
+        lower = np.tril_indices(net.n_vertices, k=-1)
+        want[lower] = want.T[lower]
+        assert np.array_equal(net.vertex_distances(), want)
 
 
 @settings(max_examples=30, deadline=None)

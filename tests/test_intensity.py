@@ -94,6 +94,35 @@ def test_epanechnikov_clip_matches_the_masked_formula(args):
     assert np.array_equal(np.signbit(got), np.signbit(want))  # no -0.0 either
 
 
+@st.composite
+def _gaussian_args(draw):
+    """h from 1e-300 to 1e154 and points t: +-0, +-inf, NaN, h * s for s
+    up to 40 (past about 38.6 the density underflows, through the
+    subnormals, to 0) and any floats."""
+    h = draw(st.floats(1e-300, 1e154))
+    scaled = draw(st.lists(st.floats(-40.0, 40.0), max_size=8))
+    anywhere = draw(st.lists(st.floats(allow_nan=False), max_size=4))
+    t = [0.0, -0.0, np.inf, -np.inf, np.nan] + [h * s for s in scaled] + anywhere
+    return h, np.array(draw(st.permutations(t)))
+
+
+@example((1e154, np.array([0.0, 1e154, -3e155, 5e-324])))
+@example((1e-300, np.array([1e-300, 3.8e-299, 5e-324, 1.0, -1e308])))
+@given(_gaussian_args())
+def test_gaussian_pdf_in_place_matches_the_closed_form(args):
+    # kernel1d_pdf squares, scales and exponentiates in place; exp dispatches
+    # on the CPU, and the in-place call must give the bits of the closed form
+    h, t = args
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = kernel1d_pdf("gaussian", h, t)
+    with np.errstate(over="ignore"):
+        u = t / h
+        want = np.exp(-0.5 * u * u) / (np.sqrt(2.0 * np.pi) * h)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("family", ["gaussian", "epanechnikov", "box"])
 def test_kernel_mass_matches_quadrature(family, unit_square):
     k = KernelSpec(0.2, family)

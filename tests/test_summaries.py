@@ -19,6 +19,7 @@ from markedpoints import (
     SummaryCurve,
     VARIOGRAM,
     ValidationError,
+    envelopes,
     f_inhom,
     h_cross_inhom,
     j_cross_inhom,
@@ -26,10 +27,12 @@ from markedpoints import (
     k_dot_inhom,
     mark_sum_measure,
     mark_weighted_k,
+    poisson_planar,
     r_grid,
     split_by_type,
 )
 from markedpoints import TestFunction as MarkTestFunction
+from markedpoints import _dist
 from markedpoints._dist import cross_pairs
 from markedpoints.geometry import _border_dist, _loc_arrays, network_arc_mesh, network_cross_distances
 from markedpoints.summaries import translation_weights
@@ -41,10 +44,13 @@ from conftest import dense_distances, planar_pattern, random_connected_network
 
 
 def k_cross_oracle(pi, pj, li, lj, r_values, translation=False):
+    """Ordered pairs; a pattern against itself pairs no point with itself."""
     w = pi.domain
     out = np.zeros(len(r_values))
     for a, x in enumerate(pi.coords()):
         for b, y in enumerate(pj.coords()):
+            if pi is pj and a == b:
+                continue
             d = np.hypot(x[0] - y[0], x[1] - y[1])
             e = 1.0
             if translation:
@@ -120,6 +126,37 @@ def test_k_cross_empty_is_zero(unit_square):
     pj = planar_pattern(unit_square, [(0.6, 0.5)])
     curve = k_cross_inhom(pi, pj, 1.0, 1.0, "none", np.array([0.0, 0.2]))
     assert np.all(curve.values == 0.0)
+
+
+def test_infinite_intensity_refused(unit_square):
+    p = planar_pattern(unit_square, [(0.6, 0.5), (0.2, 0.3)])
+    for call in (
+        lambda: f_inhom(p, np.inf),
+        lambda: h_cross_inhom(p, p, 1.0, np.array([1.0, np.inf])),
+        lambda: k_cross_inhom(p, p, np.inf, 1.0),
+    ):
+        with pytest.raises(ValidationError, match="infinite, zero, negative or NaN"):
+            call()
+
+
+def test_k_of_a_pattern_with_itself_pairs_no_point_with_itself(unit_square):
+    # a point is not its own neighbour: on CSR data K(0) = 0 and the 95 %
+    # Poisson band covers pi r^2 at small r; a self pair would add
+    # n / (lambda^2 |W|), about 0.005 here, at every r
+    r = r_grid(0.03, 30)
+    p = poisson_planar(200.0, unit_square, np.random.default_rng(206))
+    assert k_cross_inhom(p, p, 200.0, 200.0, "translation", r).values[0] == 0.0
+    band = envelopes(
+        lambda rng: poisson_planar(200.0, unit_square, rng),
+        lambda q: k_cross_inhom(q, q, 200.0, 200.0, "translation", r),
+        39,
+        0.95,
+        7,
+    )
+    theo = np.pi * r**2
+    small = r >= 0.01  # where a replicate has a pair within r
+    assert band.lo[0] == band.hi[0] == 0.0
+    assert np.all((band.lo[small] <= theo[small]) & (theo[small] <= band.hi[small]))
 
 
 def test_k_checks_its_arguments_when_a_pattern_is_empty(unit_square):
@@ -357,10 +394,7 @@ def test_mark_weighted_constant_marks_equals_unmarked(unit_square):
     r = np.linspace(0, 0.25, 26)
     got = mark_weighted_k(p, STOYAN, 10.0, "none", r)
     # unmarked K via ordered-pair cross machinery on the same pattern
-    want = k_cross_oracle(p, p, np.full(10, 10.0), np.full(10, 10.0), r) - (
-        # remove the diagonal contribution: pairs x == y at distance 0
-        np.ones(len(r)) * 10 / (10.0 * 10.0) / unit_square.area
-    )
+    want = k_cross_oracle(p, p, np.full(10, 10.0), np.full(10, 10.0), r)
     assert np.allclose(got.values, want, rtol=1e-10)
 
 
@@ -403,12 +437,13 @@ def test_network_k_single_segment_pair_counting():
     lam = len(offs) / 100.0
     r = np.linspace(0, 25, 26)
     curve = k_cross_inhom(p, p, lam, lam, "none", r)
-    # 1-D oracle: ordered pairs (incl. self at d=0) by offset arithmetic
+    # 1-D oracle: ordered pairs of two points by offset arithmetic
     want = np.zeros(len(r))
     pos = np.array(offs) * 100.0
-    for a in pos:
-        for b in pos:
-            want += (np.abs(a - b) <= r) / (lam * lam)
+    for ka, a in enumerate(pos):
+        for kb, b in enumerate(pos):
+            if ka != kb:
+                want += (np.abs(a - b) <= r) / (lam * lam)
     want /= net.total_length
     assert np.allclose(curve.values, want)
 
@@ -490,6 +525,26 @@ def test_cross_pairs_rejects_patterns_on_two_networks():
     pb_on_a = MarkedPointPattern(net_a, pb.points)
     i, j, d = cross_pairs(net_a, pa, pb_on_a, 100.0)
     assert (i.tolist(), j.tolist(), d.tolist()) == ([0], [0], [10.0])
+
+
+@settings(deadline=None)
+@given(scale=st.floats(-6.0, 6.0), offset=st.floats(-1e8, 1e8), seed=st.integers(0, 2**32 - 1))
+def test_planar_cross_pair_tree_distances_equal_cdist(scale, offset, seed):
+    # planar cross pairs keep the k-d tree's own distances, which must be
+    # cdist's to the bit, at scales 1e-6 to 1e6 and offsets up to 1e8 x scale
+    rng = np.random.default_rng(seed)
+    scale = 10.0**scale
+    a = offset * scale + rng.uniform(0.0, scale, size=(30, 2))
+    b = np.vstack([offset * scale + rng.uniform(0.0, scale, size=(25, 2)), a[:5]])  # five at distance 0
+    window = PlanarWindow(a.min() - scale, a.max() + scale, a.min() - scale, a.max() + scale)
+    dense = cdist(a, b)
+    cutoff = float(np.quantile(dense, rng.uniform(0.05, 0.6)))  # an exact pair distance
+    i, j, d = cross_pairs(window, a, b, cutoff)
+    want_i, want_j = np.nonzero(dense <= cutoff)
+    order = np.lexsort((j, i))
+    np.testing.assert_array_equal(i[order], want_i)
+    np.testing.assert_array_equal(j[order], want_j)
+    assert np.array_equal(d, dense[i, j])
 
 
 # ---------------- pair engine against dense brute-force oracles ----------------
@@ -616,8 +671,10 @@ def test_summaries_match_dense_oracles(case):
     size = pi.domain_size
     d = dense_distances(pi, pj)
 
-    # K: ordered pairs, self pairs included when pi is pj
+    # K: ordered pairs, none of a point with itself when pi is pj
     w = 1.0 / np.outer(li, lj) / size
+    if pi is pj:
+        np.fill_diagonal(w, 0.0)
     if ec == "translation" and pi.n and pj.n:
         w = w * _translation(domain, pi.coords(), pj.coords(), d, r[-1])
     want, sc = _pair_sum_oracle(d, w, r)
@@ -653,6 +710,64 @@ def test_summaries_match_dense_oracles(case):
     with np.errstate(invalid="ignore"):
         want = (inside @ m) / inside.sum(axis=1)
     _assert_close(mark_sum_measure(p, radius), want, (inside @ np.abs(m)) / np.maximum(inside.sum(axis=1), 1))
+
+
+def _retained_r_case(kind):
+    """(type-i, type-j, intensities, r grid, F grid spacing): the first 40
+    type-i points lie within r[1] of the border, and type j has a point on
+    each of them, so their products at r = 0 are not 1."""
+    rng = np.random.default_rng(61)
+    if kind == "planar":
+        w = PlanarWindow(0.0, 1.0, 0.0, 1.0)
+        edge = np.column_stack([rng.uniform(0.0, 0.01, 40), rng.uniform(size=40)])
+        pi = MarkedPointPattern.from_columns(w, np.vstack([edge, rng.uniform(0.1, 0.9, size=(12, 2))]))
+        pj = MarkedPointPattern.from_columns(w, np.vstack([edge, rng.uniform(size=(30, 2))]))
+        return pi, pj, rng.uniform(0.5, 2.0, pi.n), rng.uniform(0.5, 2.0, pj.n), r_grid(0.25, 8), 1.0 / 16.0
+    net = random_connected_network(rng, 12, extra_edge_prob=0.0)  # a tree: its leaves are the border
+    leaf = net.border_vertices()[rng.integers(0, len(net.border_vertices()), 40)]
+    at_leaf = [int(np.nonzero((net.segments == v).any(axis=1))[0][0]) for v in leaf]
+    near = np.where(net.segments[at_leaf, 0] == leaf, 0.01, 0.99)
+    seg_i = np.concatenate([at_leaf, rng.integers(0, net.n_segments, 12)])
+    off_i = np.concatenate([near, rng.uniform(size=12)])
+    seg_j = np.concatenate([seg_i[:40], rng.integers(0, net.n_segments, 30)])
+    off_j = np.concatenate([off_i[:40], rng.uniform(size=30)])
+    pi = MarkedPointPattern.from_columns(net, (seg_i, off_i))
+    pj = MarkedPointPattern.from_columns(net, (seg_j, off_j))
+    return pi, pj, rng.uniform(0.5, 2.0, pi.n), rng.uniform(0.5, 2.0, pj.n), r_grid(6.0, 16), net.total_length / 64
+
+
+@pytest.mark.parametrize("kind", ["planar", "network"])
+def test_h_f_stop_at_the_last_retained_r(monkeypatch, kind):
+    # each block's products stop at its last retained r value; blocks of 12
+    # or 40 rows, where that comes before the last r value, must give the
+    # one-block bits and the dense oracle's values; the first H block is
+    # retained at r = 0 alone, and its sums must still run in row order
+    pi, pj, li, lj, r, spacing = _retained_r_case(kind)
+    domain = pi.domain
+    rows_i = pi.locations() if pi.is_network else pi.coords()
+    grid = _grid_rows(domain, spacing)
+    bdist_i, bdist_f = _border(domain, rows_i), _border(domain, grid)
+    assert bdist_i[:40].max() < r[1]
+    assert any(bdist_f[k : k + 12].max() < r[-1] for k in range(0, len(grid), 12))
+
+    def curves():
+        return [
+            h_cross_inhom(pi, pj, li, lj, r=r).values,
+            f_inhom(pj, lj, grid_spacing=spacing, r=r).values,
+        ]
+
+    want = curves()
+    g = 1.0 - lj.min() / lj
+    h_dense = _retention_oracle(dense_distances(pi, pj), g, bdist_i, 1.0 / li, r)
+    f_dense = _retention_oracle(_rows_to(domain, grid, pj), g, bdist_f, np.ones(len(grid)), r)
+    for rows in (12, 40):
+        monkeypatch.setattr(_dist, "_BLOCK", rows * len(r))
+        got = curves()
+        for g_vals, w_vals in zip(got, want):
+            np.testing.assert_array_equal(g_vals, w_vals)
+        _assert_close(got[0], h_dense, 1.0)
+        _assert_close(got[1], f_dense, 1.0)
+    assert want[0][0] != 0.0  # the coincident type-j points count at r = 0
 
 
 def test_f_memory_stays_below_the_dense_matrix(unit_square):
