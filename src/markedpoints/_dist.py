@@ -73,38 +73,42 @@ def close_pairs(p: MarkedPointPattern, cutoff: float):
     if p.is_network:
         n, cols = p.n, p.seg_off()
         if n * (n - 1) // 2 > _BLOCK:
-            return _network_pairs(p.domain, cols, cols, cutoff, upper=True)
+            return _network_pairs(p.domain, cols, cols, cKDTree(_embed(p.domain, *cols)), cutoff, upper=True)
         i, j = np.triu_indices(n, 1)
-        d = _sp_dist(p.domain, cols, cols, i, j)
-        keep = d <= cutoff
-        return i[keep], j[keep], d[keep]
+        return _within(i, j, _sp_dist(p.domain, cols, cols, i, j), cutoff)
     xy = p.coords()
     # the tree rounds differently from cdist: search a hair wider, filter exactly
     ij = cKDTree(xy).query_pairs(cutoff * (1.0 + 1e-9), output_type="ndarray")
     i, j = ij[:, 0], ij[:, 1]
-    d = _euclidean(xy, xy, i, j)
+    return _within(i, j, _euclidean(xy, xy, i, j), cutoff)
+
+
+def _within(i, j, d, cutoff):
+    """The pairs (i, j, d) with d <= cutoff: the arrays themselves when every
+    pair passes, as a search a hair wider than the cutoff usually gives."""
     keep = d <= cutoff
+    if keep.all():
+        return i, j, d
     return i[keep], j[keep], d[keep]
 
 
-def _network_pairs(net: LinearNetwork, a, b, cutoff: float, upper: bool):
+def _network_pairs(net: LinearNetwork, a, b, tree, cutoff: float, upper: bool):
     """Pairs (i, j, d) of the (segment, offset) columns a and b at
     shortest-path distance d <= cutoff, in row-major order, with j > i only
-    when upper.
+    when upper; tree is the k-d tree of b's planar embedding.
 
     A path of length L moves the planar embedding at most kappa * L, for
     kappa = net._stretch, the largest chord / length ratio of any segment
     (at least 1), so a k-d tree query at radius kappa * cutoff, widened for
-    rounding, misses no pair. Each row block of a is queried against a tree
-    of all of b, at most _BLOCK candidates a block, and its candidates are
-    sorted row-major and filtered by the exact distance, the one _sp_dist
-    gives the sweep.
+    rounding, misses no pair. Each row block of a is queried against the
+    tree of all of b, at most _BLOCK candidates a block, and its candidates
+    are sorted row-major and filtered by the exact distance, the one
+    _sp_dist gives the sweep.
     """
     reach = net._stretch * cutoff
     # the embedding of a location rounds by a few ulp of the coordinates
     radius = reach + 1e-9 * (reach + np.abs(net.vertices).max())
     xa, nb = _embed(net, *a), len(b[0])
-    tree = cKDTree(_embed(net, *b))
     parts = []
     for lo, hi in _row_blocks(len(xa), nb):
         ijv = cKDTree(xa[lo:hi]).sparse_distance_matrix(tree, radius, output_type="ndarray")
@@ -114,9 +118,7 @@ def _network_pairs(net: LinearNetwork, a, b, cutoff: float, upper: bool):
             key = key[j > i]
         key.sort()
         i, j = np.divmod(key, nb)
-        d = _sp_dist(net, a, b, i, j)
-        keep = d <= cutoff
-        parts.append((i[keep], j[keep], d[keep]))
+        parts.append(_within(i, j, _sp_dist(net, a, b, i, j), cutoff))
     return _joined(parts)
 
 
@@ -135,9 +137,13 @@ def _joined(parts):
 
 
 def _euclidean(xy_a, xy_b, i, j) -> np.ndarray:
-    """sqrt(dx*dx + dy*dy) for the row pairs (i, j), in the order cdist uses."""
-    dx = xy_a[i, 0] - xy_b[j, 0]
-    dy = xy_a[i, 1] - xy_b[j, 1]
+    """sqrt(dx*dx + dy*dy) for the row pairs (i, j), in the order cdist uses;
+    each coordinate is gathered from its column, one pair-length array at a
+    time."""
+    dx = xy_a[:, 0][i]
+    dx -= xy_b[:, 0][j]
+    dy = xy_a[:, 1][i]
+    dy -= xy_b[:, 1][j]
     dx *= dx
     dy *= dy
     dx += dy
@@ -162,33 +168,60 @@ def cross_pairs(domain, a, b, cutoff: float):
     or network (segment, offset) columns on it. Distances are bit-identical
     to the matching entries of cdist or network_cross_distances.
     """
-    a, b = _points_on(domain, a), _points_on(domain, b)
+    return cross_search(domain, b)(a, cutoff)
+
+
+def cross_search(domain, b):
+    """The search (a, cutoff) -> cross_pairs(domain, a, b, cutoff), for any
+    number of sides a; the k-d tree of b is built once, by the first search
+    that needs it."""
+    b = _points_on(domain, b)
     network = isinstance(domain, LinearNetwork)
-    na, nb = (len(a[0]), len(b[0])) if network else (len(a), len(b))
-    if na == 0 or nb == 0:
-        return _joined([])
-    if network:
-        if na * nb > _BLOCK:
-            return _network_pairs(domain, a, b, cutoff, upper=False)
-        dc = _cross_dist(domain, a, b)
-        i, j = np.nonzero(dc <= cutoff)
-        return i, j, dc[i, j]
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    # search a hair wider, so no rounding in the tree's pruning loses a pair,
-    # and filter exactly: its distances are cdist's, sqrt(dx*dx + dy*dy)
-    ijv = cKDTree(a).sparse_distance_matrix(
-        cKDTree(b), cutoff * (1.0 + 1e-9), output_type="ndarray"
-    )
-    keep = ijv["v"] <= cutoff
-    return ijv["i"][keep], ijv["j"][keep], ijv["v"][keep]
+    if not network:
+        b = np.asarray(b, dtype=float)
+    nb = len(b[0]) if network else len(b)
+    tree = None
+
+    def search(a, cutoff):
+        nonlocal tree
+        a = _points_on(domain, a)
+        na = len(a[0]) if network else len(a)
+        if na == 0 or nb == 0:
+            return _joined([])
+        if network:
+            if na * nb <= _BLOCK:
+                dc = _cross_dist(domain, a, b)
+                i, j = np.nonzero(dc <= cutoff)
+                return i, j, dc[i, j]
+            if tree is None:
+                tree = cKDTree(_embed(domain, *b))
+            return _network_pairs(domain, a, b, tree, cutoff, upper=False)
+        if tree is None:
+            tree = cKDTree(b)
+        # search a hair wider, so no rounding in the tree's pruning loses a
+        # pair, and filter exactly: its distances are cdist's, sqrt(dx*dx + dy*dy)
+        ijv = cKDTree(np.asarray(a, dtype=float)).sparse_distance_matrix(
+            tree, cutoff * (1.0 + 1e-9), output_type="ndarray"
+        )
+        return _within(ijv["i"], ijv["j"], ijv["v"], cutoff)
+
+    return search
 
 
-def translation_weights(window, xy_a, xy_b) -> np.ndarray:
+def translation_weights(window, xy_a, xy_b, i, j) -> np.ndarray:
     """Translation edge correction |W| / |W intersect W shifted by (a - b)|
-    for each row pair of xy_a and xy_b (rows broadcast)."""
+    for the row pairs (i, j) of xy_a and xy_b, formed one coordinate column
+    at a time."""
     xy_a, xy_b = np.asarray(xy_a, dtype=float), np.asarray(xy_b, dtype=float)
-    ox = window.width - np.abs(xy_a[..., 0] - xy_b[..., 0])
-    oy = window.height - np.abs(xy_a[..., 1] - xy_b[..., 1])
-    if np.any(ox <= 0) or np.any(oy <= 0):
-        raise ValidationError("point pair separation exceeds the window size")
-    return window.area / (ox * oy)
+    overlap = []
+    for axis, side in ((0, window.width), (1, window.height)):
+        o = xy_a[:, axis][i]
+        o -= xy_b[:, axis][j]
+        np.abs(o, out=o)
+        np.subtract(side, o, out=o)
+        if np.any(o <= 0):
+            raise ValidationError("point pair separation exceeds the window size")
+        overlap.append(o)
+    ox, oy = overlap
+    ox *= oy
+    return np.divide(window.area, ox, out=ox)

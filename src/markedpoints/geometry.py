@@ -228,7 +228,13 @@ def _sp_dist(net: LinearNetwork, a, b, ia, ib) -> np.ndarray:
         for eb, vb in ends_b:
             cand = (ea + eb) + D.take(va + vb)
             best = cand if best is None else np.minimum(best, cand, out=best)
-    # two locations on one segment may also meet directly along it
+    return _along_segment(net, a, b, ia, ib, best)
+
+
+def _along_segment(net: LinearNetwork, a, b, ia, ib, best) -> np.ndarray:
+    """best, lowered in place where a[ia] and b[ib] share a segment and meet
+    directly along it."""
+    (sa, oa), (sb, ob) = a, b
     same = sa[ia] == sb[ib]
     if same.any():
         ka, kb = (np.broadcast_to(k, same.shape)[same] for k in (ia, ib))
@@ -237,8 +243,27 @@ def _sp_dist(net: LinearNetwork, a, b, ia, ib) -> np.ndarray:
 
 
 def _cross_dist(net: LinearNetwork, a, b) -> np.ndarray:
-    """Dense (len a, len b) shortest-path matrix between (segment, offset) columns."""
-    return _sp_dist(net, a, b, np.arange(len(a[0]))[:, None], np.arange(len(b[0]))[None, :])
+    """Dense (len a, len b) shortest-path matrix between (segment, offset)
+    columns, with the sums of _sp_dist. The vertex-distance rows of each
+    segment end of the side with fewer points are gathered once, and each
+    of the four end-to-end candidates, in _sp_dist's order, takes its
+    columns from them into one reused buffer."""
+    if len(b[0]) < len(a[0]):
+        # the vertex matrix and every sum are symmetric in a and b
+        return np.ascontiguousarray(_cross_dist(net, b, a).T)
+    D = net.vertex_distances()
+    (sa, oa), (sb, ob) = a, b
+    da, db = _end_distances(net, sa, oa), _end_distances(net, sb, ob)
+    best, cand = np.empty((len(sa), len(sb))), np.empty((len(sa), len(sb)))
+    for e in (0, 1):
+        rows = D[net.segments[sa, e]]
+        for f in (0, 1):
+            out = best if e == f == 0 else cand
+            np.add(da[e][:, None], db[f][None, :], out=out)
+            out += rows.take(net.segments[sb, f], axis=1)
+            if out is cand:
+                np.minimum(best, cand, out=best)
+    return _along_segment(net, a, b, np.arange(len(sa))[:, None], np.arange(len(sb))[None, :], best)
 
 
 def network_cross_distances(net: LinearNetwork, locs_a, locs_b) -> np.ndarray:

@@ -197,6 +197,7 @@ def _normalized(tfs, p: MarkedPointPattern, smoothing, r, ec: str, stoyan_rule="
     if np.any(ds[1:] == ds[:-1]):  # a tie: ds is the same, the permutation may not be
         order = np.argsort(d, kind="stable")
     i, j, d = i[order], j[order], ds
+    del order, ds
     lo = np.searchsorted(d, r - supp, side="left")
     counts = np.searchsorted(d, r + supp, side="right") - lo
     entries = int(counts.sum())
@@ -205,18 +206,23 @@ def _normalized(tfs, p: MarkedPointPattern, smoothing, r, ec: str, stoyan_rule="
             f"mark correlation kernel matrix of {entries} entries: at most {_MAX_ENTRIES}; "
             "use fewer r values or a smaller bandwidth"
         )
-    weights = translation_weights(p.domain, p.coords()[i], p.coords()[j]) if ec == "symmetricWeight" else None
+    weights = translation_weights(p.domain, p.coords(), p.coords(), i, j) if ec == "symmetricWeight" else None
     itype = np.int32 if len(d) < np.iinfo(np.int32).max else np.int64  # entries < 2^28 < 2^31
     vals, sums = None, []
     for a, b in _row_blocks(len(r), counts):
         K = _kernel_rows(smoothing, r[a:b], d, lo[a:b], counts[a:b], itype, weights)
         if vals is None:
-            # the pair values are formed after the first block and stay referenced
-            # until this call returns: forming them first, or freeing them once
-            # stacked, made a study replicate slower (3-10x the minor page faults)
+            # the pair values are formed after the first block and stay referenced,
+            # with the pairs and both marks, until this call returns: forming them
+            # first made a study replicate slower (3-10x the minor page faults),
+            # and freeing the pairs and marks once used raised a study pass's
+            # faults 1.7x. One matrix, allocated once and filled a column at a
+            # time: each test function, then ones
             mi, mj = marks[i], marks[j]
-            tv = [_pair_values(tf, mi, mj, mu) for tf in tfs] + [np.ones(len(d))]
-            vals = np.column_stack(tv)
+            vals = np.empty((len(d), len(tfs) + 1))
+            for s, tf in enumerate(tfs):
+                vals[:, s] = _pair_values(tf, mi, mj, mu)
+            vals[:, -1] = 1.0
         sums.append(K @ vals)
     sums = sums[0] if len(sums) == 1 else np.concatenate(sums)
     out = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .geometry import (
     LinearNetwork,
     NetworkLocation,
@@ -216,12 +216,24 @@ def split_by_type(p: MarkedPointPattern) -> dict:
 def _moments(m: np.ndarray) -> tuple[float, float]:
     """Mean and population (1/N) variance of a nonempty float array from the
     values centred on their mean, less the centred sum's square (the corrected
-    two-pass form of Chan, Golub & LeVeque 1983); equal values give exactly 0."""
+    two-pass form of Chan, Golub & LeVeque 1983); equal values give exactly 0.
+
+    Marks whose largest magnitude or whose range has a square past the float
+    range (about 1.34e154), or whose variance overflows, raise
+    NumericalError: their pair products would overflow."""
+    lo, hi = float(m.min()), float(m.max())
+    big = max(-lo, hi, hi - lo)
+    if big * big == np.inf:
+        raise NumericalError(f"marks from {lo:g} to {hi:g}: pair products of marks this large overflow")
     mu = float(m.mean())
-    if m.min() == m.max():
+    if lo == hi:
         return mu, 0.0
     d = m - mu
-    return mu, float((np.sum(d * d) - d.sum() ** 2 / len(d)) / len(d))
+    with np.errstate(over="ignore"):
+        var = float((np.sum(d * d) - d.sum() ** 2 / len(d)) / len(d))
+    if var == np.inf:
+        raise NumericalError(f"marks from {lo:g} to {hi:g}: their variance overflows")
+    return mu, var
 
 
 def mark_moments(p: MarkedPointPattern) -> MarkSummaryStats:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from ._dist import close_pairs
+from ._dist import _row_blocks, close_pairs
 from .geometry import (
     LinearNetwork,
     NetworkLocation,
@@ -138,7 +138,13 @@ class GaussianFieldSpec:
         return np.full(len(locs), float(self.mean))
 
     def cov_matrix(self, d_anchor: np.ndarray) -> np.ndarray:
-        return _elementwise(self.cov, d_anchor[:, None], d_anchor[None, :])
+        """cov(d_i, d_j) for every pair of anchor distances, evaluated in row
+        blocks, so cov's temporaries are block-sized."""
+        n = len(d_anchor)
+        out = np.empty((n, n))
+        for lo, hi in _row_blocks(n, n):
+            out[lo:hi] = _elementwise(self.cov, d_anchor[lo:hi, None], d_anchor[None, :])
+        return out
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -191,10 +197,13 @@ def lgcp_network(
             raise ValidationError(f"covariance function is asymmetric at ({a}, {b})")
 
     cov = spec.cov_matrix(d0)
-    if not np.allclose(cov, cov.T, rtol=1e-9, atol=1e-12):
+    blocks = _row_blocks(len(cov), len(cov))
+    if not all(np.allclose(cov[lo:hi], cov[:, lo:hi].T, rtol=1e-9, atol=1e-12) for lo, hi in blocks):
         raise ValidationError("induced covariance matrix is asymmetric")
     jitter = spec.nugget * max(1.0, float(np.abs(np.diag(cov)).max()))
-    factor = _psd_factor(cov + jitter * np.eye(len(cov)))
+    # on the diagonal in place: off it, only an exact -0.0 differs from cov + jitter * I
+    np.fill_diagonal(cov, cov.diagonal() + jitter)
+    factor = _psd_factor(cov)
     z = spec.mean_at(_locations(seg, mid)) + factor @ rng.standard_normal(len(seg))
     with np.errstate(over="ignore"):  # an overflow reads inf, which the cap refuses
         mu = np.exp(z) * ((t1 - t0) * net.seg_lengths[seg])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._dist import _bins, _row_blocks, close_pairs, cross_pairs, translation_weights
+from ._dist import _bins, _row_blocks, close_pairs, cross_pairs, cross_search, translation_weights
 from .curves import SummaryCurve, _r_values
 from .errors import NumericalError, ValidationError
 from .geometry import _MAX_ENTRIES, LinearNetwork, _arc_mesh, _border_dist, _check_cells, boundary_distance
@@ -54,9 +54,10 @@ def _check_k_ec(ec: str, p: MarkedPointPattern):
 def _k_step_curve(i, j, d, w, r, ec, pa, pb) -> np.ndarray:
     """Nondecreasing step function sum_{pairs with d <= r} w on the r grid,
     from the pairs (i, j, d) with d <= max(r) and their weights w: one
-    bincount on the r bins of _dist._bins and a cumulative sum, O(pairs)."""
+    bincount on the r bins of _dist._bins and a cumulative sum, O(pairs);
+    the translation correction multiplies w in place."""
     if ec == "translation":
-        w = w * translation_weights(pa.domain, pa.coords()[i], pb.coords()[j])
+        w *= translation_weights(pa.domain, pa.coords(), pb.coords(), i, j)
     # pair q enters every r_k >= d_q, from its bin on
     vals = np.cumsum(np.bincount(_bins(r, d), weights=w, minlength=len(r)))
     if not np.all(np.isfinite(vals)):
@@ -89,11 +90,20 @@ def k_cross_inhom(
     # no point is its own neighbour: when pj is pi, each pair i < j counts in both orders
     i, j, d = close_pairs(pi, r[-1]) if pj is pi else cross_pairs(pi.domain, pi, pj, r[-1])
     with np.errstate(all="ignore"):  # intensity products can underflow; a non-finite K raises
-        w = 1.0 / (li[i] * lj[j]) / size
+        w = _inverse_products(li, i, lj, j, size)
         if pj is pi:
-            w += 1.0 / (li[j] * lj[i]) / size
+            w += _inverse_products(li, j, lj, i, size)
         vals = _k_step_curve(i, j, d, w, r, ec, pi, pj)
     return SummaryCurve(r, vals, "kcross", theo, {"ec": ec})
+
+
+def _inverse_products(li, i, lj, j, size) -> np.ndarray:
+    """1.0 / (li[i] * lj[j]) / size, in one pair-length array."""
+    w = li[i]
+    w *= lj[j]
+    np.divide(1.0, w, out=w)
+    w /= size
+    return w
 
 
 def k_dot_inhom(
@@ -112,7 +122,10 @@ def k_dot_inhom(
 
 def _retention_factors(lam_j, pj: MarkedPointPattern, inf_lam_j):
     """Factors g_j = 1 - inf_lam_j / lambda_j of the type-j points, and
-    inf_lam_j (the observed minimum of lambda_j when None)."""
+    inf_lam_j (the observed minimum of lambda_j when None); a given inf_lam_j
+    must be finite, nonnegative and at most that minimum (1 + 1e-12)."""
+    if inf_lam_j is not None and not 0.0 <= inf_lam_j < np.inf:
+        raise ValidationError(f"inf_lam_j must be finite and nonnegative, got {inf_lam_j}")
     if pj.n == 0:
         return np.zeros(0), inf_lam_j
     lj = _positive_intensities(lam_j, pj, "type-j")
@@ -138,7 +151,8 @@ def _retention_curve(domain, rows, cols, g, row_weights, r, what):
     only that row's zero-weight columns, whose +-0 terms leave every sum
     as it is. Rows go in _row_blocks of len(r) entries a row, and the
     running sums enter each block's first row, so the sums over rows run
-    in row order whatever the blocks are.
+    in row order whatever the blocks are. One k-d tree of cols serves the
+    pair searches of every block.
     """
     nr, n_rows = len(r), len(row_weights)
     if n_rows * nr > _MAX_ENTRIES:
@@ -146,6 +160,7 @@ def _retention_curve(domain, rows, cols, g, row_weights, r, what):
             f"{n_rows} {what} at {nr} r values make {n_rows * nr} entries: at most {_MAX_ENTRIES}; use fewer r values"
         )
     psums, wsums = np.zeros(nr), np.zeros(nr)
+    search = cross_search(domain, cols)
     for lo, hi in _row_blocks(n_rows, nr):
         if isinstance(domain, LinearNetwork):
             part = (rows[0][lo:hi], rows[1][lo:hi])
@@ -156,7 +171,7 @@ def _retention_curve(domain, rows, cols, g, row_weights, r, what):
         K = np.searchsorted(r, bdist, side="right")  # r[0] = 0 <= bdist: K >= 1
         # numpy sums a one-column array pairwise, not in row order
         m = min(nr, max(2, K.max()))
-        i, j, d = cross_pairs(domain, part, cols, r[K.max() - 1])
+        i, j, d = search(part, r[K.max() - 1])
         prod = np.ones((len(bdist), m))
         np.multiply.at(prod.reshape(-1), i * m + _bins(r, d), g[j])
         np.cumprod(prod, axis=1, out=prod)
@@ -263,7 +278,14 @@ def mark_weighted_k(
     i, j, d = close_pairs(p, r[-1])
     w = _pair_values(tf, marks[i], marks[j], mu)
     with np.errstate(all="ignore"):  # intensity products can underflow; a non-finite K raises
-        vals = _k_step_curve(i, j, d, 2.0 * (w / (lamv[i] * lamv[j]) / (p.domain_size * c)), r, ec, p, p)
+        # 2 (w / (lam_i lam_j) / (|W| c)), in place
+        lam_ij = lamv[i]
+        lam_ij *= lamv[j]
+        w /= lam_ij
+        del lam_ij
+        w /= p.domain_size * c
+        w *= 2.0
+        vals = _k_step_curve(i, j, d, w, r, ec, p, p)
     return SummaryCurve(r, vals, "kweighted", None, {"tf": tf.name, "ec": ec})
 
 

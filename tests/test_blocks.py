@@ -24,6 +24,7 @@ from markedpoints import (
     MarkedPointPattern,
     NetworkLocation,
     PlanarWindow,
+    STOYAN,
     SmoothingSpec1D,
     ValidationError,
     f_inhom,
@@ -35,6 +36,7 @@ from markedpoints import (
     k_cross_inhom,
     lgcp_network,
     mark_corr_suite,
+    mark_weighted_k,
     model_marks,
     normalization,
     pair_average,
@@ -345,6 +347,50 @@ def test_network_intensity_memory_bounded_by_the_budget(grid_pattern):
     assert _traced_peak(lambda: intensity_network(grid_pattern, KernelSpec(20.0))) < 64
 
 
+@pytest.fixture(scope="module")
+def dense_planar():
+    """10^4 uniform points with gamma marks on the unit square."""
+    rng = np.random.default_rng(7)
+    w = PlanarWindow(0.0, 1.0, 0.0, 1.0)
+    return MarkedPointPattern.from_columns(w, rng.uniform(size=(10_000, 2)), marks=rng.gamma(2.0, 1.5, 10_000))
+
+
+def test_planar_k_bytes_per_pair(dense_planar):
+    # each pair consumer forms each pair-length array once and updates it in
+    # place: 96 (K) and 104 (mark-weighted K) B per pair when the weights,
+    # the translation correction and the distances were formed by
+    # expressions, 40 in place
+    p, r = dense_planar, r_grid(0.05, 512)
+    pairs = len(close_pairs(p, r[-1])[0])
+    assert pairs > 350_000
+    for call in (
+        lambda: k_cross_inhom(p, p, 10_000.0, 10_000.0, "translation", r),
+        lambda: mark_weighted_k(p, STOYAN, 10_000.0, "translation", r),
+    ):
+        assert _traced_peak(call) * 2**20 / pairs <= 56
+
+
+def test_mark_corr_suite_bytes_per_pair(dense_planar):
+    # the value matrix filled a column at a time, the sort permutation
+    # dropped once applied: 168 B per pair before, 120 after
+    p, sm, r = dense_planar, SmoothingSpec1D(0.001), r_grid(0.05, 512)
+    pairs = len(close_pairs(p, markcorr._reach(sm, r))[0])
+    assert _traced_peak(lambda: mark_corr_suite(p, sm, r, "symmetricWeight")) * 2**20 / pairs <= 125
+
+
+def test_lgcp_memory_on_the_benchmark_network(grid_pattern):
+    # 1,270 cells: the covariance, evaluated in row blocks, and numpy's
+    # Cholesky, which holds three cells x cells arrays; the whole-matrix
+    # covariance, symmetry check and jitter took 38.6 MiB, 24.9 after
+    net = grid_pattern.domain
+    spec = GaussianFieldSpec(
+        mean=float(np.log(600.0 / net.total_length) - 0.05),
+        cov=lambda a, b: 0.1 * np.exp(-np.abs(np.subtract(a, b)) / 10.0),
+        anchor=NetworkLocation(0, 0.5),
+    )
+    assert _traced_peak(lambda: lgcp_network(spec, net, 15.0, np.random.default_rng(3))) <= 36
+
+
 def test_mark_corr_suite_memory_bounded_by_the_budget(unit_square):
     # the whole kernel matrix at n = 10^4 took 253 MiB
     rng = np.random.default_rng(7)
@@ -383,7 +429,7 @@ def test_kernel_entries_over_the_cap_refused_before_any_row(monkeypatch, unit_sq
 def test_retention_entries_over_the_cap_refused_before_any_row(monkeypatch, unit_square, stat):
     # H and F cost rows x r values (type-i points, or F grid cells, at each
     # r); with the cap patched to one entry fewer than the input needs, the
-    # curve is refused before the first row block searches its pairs
+    # curve is refused before its pair search over the type-j points is set up
     rng = np.random.default_rng(14)
     p = MarkedPointPattern.from_columns(unit_square, rng.uniform(size=(2000, 2)))
     r = r_grid(0.25, 512)
@@ -392,8 +438,8 @@ def test_retention_entries_over_the_cap_refused_before_any_row(monkeypatch, unit
     else:
         entries, call = p.n * len(r), lambda: h_cross_inhom(p, p, 2000.0, 2000.0, r=r)
     searches = []
-    search = summaries.cross_pairs
-    monkeypatch.setattr(summaries, "cross_pairs", lambda *args: searches.append(1) or search(*args))
+    search = summaries.cross_search
+    monkeypatch.setattr(summaries, "cross_search", lambda *args: searches.append(1) or search(*args))
     monkeypatch.setattr(summaries, "_MAX_ENTRIES", entries - 1)
 
     def refused():

@@ -341,6 +341,16 @@ EXTREME_SIGMA = {
     "intensity_jd_point_mass_vanishes": (["--method", "jd", "--sigma", "1e154"], 4),
 }
 
+# marks whose square passes the float range: model I at --a 1e308 writes
+# marks of 1e308, whose pair products overflow (exit 4; markcorr on them
+# exited 0 with four all-NaN curves, and the envelope with NaN bands);
+# HUGE is the pattern that simulate writes
+HUGE_MARKS = {
+    "markcorr_huge_marks": ["markcorr", "--pattern", "HUGE", "--network", "TREE", "--tf", "suite"],
+    "envelope_huge_marks": ["envelope", "--model", "modelI", "--stat", "stoyan", "--a", "1e308",
+                            "--network", "TREE", "--nsim", "39"],
+}
+
 # --sigma cvl picks a Gaussian bandwidth, so it refuses another --kernel
 CVL_OTHER_KERNEL = {
     "intensity_cvl_epanechnikov": ["intensity", "--sigma", "cvl", "--kernel", "epanechnikov"],
@@ -373,7 +383,8 @@ CVL_OTHER_KERNEL = {
     + [(case, 3) for case in GRID_OVER_CAP]
     + [(case, 3) for case in CVL_OTHER_KERNEL]
     + [(case, 3) for case in K_EMPTY_OTHERS]
-    + [(case, code) for case, (_, code) in EXTREME_SIGMA.items()],
+    + [(case, code) for case, (_, code) in EXTREME_SIGMA.items()]
+    + [(case, 4) for case in HUGE_MARKS],
 )
 def test_bad_input_exit_code_without_traceback(tmp_path, capsys, tree_file, planar_csv, case, code):
     env = dict(os.environ)
@@ -434,6 +445,11 @@ def test_bad_input_exit_code_without_traceback(tmp_path, capsys, tree_file, plan
         argv = CVL_OTHER_KERNEL[case] + ["--pattern", planar_csv, "--window", "0,1,0,1"]
     elif case in EXTREME_SIGMA:
         argv = ["intensity", "--pattern", planar_csv, "--window", "0,1,0,1", "--grid", "16"] + EXTREME_SIGMA[case][0]
+    elif case in HUGE_MARKS:
+        sim = ["simulate", "--model", "modelI", "--a", "1e308", "--network", tree_file, "--out-dir", str(tmp_path / "sim")]
+        assert main(sim) == 0
+        paths = {"HUGE": str(tmp_path / "sim" / "pattern.csv"), "TREE": tree_file}
+        argv = [paths.get(a, a) for a in HUGE_MARKS[case]]
     elif case in K_EMPTY_OTHERS:
         flags, message = K_EMPTY_OTHERS[case]
         kdot = {}
@@ -464,6 +480,8 @@ def test_bad_input_exit_code_without_traceback(tmp_path, capsys, tree_file, plan
         assert "--sigma cvl needs --kernel gaussian" in proc.stderr
     if case in K_EMPTY_OTHERS:
         assert message in proc.stderr
+    if case in HUGE_MARKS:
+        assert "pair products of marks this large overflow" in proc.stderr
 
 
 ENVELOPE_SMALL = dict(nsim=39, seed=7, n_expected=30.0, rmax=100.0, bins=16, bandwidth=25.0)
@@ -583,14 +601,28 @@ _VALID = {
 _SIZE_FLAGS = {"--grid", "--bins", "--nsim", "--n-expected", "--rate", "--grid-spacing", "--lgcp-step",
                "--nu", "--base-const"}
 _OVER_CAP = {"--bins": [str(2**24)], "--lgcp-step": ["0.03"]}
-# bandwidths whose square overflows or whose kernel underflows everywhere
+# bandwidths whose square overflows or whose kernel underflows everywhere,
+# and finite extremes of every other flag that is not a size: squares past
+# the float range, values that underflow, huge negatives
+_FINITE_EXTREMES = ["1e300", "-1e300", "1e-300", "1e155"]
 _EXTREME = {"--sigma": ["1e155", "1e300", "1e-300"]}
-_FILE_FLAGS = {"--pattern": ("planar.csv", "network.csv"), "--network": ("net.json",), "metadata": ("meta.json",)}
+_EXTREME.update(
+    (flag, _FINITE_EXTREMES)
+    for flag in ("--bandwidth", "--a", "--b", "--tau", "--radius", "--lambda-const", "--rmax", "--level",
+                 "--lgcp-mu", "--lgcp-var")
+)
+_EXTREME["--base-cosine"] = [
+    ",".join(v if k == field else good for k, good in enumerate(_VALID["--base-cosine"].split(",")))
+    for field in range(3)
+    for v in _FINITE_EXTREMES
+]
+_FILE_FLAGS = {"--pattern": ("planar.csv", "network.csv", "huge_marks.csv"), "--network": ("net.json",), "metadata": ("meta.json",)}
 
 
 @pytest.fixture(scope="module")
 def contract_files(tmp_path_factory):
     """Valid, truncated and non-numeric pattern, network and metadata files,
+    a planar pattern with marks of 1e300 and -1e155,
     a file that is not UTF-8, a directory and a missing path."""
     root = tmp_path_factory.mktemp("contract")
     rng = np.random.default_rng(5)
@@ -604,6 +636,8 @@ def contract_files(tmp_path_factory):
     on_net = MarkedPointPattern.from_columns(net, (rng.integers(0, 5, 30), rng.uniform(size=30)),
                                              marks=rng.gamma(2.0, 1.0, 30), labels=labels)
     save_pattern_csv(on_net, root / "network.csv")
+    # marks whose pair products overflow
+    save_pattern_csv(planar.with_marks(np.where(np.arange(30) % 2, 1e300, -1e155)), root / "huge_marks.csv")
     assert main(["simulate", "--model", "poisson", "--window", "0,50,0,50", "--rate", "0.01",
                  "--out-dir", str(root / "sim")]) == 0
     os.replace(root / "sim" / "simulate_metadata.json", root / "meta.json")
@@ -615,6 +649,7 @@ def contract_files(tmp_path_factory):
         bad.write_text(text.replace("0", "abc", 3) if name.endswith("json") else text.replace(",", ",abc", 2))
         files[name] = str(root / name)
         files[f"truncated_{name}"], files[f"nonnumeric_{name}"] = str(cut), str(bad)
+    files["huge_marks.csv"] = str(root / "huge_marks.csv")
     files["missing"] = str(root / "missing.csv")
     (root / "directory").mkdir()
     files["directory"] = str(root / "directory")

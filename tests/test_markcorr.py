@@ -608,7 +608,7 @@ def _kernel_rows_args(case, ec):
     of the r grid of a _sort_case input, with the weights of ec."""
     p, smoothing, r = _sort_case(case)
     i, j, d, lo, counts = _stable_sort_reference(smoothing, r, close_pairs(p, _reach(smoothing, r)))
-    weights = translation_weights(p.domain, p.coords()[i], p.coords()[j]) if ec == "symmetricWeight" else None
+    weights = translation_weights(p.domain, p.coords(), p.coords(), i, j) if ec == "symmetricWeight" else None
     return smoothing, r, d, lo, counts, weights
 
 

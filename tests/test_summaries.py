@@ -296,6 +296,20 @@ def test_h_inf_lambda_validation(unit_square):
         h_cross_inhom(pi, pj, 1.0, 1.0, 2.0, np.array([0.0, 0.1]))
 
 
+@pytest.mark.parametrize("bad", [-1.0, -1e300, float("nan"), float("inf")])
+def test_negative_or_non_finite_inf_lam_j_refused(unit_square, bad):
+    # a negative inf_lam_j gave H down to -9.1e28 and F down to -3.9e37
+    # (-1e300: an overflow warning); NaN gave NaN curves
+    rng = np.random.default_rng(22)
+    pi, pj = (planar_pattern(unit_square, rng.uniform(size=(30, 2))) for _ in range(2))
+    with pytest.raises(ValidationError, match="inf_lam_j"):
+        h_cross_inhom(pi, pj, 1.0, 1e-5, inf_lam_j=bad)
+    with pytest.raises(ValidationError, match="inf_lam_j"):
+        f_inhom(pj, 1e-5, inf_lam_j=bad)
+    # zero is allowed: every factor is 1, and H and F are 0 wherever a row is retained
+    assert np.nanmax(np.abs(h_cross_inhom(pi, pj, 1.0, 1e-5, inf_lam_j=0.0).values)) == 0.0
+
+
 def test_h_matches_oracle(unit_square):
     rng = np.random.default_rng(21)
     for _ in range(8):
@@ -461,8 +475,8 @@ def test_network_h_uses_border_reduction():
 def test_translation_weight_values(unit_square):
     xy_a = np.array([[0.1, 0.1]])
     xy_b = np.array([[0.6, 0.1]])
-    w = translation_weights(unit_square, xy_a[:, None], xy_b[None, :])
-    assert w[0, 0] == pytest.approx(1.0 / 0.5)
+    w = translation_weights(unit_square, xy_a, xy_b, np.array([0]), np.array([0]))
+    assert w[0] == pytest.approx(1.0 / 0.5)
 
 
 def test_translation_on_opposite_window_edges(unit_square):
