@@ -42,7 +42,7 @@ from .markcorr import (
     mark_corr,
     mark_corr_suite,
 )
-from .pattern import _fmt, _write_table, load_pattern_csv, save_pattern_csv, split_by_type
+from .pattern import _fmt, _moments, _write_table, load_pattern_csv, save_pattern_csv, split_by_type
 from .simulate import (
     GaussianFieldSpec,
     constant_field_sampler,
@@ -259,6 +259,8 @@ def _simulate_pattern(args, rng):
         p = poisson_network(lam, net, rng)
         kind = model[5:]
         p = model_marks(kind, p, rng, a=args.a, b=args.b, tau=args.tau, radius=args.radius)
+        if p.n:
+            _moments(p.marks())  # refuses marks that no mark statistic could analyse
         return p, net
     if model == "poisson":
         domain = _load_domain(args)

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import csr_array
 
+from . import _dist
 from ._dist import _row_blocks, close_pairs, translation_weights
 from .curves import SummaryCurve, _r_values
 from .errors import NumericalError, ValidationError
@@ -149,9 +150,11 @@ def _reach(smoothing: SmoothingSpec1D, r: np.ndarray) -> float:
     return float(r.max() + kernel1d_support(smoothing.kernel, smoothing.bandwidth))
 
 
-def _kernel_rows(smoothing, r, d, lo, counts, itype, weights):
+def _kernel_rows(smoothing, r, d, lo, counts, itype, weights, w0, w1):
     """CSR rows of K for the grid values r, over the sorted pair distances
-    d; row k's entries are the consecutive pairs lo[k] .. lo[k] + counts[k] - 1."""
+    d; row k's entries are the consecutive pairs lo[k] .. lo[k] + counts[k] - 1.
+    Its columns are the pairs w0 .. w1 - 1, which must hold every row's
+    entries."""
     indptr = np.zeros(len(r) + 1, dtype=itype)
     np.cumsum(counts, out=indptr[1:])
     cols = np.arange(indptr[-1], dtype=itype)
@@ -167,7 +170,9 @@ def _kernel_rows(smoothing, r, d, lo, counts, itype, weights):
     kv *= 2.0
     if weights is not None:
         kv *= weights[cols.astype(np.intp, copy=False)]
-    return csr_array((kv, cols, indptr), shape=(len(r), len(d)))
+    if w0:
+        cols -= w0
+    return csr_array((kv, cols, indptr), shape=(len(r), w1 - w0))
 
 
 def _normalized(tfs, p: MarkedPointPattern, smoothing, r, ec: str, stoyan_rule="pairs", pairs=None):
@@ -179,7 +184,9 @@ def _normalized(tfs, p: MarkedPointPattern, smoothing, r, ec: str, stoyan_rule="
     the test functions of each pair's marks and a ones column, so (K @ v)[k]
     sums over ordered pairs i != j. K goes in blocks of consecutive r rows of
     at most _BLOCK entries, each row summed in order: the blocks change no
-    value. pairs, if given, is close_pairs(p, c) for a c >= _reach(smoothing, r)."""
+    value, nor do the windows of consecutive pairs in which v is formed,
+    each used by the blocks whose pairs it holds. pairs, if given, is
+    close_pairs(p, c) for a c >= _reach(smoothing, r)."""
     if p.n < 2:
         raise ValidationError("mark correlation needs at least 2 marked points")
     if ec not in ("none", "symmetricWeight"):
@@ -208,20 +215,35 @@ def _normalized(tfs, p: MarkedPointPattern, smoothing, r, ec: str, stoyan_rule="
         )
     weights = translation_weights(p.domain, p.coords(), p.coords(), i, j) if ec == "symmetricWeight" else None
     itype = np.int32 if len(d) < np.iinfo(np.int32).max else np.int64  # entries < 2^28 < 2^31
-    vals, sums = None, []
+    width = len(tfs) + 1
+    vals, sums, w1 = None, [], 0
     for a, b in _row_blocks(len(r), counts):
-        K = _kernel_rows(smoothing, r[a:b], d, lo[a:b], counts[a:b], itype, weights)
+        start, stop = int(lo[a]), int(lo[b - 1] + counts[b - 1])
+        if vals is None or stop > w1:
+            # a window of the sorted pairs from this block's first pair, at
+            # least _BLOCK entries and four block spans: the later blocks
+            # whose pairs it holds reuse its values
+            vals = None
+            w0, w1 = start, min(len(d), start + max(_dist._BLOCK // width, 4 * (stop - start)))
+        K = _kernel_rows(smoothing, r[a:b], d, lo[a:b], counts[a:b], itype, weights, w0, w1)
         if vals is None:
-            # the pair values are formed after the first block and stay referenced,
-            # with the pairs and both marks, until this call returns: forming them
-            # first made a study replicate slower (3-10x the minor page faults),
-            # and freeing the pairs and marks once used raised a study pass's
-            # faults 1.7x. One matrix, allocated once and filled a column at a
-            # time: each test function, then ones
-            mi, mj = marks[i], marks[j]
-            vals = np.empty((len(d), len(tfs) + 1))
-            for s, tf in enumerate(tfs):
-                vals[:, s] = _pair_values(tf, mi, mj, mu)
+            # one window's pair values, a column at a time (each test function,
+            # then ones), from the marks of chunks of at most _BLOCK entries.
+            # They are formed after the block's kernel rows, and the first
+            # chunk's marks before the matrix: a study replicate (one window,
+            # one chunk) was slower with the values first (3-10x the minor page
+            # faults) and with the matrix before the marks (8 of 8 benchmark
+            # pairs). A single window's values stay referenced, with the pairs
+            # and marks, until this call returns: freeing them once used raised
+            # a study pass's faults 1.7x. An empty window is one empty chunk
+            step = max(1, _dist._BLOCK // width)
+            for c0 in range(w0, max(w1, w0 + 1), step):
+                c1 = min(w1, c0 + step)
+                mi, mj = marks[i[c0:c1]], marks[j[c0:c1]]
+                if c0 == w0:
+                    vals = np.empty((w1 - w0, width))
+                for s, tf in enumerate(tfs):
+                    vals[c0 - w0 : c1 - w0, s] = _pair_values(tf, mi, mj, mu)
             vals[:, -1] = 1.0
         sums.append(K @ vals)
     sums = sums[0] if len(sums) == 1 else np.concatenate(sums)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import cholesky
 
 from .errors import NumericalError, ValidationError
 from ._dist import _row_blocks, close_pairs
@@ -147,17 +148,22 @@ class GaussianFieldSpec:
         return out
 
 
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Matrix square root of a PSD covariance.
+def _psd_factor(build: Callable[[], np.ndarray]) -> np.ndarray:
+    """Matrix square root of the PSD covariance that build() forms.
 
-    Cholesky when positive definite; otherwise an eigen square root so that
-    singular-but-PSD matrices (a constant or zero field) still factor.
-    A genuinely indefinite matrix is reported, not silently repaired.
+    Cholesky when positive definite, from LAPACK in place: the upper factor
+    of the Fortran-order view cov.T, which reads cov's lower triangle, is
+    the transpose of cov's lower factor, so the result is cov's own memory
+    in C order. Otherwise, since the failed factorization overwrote cov,
+    build() forms it again for an eigen square root, so that
+    singular-but-PSD matrices (a constant or zero field) still factor. A
+    genuinely indefinite matrix is reported, not silently repaired.
     """
     try:
-        return np.linalg.cholesky(cov)
+        return cholesky(build().T, lower=False, overwrite_a=True, check_finite=False).T
     except np.linalg.LinAlgError:
         pass
+    cov = build()
     w, v = np.linalg.eigh((cov + cov.T) / 2.0)
     tol = 1e-10 * max(1.0, float(np.abs(w).max()))
     if w.min() < -tol:
@@ -196,14 +202,17 @@ def lgcp_network(
         if abs(spec.cov(a, b) - spec.cov(b, a)) > 1e-9 * max(1.0, abs(spec.cov(a, b))):
             raise ValidationError(f"covariance function is asymmetric at ({a}, {b})")
 
-    cov = spec.cov_matrix(d0)
-    blocks = _row_blocks(len(cov), len(cov))
-    if not all(np.allclose(cov[lo:hi], cov[:, lo:hi].T, rtol=1e-9, atol=1e-12) for lo, hi in blocks):
-        raise ValidationError("induced covariance matrix is asymmetric")
-    jitter = spec.nugget * max(1.0, float(np.abs(np.diag(cov)).max()))
-    # on the diagonal in place: off it, only an exact -0.0 differs from cov + jitter * I
-    np.fill_diagonal(cov, cov.diagonal() + jitter)
-    factor = _psd_factor(cov)
+    def jittered_cov():
+        cov = spec.cov_matrix(d0)
+        blocks = _row_blocks(len(cov), len(cov))
+        if not all(np.allclose(cov[lo:hi], cov[:, lo:hi].T, rtol=1e-9, atol=1e-12) for lo, hi in blocks):
+            raise ValidationError("induced covariance matrix is asymmetric")
+        jitter = spec.nugget * max(1.0, float(np.abs(np.diag(cov)).max()))
+        # on the diagonal in place: off it, only an exact -0.0 differs from cov + jitter * I
+        np.fill_diagonal(cov, cov.diagonal() + jitter)
+        return cov
+
+    factor = _psd_factor(jittered_cov)
     z = spec.mean_at(_locations(seg, mid)) + factor @ rng.standard_normal(len(seg))
     with np.errstate(over="ignore"):  # an overflow reads inf, which the cap refuses
         mu = np.exp(z) * ((t1 - t0) * net.seg_lengths[seg])

@@ -372,23 +372,25 @@ def test_planar_k_bytes_per_pair(dense_planar):
 
 def test_mark_corr_suite_bytes_per_pair(dense_planar):
     # the value matrix filled a column at a time, the sort permutation
-    # dropped once applied: 168 B per pair before, 120 after
+    # dropped once applied: 168 B per pair before, 120 after; the values and
+    # marks of one window of the pairs at a time, not of all pairs: 79
     p, sm, r = dense_planar, SmoothingSpec1D(0.001), r_grid(0.05, 512)
     pairs = len(close_pairs(p, markcorr._reach(sm, r))[0])
-    assert _traced_peak(lambda: mark_corr_suite(p, sm, r, "symmetricWeight")) * 2**20 / pairs <= 125
+    assert _traced_peak(lambda: mark_corr_suite(p, sm, r, "symmetricWeight")) * 2**20 / pairs <= 86
 
 
 def test_lgcp_memory_on_the_benchmark_network(grid_pattern):
-    # 1,270 cells: the covariance, evaluated in row blocks, and numpy's
-    # Cholesky, which holds three cells x cells arrays; the whole-matrix
-    # covariance, symmetry check and jitter took 38.6 MiB, 24.9 after
+    # 1,270 cells: the covariance, evaluated in row blocks, and its Cholesky
+    # factor; the whole-matrix covariance, symmetry check and jitter took
+    # 38.6 MiB, 24.9 after, with numpy's Cholesky holding three cells x cells
+    # arrays; LAPACK's, in place, holds one: 16.7
     net = grid_pattern.domain
     spec = GaussianFieldSpec(
         mean=float(np.log(600.0 / net.total_length) - 0.05),
         cov=lambda a, b: 0.1 * np.exp(-np.abs(np.subtract(a, b)) / 10.0),
         anchor=NetworkLocation(0, 0.5),
     )
-    assert _traced_peak(lambda: lgcp_network(spec, net, 15.0, np.random.default_rng(3))) <= 36
+    assert _traced_peak(lambda: lgcp_network(spec, net, 15.0, np.random.default_rng(3))) <= 20
 
 
 def test_mark_corr_suite_memory_bounded_by_the_budget(unit_square):

@@ -341,11 +341,12 @@ EXTREME_SIGMA = {
     "intensity_jd_point_mass_vanishes": (["--method", "jd", "--sigma", "1e154"], 4),
 }
 
-# marks whose square passes the float range: model I at --a 1e308 writes
+# marks whose square passes the float range: model I at --a 1e308 draws
 # marks of 1e308, whose pair products overflow (exit 4; markcorr on them
-# exited 0 with four all-NaN curves, and the envelope with NaN bands);
-# HUGE is the pattern that simulate writes
+# exited 0 with four all-NaN curves, the envelope with NaN bands, and
+# simulate wrote them); HUGE is a tree pattern with marks of 1e308
 HUGE_MARKS = {
+    "simulate_huge_marks": ["simulate", "--model", "modelI", "--a", "1e308", "--network", "TREE"],
     "markcorr_huge_marks": ["markcorr", "--pattern", "HUGE", "--network", "TREE", "--tf", "suite"],
     "envelope_huge_marks": ["envelope", "--model", "modelI", "--stat", "stoyan", "--a", "1e308",
                             "--network", "TREE", "--nsim", "39"],
@@ -446,9 +447,11 @@ def test_bad_input_exit_code_without_traceback(tmp_path, capsys, tree_file, plan
     elif case in EXTREME_SIGMA:
         argv = ["intensity", "--pattern", planar_csv, "--window", "0,1,0,1", "--grid", "16"] + EXTREME_SIGMA[case][0]
     elif case in HUGE_MARKS:
-        sim = ["simulate", "--model", "modelI", "--a", "1e308", "--network", tree_file, "--out-dir", str(tmp_path / "sim")]
+        sim = ["simulate", "--model", "modelI", "--network", tree_file, "--out-dir", str(tmp_path / "sim")]
         assert main(sim) == 0
-        paths = {"HUGE": str(tmp_path / "sim" / "pattern.csv"), "TREE": tree_file}
+        sim = load_pattern_csv(tmp_path / "sim" / "pattern.csv", load_network(tree_file))
+        save_pattern_csv(sim.with_marks(np.full(sim.n, 1e308)), tmp_path / "huge.csv")
+        paths = {"HUGE": str(tmp_path / "huge.csv"), "TREE": tree_file}
         argv = [paths.get(a, a) for a in HUGE_MARKS[case]]
     elif case in K_EMPTY_OTHERS:
         flags, message = K_EMPTY_OTHERS[case]
@@ -482,6 +485,7 @@ def test_bad_input_exit_code_without_traceback(tmp_path, capsys, tree_file, plan
         assert message in proc.stderr
     if case in HUGE_MARKS:
         assert "pair products of marks this large overflow" in proc.stderr
+        assert not (tmp_path / "out" / "pattern.csv").exists()
 
 
 ENVELOPE_SMALL = dict(nsim=39, seed=7, n_expected=30.0, rmax=100.0, bins=16, bandwidth=25.0)
@@ -658,17 +662,36 @@ def contract_files(tmp_path_factory):
     return files
 
 
+# the domain flags that match each valid pattern file, None for left out
+_DOMAIN_OF = {
+    "planar.csv": {"--window": _VALID["--window"], "--network": None},
+    "huge_marks.csv": {"--window": _VALID["--window"], "--network": None},
+    "network.csv": {"--window": None, "--network": "net.json"},
+}
+
+
 @st.composite
 def _contract_argv(draw, files):
     """argv of one subcommand: every flag at a valid value or left out, except
-    up to two flags drawn from the bad values (or a wrong file)."""
+    up to two flags drawn from the bad values (or a wrong file). A valid
+    pattern file comes with its own domain three times in four, so the run
+    reaches the statistic instead of stopping at a domain mismatch."""
     subparsers = build_parser()._subparsers._group_actions[0].choices
     command = draw(st.sampled_from(sorted(subparsers)))
     actions = [a for a in subparsers[command]._actions if a.dest not in ("help", "out_dir")]
     names = [a.option_strings[0] if a.option_strings else a.dest for a in actions]
     bad = draw(st.sets(st.sampled_from(names), max_size=2))
+    domain = {}
+    if "--pattern" in names and "--pattern" not in bad and draw(st.integers(0, 3)):
+        pattern = draw(st.sampled_from(_FILE_FLAGS["--pattern"]))
+        domain = {"--pattern": pattern, **_DOMAIN_OF[pattern]}
+        domain = {flag: files.get(v, v) for flag, v in domain.items() if flag not in bad}
     argv = [command]
     for action, name in zip(actions, names):
+        if name in domain:
+            if domain[name] is not None:
+                argv += [name, domain[name]]
+            continue
         if name in _FILE_FLAGS:
             good = [files[f] for f in _FILE_FLAGS[name]]
             wrong = sorted(set(files.values()) - set(good))

@@ -636,7 +636,7 @@ def test_kernel_rows_match_the_gather_through_cols(case, ec, itype):
     kv *= 2.0
     if weights is not None:
         kv *= weights[cols]
-    K = markcorr._kernel_rows(smoothing, r, d, lo, counts, itype, weights)
+    K = markcorr._kernel_rows(smoothing, r, d, lo, counts, itype, weights, 0, len(d))
     assert K.indices.dtype == K.indptr.dtype == itype  # the CSR matrix keeps its index type
     assert np.array_equal(K.data, kv)
     assert np.array_equal(K.indices, cols)
@@ -659,12 +659,12 @@ def test_kernel_rows_gather_through_intp_indices(case, ec, itype):
     # intp one releasing it, so the replicate threads overlap only when every
     # gather of d and of the weights goes through intp
     smoothing, r, d, lo, counts, weights = _kernel_rows_args(case, ec)
-    want = markcorr._kernel_rows(smoothing, r, d, lo, counts, itype, weights)
+    want = markcorr._kernel_rows(smoothing, r, d, lo, counts, itype, weights, 0, len(d))
     d_spy, w_spy = (None if a is None else a.view(_IndexSpy) for a in (d, weights))
     spies = [spy for spy in (d_spy, w_spy) if spy is not None]
     for spy in spies:
         spy.seen = []
-    got = markcorr._kernel_rows(smoothing, r, d_spy, lo, counts, itype, w_spy)
+    got = markcorr._kernel_rows(smoothing, r, d_spy, lo, counts, itype, w_spy, 0, len(d))
     assert [spy.seen for spy in spies] == [[np.dtype(np.intp)]] * len(spies)
     assert np.array_equal(got.data, want.data)
 

@@ -1,6 +1,8 @@
 """Same-bits pins of the paths that form each pair-length array once and
 update it in place: each result is compared, with its sign bits, to the
-expression it replaced, written out here."""
+expression it replaced, written out here. Also the mark-correlation suite
+over several windows of pair values against one window, and LGCP patterns
+from the in-place LAPACK factor against those from numpy's Cholesky."""
 
 import numpy as np
 import pytest
@@ -14,14 +16,17 @@ from markedpoints import (
     MarkedPointPattern,
     NetworkLocation,
     PlanarWindow,
+    SeedSpec,
     SmoothingSpec1D,
     k_cross_inhom,
     lgcp_network,
     mark_corr_suite,
     mark_weighted_k,
     r_grid,
+    replicate_rng,
 )
-from markedpoints import _dist, simulate
+from markedpoints import _dist, markcorr, simulate
+from markedpoints.cli import _simulate_pattern, build_parser
 from markedpoints._dist import _bins, close_pairs, cross_pairs, cross_search, translation_weights
 from markedpoints.errors import ValidationError
 from markedpoints.geometry import _arc_cells, _cross_dist, _loc_arrays, _sp_dist, _uniform_seg_off
@@ -195,7 +200,7 @@ def test_mark_corr_values_same_bits_with_tied_marks(unit_square, ec):
     lo = np.searchsorted(d, r - supp, side="left")
     counts = np.searchsorted(d, r + supp, side="right") - lo
     weights = _old_translation(unit_square, p.coords(), p.coords(), i, j) if ec == "symmetricWeight" else None
-    K = _kernel_rows(smoothing, r, d, lo, counts, np.int32, weights)
+    K = _kernel_rows(smoothing, r, d, lo, counts, np.int32, weights, 0, len(d))
     mi, mj = marks[i], marks[j]
     vals = np.column_stack([_pair_values(tf, mi, mj, mu) for tf in _SUITE] + [np.ones(len(d))])
     assert np.any(vals[:, 1] == 0.0)  # tied marks
@@ -234,7 +239,7 @@ def test_lgcp_covariance_same_bits_in_row_blocks(monkeypatch):
     # the jittered matrix handed to the factor, against cov + jitter * I
     factored = []
     psd_factor = simulate._psd_factor
-    monkeypatch.setattr(simulate, "_psd_factor", lambda m: factored.append(m.copy()) or psd_factor(m))
+    monkeypatch.setattr(simulate, "_psd_factor", lambda build: factored.append(build()) or psd_factor(build))
     p = lgcp_network(spec, net, 5.0, np.random.default_rng(40))
     seg, i, m = _arc_cells(net, 5.0)
     mid = (i / m + (i + 1) / m) / 2.0
@@ -244,3 +249,74 @@ def test_lgcp_covariance_same_bits_in_row_blocks(monkeypatch):
     (got,) = factored
     assert np.any(cov == 0.0) and _same(got, cov + jitter * np.eye(len(cov)))
     assert p.n > 0
+
+
+@pytest.mark.parametrize("ec", ["none", "symmetricWeight"])
+def test_mark_corr_suite_same_bits_over_several_windows(monkeypatch, unit_square, ec):
+    # the pair values formed one window of the sorted pairs at a time, each
+    # window used by every kernel block whose pairs it holds, against one
+    # window of all pairs; tied marks give exact zeros
+    rng = np.random.default_rng(41)
+    p = MarkedPointPattern.from_columns(
+        unit_square, rng.uniform(size=(600, 2)), marks=rng.integers(1, 4, 600).astype(float)
+    )
+    smoothing, r = SmoothingSpec1D(0.01), r_grid(0.1, 64)
+    windows = []
+    kernel_rows = markcorr._kernel_rows
+    monkeypatch.setattr(markcorr, "_kernel_rows", lambda *args: windows.append(args[-2:]) or kernel_rows(*args))
+
+    def suite():
+        windows.clear()
+        s = mark_corr_suite(p, smoothing, r, ec)
+        return [c.values for c in s.curves.values()] + [c.values for c in s.numerators.values()]
+
+    want = suite()
+    assert len(set(windows)) == 1
+    monkeypatch.setattr(_dist, "_BLOCK", 1000)
+    got = suite()
+    assert len(set(windows)) >= 3 and len(windows) > len(set(windows))  # blocks share windows
+    for g, w in zip(got, want):
+        assert _same(g, w)
+
+
+def _grid_lgcp():
+    """The benchmark's LGCP on its grid network (1,270 cells)."""
+    net = LinearNetwork(*grid_network_arrays(np.random.default_rng(5), 30, 10.0, 100))
+    var = 0.1
+    spec = GaussianFieldSpec(
+        mean=float(np.log(600.0 / net.total_length) - var / 2.0),
+        cov=lambda a, b: var * np.exp(-np.abs(np.subtract(a, b)) / 10.0),
+        anchor=NetworkLocation(0, 0.5),
+    )
+    return lambda rng: lgcp_network(spec, net, 15.0, rng)
+
+
+def _tree_lgcp():
+    """simulate --model lgcp: the constant covariance on the bundled tree (552 cells)."""
+    args = build_parser().parse_args(["simulate", "--model", "lgcp", "--out-dir", "unused"])
+    return lambda rng: _simulate_pattern(args, rng)[0]
+
+
+@pytest.mark.parametrize("case", ["grid", "tree"])
+def test_lgcp_in_place_factor_gives_numpys_patterns(monkeypatch, case):
+    # LAPACK's factor, formed in place, differs from numpy's Cholesky in the
+    # last bits of about half its entries: by at most 1.0e-14 on the grid
+    # (largest entry 0.32) and 9.3e-13 on the tree (0.50, a constant
+    # covariance plus the nugget). The patterns drawn with it are the same
+    simulate_one = {"grid": _grid_lgcp, "tree": _tree_lgcp}[case]()
+    psd_factor, gaps = simulate._psd_factor, []
+
+    def compared(build):
+        want = np.linalg.cholesky(build())
+        got = psd_factor(build)
+        gaps.append(np.abs(got - want).max() / np.abs(want).max())
+        return got
+
+    monkeypatch.setattr(simulate, "_psd_factor", compared)
+    got = [simulate_one(replicate_rng(SeedSpec(seed, 0))) for seed in range(20)]
+    assert 0 < max(gaps) < 1e-11
+    monkeypatch.setattr(simulate, "_psd_factor", lambda build: np.linalg.cholesky(build()))
+    want = [simulate_one(replicate_rng(SeedSpec(seed, 0))) for seed in range(20)]
+    assert sum(p.n for p in got) > 20 * 50
+    for g, w in zip(got, want):
+        assert all(_same(a, b) for a, b in zip(g.seg_off(), w.seg_off()))
