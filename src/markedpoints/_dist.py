@@ -3,12 +3,15 @@ within a cutoff and their distances, Euclidean or shortest-path; the r bin
 of each distance; and the entry budget within which the estimators form
 every dense or pair-sized array, one block of rows at a time.
 
-Planar pairs come from a k-d tree. Network pairs that fit in one block are
-swept whole; larger sets take their candidates from a k-d tree on the
-planar embedding, one row block at a time, and keep the candidates whose
-exact shortest-path distance is within the cutoff."""
+Planar pairs come from a k-d tree. Network pairs whose dense distance
+matrix fits in one block are read from that matrix; larger sets take their
+candidates from a k-d tree on the planar embedding, one row block at a
+time, and keep the candidates whose exact shortest-path distance is within
+the cutoff."""
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -66,16 +69,12 @@ def close_pairs(p: MarkedPointPattern, cutoff: float):
 
     Distances are bit-identical to the matching entries of cdist or
     network_cross_distances, so the cutoff test agrees with a filter on the
-    dense matrix. On networks the pairs come in row-major order: when all
-    pairs i < j fit in one block they are all tried, otherwise a k-d tree
-    search proposes the candidates (_network_pairs), in O(_BLOCK) memory.
+    dense matrix. On networks the pairs come in row-major order, as
+    _network_search gives them.
     """
     if p.is_network:
-        n, cols = p.n, p.seg_off()
-        if n * (n - 1) // 2 > _BLOCK:
-            return _network_pairs(p.domain, cols, cols, cKDTree(_embed(p.domain, *cols)), cutoff, upper=True)
-        i, j = np.triu_indices(n, 1)
-        return _within(i, j, _sp_dist(p.domain, cols, cols, i, j), cutoff)
+        cols = p.seg_off()
+        return _network_search(p.domain, cols, cols, cutoff, True, lambda: cKDTree(_embed(p.domain, *cols)))
     xy = p.coords()
     # the tree rounds differently from cdist: search a hair wider, filter exactly
     ij = cKDTree(xy).query_pairs(cutoff * (1.0 + 1e-9), output_type="ndarray")
@@ -92,6 +91,20 @@ def _within(i, j, d, cutoff):
     return i[keep], j[keep], d[keep]
 
 
+def _network_search(net: LinearNetwork, a, b, cutoff: float, upper: bool, tree):
+    """Pairs (i, j, d) of the (segment, offset) columns a and b at
+    shortest-path distance d <= cutoff, in row-major order, with j > i only
+    when upper. When the len(a) x len(b) distances fit in one block they
+    are read from the dense _cross_dist matrix; otherwise _network_pairs
+    searches tree(), the k-d tree of b's planar embedding."""
+    if len(a[0]) * len(b[0]) > _BLOCK:
+        return _network_pairs(net, a, b, tree(), cutoff, upper)
+    dc = _cross_dist(net, a, b)
+    near = dc <= cutoff
+    i, j = np.nonzero(np.triu(near, 1) if upper else near)
+    return i, j, dc[i, j]
+
+
 def _network_pairs(net: LinearNetwork, a, b, tree, cutoff: float, upper: bool):
     """Pairs (i, j, d) of the (segment, offset) columns a and b at
     shortest-path distance d <= cutoff, in row-major order, with j > i only
@@ -102,8 +115,8 @@ def _network_pairs(net: LinearNetwork, a, b, tree, cutoff: float, upper: bool):
     (at least 1), so a k-d tree query at radius kappa * cutoff, widened for
     rounding, misses no pair. Each row block of a is queried against the
     tree of all of b, at most _BLOCK candidates a block, and its candidates
-    are sorted row-major and filtered by the exact distance, the one
-    _sp_dist gives the sweep.
+    are sorted row-major and filtered by the exact distance, which _sp_dist
+    gives bit-identical to the entries of _cross_dist.
     """
     reach = net._stretch * cutoff
     # the embedding of a location rounds by a few ulp of the coordinates
@@ -123,14 +136,12 @@ def _network_pairs(net: LinearNetwork, a, b, tree, cutoff: float, upper: bool):
 
 
 def _joined(parts):
-    """The (i, j, d) arrays of the row blocks in the list parts, in block
-    order; parts is emptied. One column is joined at a time and its block
-    parts are dropped once joined, so the peak is the output and one
+    """The (i, j, d) arrays of the row blocks in the nonempty list parts, in
+    block order; parts is emptied. One column is joined at a time and its
+    block parts are dropped once joined, so the peak is the output and one
     column's parts, not the output twice."""
     if len(parts) == 1:
         return parts[0]
-    if not parts:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
     columns = list(zip(*parts))
     parts.clear()
     return tuple(np.concatenate(columns.pop(0)) for _ in range(3))
@@ -152,7 +163,7 @@ def _euclidean(xy_a, xy_b, i, j) -> np.ndarray:
 
 def _points_on(domain, side):
     """Planar coordinates or network (segment, offset) columns of one side
-    of cross_pairs."""
+    of a cross search."""
     if not isinstance(side, MarkedPointPattern):
         return side
     if side.domain is not domain:
@@ -160,48 +171,29 @@ def _points_on(domain, side):
     return side.seg_off() if side.is_network else side.coords()
 
 
-def cross_pairs(domain, a, b, cutoff: float):
-    """Pairs (i, j) of a point of a and a point of b at distance d <= cutoff,
-    as arrays (i, j, d).
+def cross_search(domain, b):
+    """The search (a, cutoff) -> pairs (i, j) of a point of a and a point of
+    b at distance d <= cutoff, as arrays (i, j, d), for any number of sides
+    a; the k-d tree of b is built once, by the first search that needs it.
 
     a and b are patterns on domain itself, or raw planar coordinates (n, 2)
     or network (segment, offset) columns on it. Distances are bit-identical
     to the matching entries of cdist or network_cross_distances.
     """
-    return cross_search(domain, b)(a, cutoff)
-
-
-def cross_search(domain, b):
-    """The search (a, cutoff) -> cross_pairs(domain, a, b, cutoff), for any
-    number of sides a; the k-d tree of b is built once, by the first search
-    that needs it."""
     b = _points_on(domain, b)
     network = isinstance(domain, LinearNetwork)
     if not network:
         b = np.asarray(b, dtype=float)
-    nb = len(b[0]) if network else len(b)
-    tree = None
+    tree = cache(lambda: cKDTree(_embed(domain, *b) if network else b))
 
     def search(a, cutoff):
-        nonlocal tree
         a = _points_on(domain, a)
-        na = len(a[0]) if network else len(a)
-        if na == 0 or nb == 0:
-            return _joined([])
         if network:
-            if na * nb <= _BLOCK:
-                dc = _cross_dist(domain, a, b)
-                i, j = np.nonzero(dc <= cutoff)
-                return i, j, dc[i, j]
-            if tree is None:
-                tree = cKDTree(_embed(domain, *b))
-            return _network_pairs(domain, a, b, tree, cutoff, upper=False)
-        if tree is None:
-            tree = cKDTree(b)
+            return _network_search(domain, a, b, cutoff, False, tree)
         # search a hair wider, so no rounding in the tree's pruning loses a
         # pair, and filter exactly: its distances are cdist's, sqrt(dx*dx + dy*dy)
         ijv = cKDTree(np.asarray(a, dtype=float)).sparse_distance_matrix(
-            tree, cutoff * (1.0 + 1e-9), output_type="ndarray"
+            tree(), cutoff * (1.0 + 1e-9), output_type="ndarray"
         )
         return _within(ijv["i"], ijv["j"], ijv["v"], cutoff)
 

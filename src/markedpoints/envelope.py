@@ -70,9 +70,7 @@ def envelope_rank(nsim: int, level: float) -> int:
     return k
 
 
-def _assemble_band(r, matrix, nsim, level, statistic="", k=None) -> EnvelopeBand:
-    if k is None:
-        k = envelope_rank(nsim, level)
+def _assemble_band(r, matrix, nsim, level, k, statistic="") -> EnvelopeBand:
     srt = np.sort(matrix, axis=0)  # NaNs sort to the end
     n_eff = (~np.isnan(matrix)).sum(axis=0)
     nr = matrix.shape[1]
@@ -93,7 +91,7 @@ def _bands(r, rows, names, nsim: int, level: float, k: int) -> list:
     """One rank band per statistic: rows[i][s] is the curve of statistic
     names[s] on replicate i."""
     return [
-        _assemble_band(r, np.vstack([row[s] for row in rows]), nsim, level, name, k)
+        _assemble_band(r, np.vstack([row[s] for row in rows]), nsim, level, k, name)
         for s, name in enumerate(names)
     ]
 

@@ -58,18 +58,24 @@ class MarkedPointPattern:
 
     Stored as columns: planar coordinates xy (n, 2), or network segment
     and offset arrays; marks as floats with a presence mask; type labels.
-    `points` and `locations()` are views built from the columns on request.
-    A point list given to the constructor is kept as it is until a column
-    is first needed, so that validate_pattern can report a malformed point.
+    A point list given to the constructor is converted to columns at once
+    and kept as the `points` view; otherwise `points` and `locations()` are
+    built from the columns on request.
     """
 
     def __init__(self, domain, points):
-        if not isinstance(domain, (PlanarWindow, LinearNetwork)):
-            raise ValidationError(f"unsupported domain type {type(domain).__name__}")
-        self.domain = domain
-        self._points = list(points)
-        self._n = len(self._points)
-        self._cols = None
+        network = _is_network(domain)
+        pts = list(points)
+        wrong = [i for i, pt in enumerate(pts) if isinstance(pt.location, NetworkLocation) != network]
+        if wrong:
+            kinds = ("planar", "network") if network else ("network", "planar")
+            raise ValidationError(f"point {wrong[0]}: {kinds[0]} location in a {kinds[1]} pattern")
+        locs = [pt.location for pt in pts]
+        loc = _loc_arrays(domain, locs) if network else [(xy[0], xy[1]) for xy in locs]
+        marks = [np.nan if pt.mark is None else pt.mark for pt in pts]
+        has = [pt.mark is not None for pt in pts]
+        q = MarkedPointPattern.from_columns(domain, loc, marks, [pt.type_label for pt in pts], has)
+        self.domain, self._points, self._n, self._cols = domain, pts, q.n, q._cols
 
     @classmethod
     def from_columns(cls, domain, loc, marks=None, labels=None, has_mark=None):
@@ -77,34 +83,21 @@ class MarkedPointPattern:
         or a (segment, offset) pair of arrays on a network; marks is a float
         array, present where has_mark is true (everywhere by default);
         labels holds a str or None per point."""
-        p = cls(domain, ())
-        if p.is_network:
+        network = _is_network(domain)
+        if network:
             loc = (np.array(loc[0], dtype=int), np.array(loc[1], dtype=float))
             _check_seg_off(domain, *loc)
         else:
             loc = np.array(loc, dtype=float).reshape(-1, 2)
-        n = len(loc[0]) if p.is_network else len(loc)
+        n = len(loc[0]) if network else len(loc)
         has = np.full(n, marks is not None) if has_mark is None else np.array(has_mark, dtype=bool)
         marks = np.full(n, np.nan) if marks is None else np.array(marks, dtype=float)
         labels = np.array([None] * n if labels is None else list(labels), dtype=object)
         if not len(marks) == len(has) == len(labels) == n:
             raise ValidationError("column lengths do not match the pattern size")
-        p._points, p._n, p._cols = None, n, (loc, marks, has, labels)
+        p = cls.__new__(cls)
+        p.domain, p._points, p._n, p._cols = domain, None, n, (loc, marks, has, labels)
         return p
-
-    def _columns(self):
-        """(loc, marks, has_mark, labels), converted from the point list on first use."""
-        if self._cols is None:
-            pts = self._points
-            if self.is_network:
-                loc = _loc_arrays(self.domain, [pt.location for pt in pts])
-            else:
-                loc = np.array([(pt.location[0], pt.location[1]) for pt in pts], dtype=float)
-            has = np.array([pt.mark is not None for pt in pts], dtype=bool)
-            marks = np.array([np.nan if pt.mark is None else pt.mark for pt in pts], dtype=float)
-            labels = [pt.type_label for pt in pts]
-            self._cols = MarkedPointPattern.from_columns(self.domain, loc, marks, labels, has)._cols
-        return self._cols
 
     @property
     def points(self) -> list:
@@ -139,60 +132,65 @@ class MarkedPointPattern:
         """(segment, offset) columns of a network pattern."""
         if not self.is_network:
             raise ValidationError("segment/offset columns exist for network patterns only")
-        return self._columns()[0]
+        return self._cols[0]
 
     def coords(self) -> np.ndarray:
         """(n, 2) planar coordinates; network locations are embedded in the plane."""
-        loc = self._columns()[0]
+        loc = self._cols[0]
         return _embed(self.domain, *loc) if self.is_network else loc
 
     def marks(self) -> np.ndarray:
         """Marks as a float array; raises if any point lacks one."""
-        _, marks, has, _ = self._columns()
+        _, marks, has, _ = self._cols
         if not has.all():
             raise ValidationError("pattern has points without marks")
         return marks.copy()
 
     def has_marks(self) -> bool:
-        return self.n > 0 and bool(self._columns()[2].all())
+        return self.n > 0 and bool(self._cols[2].all())
 
     def labels(self) -> list:
-        return self._columns()[3].tolist()
+        return self._cols[3].tolist()
 
     def subset(self, indices) -> "MarkedPointPattern":
-        idx = np.asarray(indices, dtype=np.intp).reshape(-1)
-        loc, marks, has, labels = self._columns()
+        """The points at indices, each in 0 .. n - 1, in the order given."""
+        idx = np.asarray(indices)
+        if idx.dtype == bool or np.any((idx < 0) | (idx >= self.n)):
+            raise ValidationError(f"subset takes point indices in 0 .. {self.n - 1}, not a mask or an index out of range")
+        idx = idx.astype(np.intp, copy=False).reshape(-1)
+        loc, marks, has, labels = self._cols
         loc = (loc[0][idx], loc[1][idx]) if self.is_network else loc[idx]
         return MarkedPointPattern.from_columns(self.domain, loc, marks[idx], labels[idx], has[idx])
 
     def with_marks(self, marks) -> "MarkedPointPattern":
         if len(marks) != self.n:
             raise ValidationError("marks length does not match pattern size")
-        loc, _, _, labels = self._columns()
+        loc, _, _, labels = self._cols
         return MarkedPointPattern.from_columns(self.domain, loc, marks, labels)
 
     def with_labels(self, labels) -> "MarkedPointPattern":
         if len(labels) != self.n:
             raise ValidationError("labels length does not match pattern size")
-        loc, marks, has, _ = self._columns()
+        loc, marks, has, _ = self._cols
         return MarkedPointPattern.from_columns(self.domain, loc, marks, map(str, labels), has)
+
+
+def _is_network(domain) -> bool:
+    """Whether domain is a linear network; raises unless it is a network or a window."""
+    if not isinstance(domain, (PlanarWindow, LinearNetwork)):
+        raise ValidationError(f"unsupported domain type {type(domain).__name__}")
+    return isinstance(domain, LinearNetwork)
 
 
 def validate_pattern(p: MarkedPointPattern) -> MarkedPointPattern:
     """Check all pattern invariants; returns the pattern unchanged when valid.
 
-    Reports the index of the first offending point for domain violations,
-    non-finite marks, and mixed location kinds.
+    Reports the index of the first offending point for points outside the
+    window and for non-finite marks. Mixed location kinds and network
+    locations off the network raise when the pattern is built.
     """
-    network = p.is_network
-    # only a point list can mix location kinds; columns have one kind
-    for i, pt in enumerate(p._points if p._cols is None else ()):
-        if isinstance(pt.location, NetworkLocation) != network:
-            kinds = ("planar", "network") if network else ("network", "planar")
-            raise ValidationError(f"point {i}: {kinds[0]} location in a {kinds[1]} pattern")
-    # network locations are range-checked when their columns are formed
-    loc, marks, has, _ = p._columns()
-    if not network:
+    loc, marks, has, _ = p._cols
+    if not p.is_network:
         bad = np.nonzero(~p.domain.contains(loc[:, 0], loc[:, 1]))[0]
         if len(bad):
             x, y = loc[bad[0]].tolist()
@@ -205,7 +203,7 @@ def validate_pattern(p: MarkedPointPattern) -> MarkedPointPattern:
 
 def split_by_type(p: MarkedPointPattern) -> dict:
     """Partition by type label, lexicographic label order; sub-patterns keep the full domain."""
-    labels = p._columns()[3]
+    labels = p._cols[3]
     missing = np.nonzero(labels == None)[0]  # noqa: E711 -- elementwise test on an object array
     if len(missing):
         raise ValidationError(f"point {missing[0]} has no type label")
@@ -238,7 +236,7 @@ def _moments(m: np.ndarray) -> tuple[float, float]:
 
 def mark_moments(p: MarkedPointPattern) -> MarkSummaryStats:
     """Mean and population (1/N) variance of the marks that are present."""
-    _, marks, has, _ = p._columns()
+    _, marks, has, _ = p._cols
     vals = marks[has]
     if len(vals) == 0:
         raise ValidationError("pattern has no marks")
@@ -265,7 +263,7 @@ def save_pattern_csv(p: MarkedPointPattern, path):
 
     Missing marks are written as empty fields.
     """
-    loc, marks, has, labels = p._columns()
+    loc, marks, has, labels = p._cols
     if p.is_network:
         header, cols = ["segment", "offset"], [[str(s) for s in loc[0].tolist()], _fmt(loc[1])]
     else:

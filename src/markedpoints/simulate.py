@@ -269,19 +269,19 @@ def constant_field_sampler(value: float):
     return sample
 
 
-def cosine_field_sampler(base: float, amplitude: float, scale: float, n_waves: int = 3):
-    """Smooth random nonnegative field: base plus a few random plane cosines.
+def cosine_field_sampler(base: float, amplitude: float, scale: float):
+    """Smooth random nonnegative field: base plus three random plane cosines.
 
-    Bounded by base + n_waves * amplitude, which the sampler reports so
-    thinning stays exact. Requires amplitude * n_waves <= base.
+    Bounded by base + 3 * amplitude, which the sampler reports so
+    thinning stays exact. Requires 3 * amplitude <= base.
     """
-    if amplitude * n_waves > base:
+    if amplitude * 3 > base:
         raise ValidationError("cosine field would go negative: amplitude too large")
 
     def sample(rng):
-        angles = rng.uniform(0, 2 * np.pi, size=n_waves)
-        phases = rng.uniform(0, 2 * np.pi, size=n_waves)
-        freqs = rng.uniform(0.5, 1.5, size=n_waves) * (2 * np.pi / scale)
+        angles = rng.uniform(0, 2 * np.pi, size=3)
+        phases = rng.uniform(0, 2 * np.pi, size=3)
+        freqs = rng.uniform(0.5, 1.5, size=3) * (2 * np.pi / scale)
 
         def field(x, y):
             x = np.asarray(x, dtype=float)
@@ -291,7 +291,7 @@ def cosine_field_sampler(base: float, amplitude: float, scale: float, n_waves: i
                 out = out + amplitude * np.cos(f * (x * np.cos(a) + y * np.sin(a)) + ph)
             return out
 
-        return field, base + n_waves * amplitude
+        return field, base + 3 * amplitude
 
     return sample
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._dist import _bins, _row_blocks, close_pairs, cross_pairs, cross_search, translation_weights
+from ._dist import _bins, _row_blocks, close_pairs, cross_search, translation_weights
 from .curves import SummaryCurve, _r_values
 from .errors import NumericalError, ValidationError
 from .geometry import _MAX_ENTRIES, LinearNetwork, _arc_mesh, _border_dist, _check_cells, boundary_distance
@@ -88,7 +88,7 @@ def k_cross_inhom(
     if pi.n == 0 or pj.n == 0:
         return SummaryCurve(r, np.zeros_like(r), "kcross", theo, {"ec": ec})
     # no point is its own neighbour: when pj is pi, each pair i < j counts in both orders
-    i, j, d = close_pairs(pi, r[-1]) if pj is pi else cross_pairs(pi.domain, pi, pj, r[-1])
+    i, j, d = close_pairs(pi, r[-1]) if pj is pi else cross_search(pi.domain, pj)(pi, r[-1])
     with np.errstate(all="ignore"):  # intensity products can underflow; a non-finite K raises
         w = _inverse_products(li, i, lj, j, size)
         if pj is pi:

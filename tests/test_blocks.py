@@ -2,7 +2,7 @@
 depend on the block size or on the BLAS thread count, and peak memory
 bounded by the budget instead of by all pairs or all distances. A budget
 patched small also sends network pairs through the k-d candidate search
-instead of the one-block sweep, and the r bins through a small table."""
+instead of the dense one-block matrix, and the r bins through a small table."""
 
 import os
 import subprocess
@@ -45,8 +45,8 @@ from markedpoints import (
 )
 from markedpoints import TestFunction as MarkTestFunction
 from markedpoints import _dist, markcorr, summaries
-from markedpoints._dist import close_pairs, cross_pairs
-from markedpoints.geometry import _MAX_CELLS, _check_cells
+from markedpoints._dist import close_pairs, cross_search
+from markedpoints.geometry import _MAX_CELLS, _check_cells, _sp_dist
 
 from conftest import grid_network_arrays, random_connected_network
 
@@ -89,7 +89,7 @@ def test_row_blocks_cover_rows_in_order_under_the_budget(monkeypatch):
 def test_network_pairs_block_invariant(monkeypatch, net_patterns, block):
     pa, pb = net_patterns
     _same_under_blocks(
-        monkeypatch, block, lambda: [*close_pairs(pa, 3.0), *cross_pairs(pa.domain, pa, pb, 3.0)]
+        monkeypatch, block, lambda: [*close_pairs(pa, 3.0), *cross_search(pa.domain, pb)(pa, 3.0)]
     )
 
 
@@ -130,22 +130,42 @@ PAIR_CASES = _pair_cases()
 def test_network_pair_search_equals_the_sweep(monkeypatch, case, block):
     pa, pb = PAIR_CASES[case]
     net = pa.domain
-    assert pa.n * (pa.n - 1) // 2 <= _dist._BLOCK and pa.n * pb.n <= _dist._BLOCK  # one block: the sweep
+    assert pa.n * pa.n <= _dist._BLOCK and pa.n * pb.n <= _dist._BLOCK  # one block: the dense matrix
     d = np.unique(close_pairs(pa, np.inf)[2])
     assert d[0] == 0.0  # points on one vertex through different segments
     # zero, exact pair distances and a cutoff past every pair
     cutoffs = [0.0, d[len(d) // 10], d[len(d) // 2], 2.0 * d[-1]]
-    want = [[*close_pairs(pa, c), *cross_pairs(net, pa, pb, c), *cross_pairs(net, pb, pa, c)] for c in cutoffs]
+    want = [[*close_pairs(pa, c), *cross_search(net, pb)(pa, c), *cross_search(net, pa)(pb, c)] for c in cutoffs]
     searches = []
     search = _dist._network_pairs
     monkeypatch.setattr(_dist, "_network_pairs", lambda *args, **kw: searches.append(1) or search(*args, **kw))
     monkeypatch.setattr(_dist, "_BLOCK", block)
-    got = [[*close_pairs(pa, c), *cross_pairs(net, pa, pb, c), *cross_pairs(net, pb, pa, c)] for c in cutoffs]
+    got = [[*close_pairs(pa, c), *cross_search(net, pb)(pa, c), *cross_search(net, pa)(pb, c)] for c in cutoffs]
     assert len(searches) == 3 * len(cutoffs)
     for g_all, w_all in zip(got, want):
         for g, w in zip(g_all, w_all):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", [512, 513, 724])
+def test_network_close_pairs_equal_the_triangle_sweep(n):
+    # up to 512 points the n x n distances fit in one block and come from the
+    # dense matrix; beyond, from the k-d candidate search; both against the
+    # shortest-path sums over every pair i < j
+    net = PAIR_CASES["coincident_vertices"][0].domain
+    rng = np.random.default_rng(36)
+    seg, off = rng.integers(0, net.n_segments, n), rng.uniform(size=n)
+    off[::5], off[1::5] = 0.0, 1.0
+    cols = (seg, off)
+    i, j = np.triu_indices(n, 1)
+    d = _sp_dist(net, cols, cols, i, j)
+    p = MarkedPointPattern.from_columns(net, cols)
+    for cutoff in [0.0, float(np.median(d)), 2.0 * d.max()]:
+        keep = d <= cutoff
+        for got, want in zip(close_pairs(p, cutoff), (i[keep], j[keep], d[keep])):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def _grids():
@@ -337,9 +357,9 @@ def test_network_cross_pairs_memory_bounded_by_the_budget(grid_pattern):
     # 117,000 ordered pairs (2.7 MiB) returned; joining their blocks every
     # column at once took 5.55 MiB, one column at a time 3.81 MiB
     net = grid_pattern.domain
-    peak = _traced_peak(lambda: cross_pairs(net, grid_pattern, grid_pattern, 30.0))
+    peak = _traced_peak(lambda: cross_search(net, grid_pattern)(grid_pattern, 30.0))
     assert peak < 8
-    assert peak < 1.6 * _output_mib(cross_pairs(net, grid_pattern, grid_pattern, 30.0))
+    assert peak < 1.6 * _output_mib(cross_search(net, grid_pattern)(grid_pattern, 30.0))
 
 
 def test_network_intensity_memory_bounded_by_the_budget(grid_pattern):

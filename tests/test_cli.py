@@ -674,8 +674,10 @@ _DOMAIN_OF = {
 def _contract_argv(draw, files):
     """argv of one subcommand: every flag at a valid value or left out, except
     up to two flags drawn from the bad values (or a wrong file). A valid
-    pattern file comes with its own domain three times in four, so the run
-    reaches the statistic instead of stopping at a domain mismatch."""
+    pattern file comes with its own domain three times in four, and a flag
+    with over-cap or extreme values takes its valid value or none three times
+    in four, so the run reaches the statistic instead of stopping at a domain
+    mismatch or at the first extreme value."""
     subparsers = build_parser()._subparsers._group_actions[0].choices
     command = draw(st.sampled_from(sorted(subparsers)))
     actions = [a for a in subparsers[command]._actions if a.dest not in ("help", "out_dir")]
@@ -700,7 +702,10 @@ def _contract_argv(draw, files):
             values = _BAD + [_OMIT] if name in bad else sorted(action.choices) + [_OMIT]
         else:
             omit = [] if name in _SIZE_FLAGS else [_OMIT]
-            values = _BAD + omit if name in bad else [_VALID[name]] + _OVER_CAP.get(name, []) + _EXTREME.get(name, []) + omit
+            plain = [_VALID[name]] + omit
+            values = _BAD + omit if name in bad else plain + _OVER_CAP.get(name, []) + _EXTREME.get(name, [])
+            if name not in bad and draw(st.integers(0, 3)):
+                values = plain  # three times in four, so that more runs reach their statistic
         value = draw(st.sampled_from(values))
         if value is not _OMIT:
             argv += [name, value] if action.option_strings else [value]

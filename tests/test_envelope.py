@@ -60,8 +60,8 @@ def test_band_order_invariance():
     r = np.linspace(0, 1, 5)
     r[0] = 0.0
     matrix = rng.normal(size=(49, 5))
-    a = _assemble_band(r, matrix, 49, 0.92)
-    b = _assemble_band(r, matrix[rng.permutation(49)], 49, 0.92)
+    a = _assemble_band(r, matrix, 49, 0.92, envelope_rank(49, 0.92))
+    b = _assemble_band(r, matrix[rng.permutation(49)], 49, 0.92, envelope_rank(49, 0.92))
     assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
     assert np.allclose(a.mean, b.mean)
 
@@ -71,12 +71,12 @@ def test_band_nan_policy():
     matrix = np.full((39, 2), 1.0)
     matrix[:, 1] = np.nan
     matrix[:3, 1] = [0.5, 1.0, 2.0]  # only 3 replicates defined at the second r
-    band = _assemble_band(r, matrix, 39, 0.95)
+    band = _assemble_band(r, matrix, 39, 0.95, envelope_rank(39, 0.95))
     assert band.n_effective.tolist() == [39, 3]
     assert band.lo[1] == 0.5 and band.hi[1] == 2.0  # k=1 extremes of the defined values
     assert band.mean[1] == pytest.approx(np.mean([0.5, 1.0, 2.0]))
     matrix[:, 1] = np.nan
-    band2 = _assemble_band(r, matrix, 39, 0.95)
+    band2 = _assemble_band(r, matrix, 39, 0.95, envelope_rank(39, 0.95))
     assert np.isnan(band2.lo[1]) and np.isnan(band2.hi[1]) and np.isnan(band2.mean[1])
     assert band2.n_effective[1] == 0
 
@@ -86,7 +86,7 @@ def test_band_envelope_ordering():
     r = np.linspace(0, 1, 9)
     r[0] = 0.0
     matrix = rng.normal(size=(199, 9))
-    band = _assemble_band(r, matrix, 199, 0.95)
+    band = _assemble_band(r, matrix, 199, 0.95, envelope_rank(199, 0.95))
     assert np.all(band.lo <= band.mean) and np.all(band.mean <= band.hi)
 
 
@@ -204,7 +204,8 @@ def test_study_model_iii_matches_public_calls(tmp_path, radius):
         rows.append(mark_corr_suite(p, smoothing, r).curves)
     for name, band in bands.items():
         matrix = np.vstack([c[name].values for c in rows])
-        ref = _assemble_band(r, matrix, STUDY_SMALL["nsim"], 0.95, f"markcorr_{name}")
+        k = envelope_rank(STUDY_SMALL["nsim"], 0.95)
+        ref = _assemble_band(r, matrix, STUDY_SMALL["nsim"], 0.95, k, f"markcorr_{name}")
         band.to_csv(tmp_path / "study.csv")
         ref.to_csv(tmp_path / "ref.csv")
         assert (tmp_path / "study.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

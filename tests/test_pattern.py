@@ -35,9 +35,32 @@ def test_nan_mark_rejected(unit_square):
 
 
 def test_mixed_domain_kinds_rejected(unit_square):
-    p = MarkedPointPattern(unit_square, [MarkedPoint(NetworkLocation(0, 0.5))])
     with pytest.raises(ValidationError, match="network location"):
+        p = MarkedPointPattern(unit_square, [MarkedPoint(NetworkLocation(0, 0.5))])
         validate_pattern(p)
+
+
+def test_point_list_errors_raise_from_the_constructor(unit_square):
+    net = LinearNetwork([[0, 0], [10, 0]], [[0, 1]])
+    good = [MarkedPoint(NetworkLocation(0, 0.5))]
+    with pytest.raises(ValidationError, match="point 1: planar location in a network pattern"):
+        MarkedPointPattern(net, good + [MarkedPoint((0.5, 0.5))])
+    with pytest.raises(ValidationError, match="location 1: invalid segment index 3"):
+        MarkedPointPattern(net, good + [MarkedPoint(NetworkLocation(3, 0.5))])
+    with pytest.raises(ValidationError, match="location 0: offset 1.5 outside"):
+        MarkedPointPattern(net, [MarkedPoint(NetworkLocation(0, 1.5))] + good)
+    # the domain is checked before any point
+    with pytest.raises(ValidationError, match="unsupported domain type"):
+        MarkedPointPattern("square", [MarkedPoint(NetworkLocation(0, 0.5))])
+
+
+def test_subset_refuses_masks_and_indices_out_of_range(unit_square):
+    p = MarkedPointPattern(unit_square, [MarkedPoint((0.1 * k, 0.5)) for k in range(1, 4)])
+    for bad in ([True, False, True], np.ones(3, dtype=bool), [5], [0, 3], [-1]):
+        with pytest.raises(ValidationError, match=r"point indices in 0 \.\. 2"):
+            p.subset(bad)
+    assert p.subset([2, 0, 2]).points == [p.points[2], p.points[0], p.points[2]]
+    assert p.subset([]).n == 0
 
 
 def test_split_single_label(unit_square):

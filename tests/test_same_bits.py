@@ -27,7 +27,7 @@ from markedpoints import (
 )
 from markedpoints import _dist, markcorr, simulate
 from markedpoints.cli import _simulate_pattern, build_parser
-from markedpoints._dist import _bins, close_pairs, cross_pairs, cross_search, translation_weights
+from markedpoints._dist import _bins, close_pairs, cross_search, translation_weights
 from markedpoints.errors import ValidationError
 from markedpoints.geometry import _arc_cells, _cross_dist, _loc_arrays, _sp_dist, _uniform_seg_off
 from markedpoints.intensity import _elementwise, kernel1d_support
@@ -97,7 +97,7 @@ def test_planar_cross_search_same_bits_as_fresh_trees(unit_square, hair):
         ijv = cKDTree(a).sparse_distance_matrix(cKDTree(b), cutoff * (1.0 + 1e-9), output_type="ndarray")
         keep = ijv["v"] <= cutoff
         want = ijv["i"][keep], ijv["j"][keep], ijv["v"][keep]
-        for got_search, got_pairs, w in zip(search(a, cutoff), cross_pairs(unit_square, a, b, cutoff), want):
+        for got_search, got_pairs, w in zip(search(a, cutoff), cross_search(unit_square, b)(a, cutoff), want):
             assert _same(got_search, w) and _same(got_pairs, w)
         if hair and cutoff == 0.06:
             assert not keep.all()
@@ -150,7 +150,7 @@ def test_k_cross_weights_same_bits_as_the_inline_formula(ec, self_pairs):
     got = k_cross_inhom(pi, pj, li, lj, ec, r).values
     size = _WINDOW.area
     assert size != 1.0  # a weight formula reordered around a factor of 1 keeps its bits
-    i, j, d = close_pairs(pi, r[-1]) if self_pairs else cross_pairs(_WINDOW, pi, pj, r[-1])
+    i, j, d = close_pairs(pi, r[-1]) if self_pairs else cross_search(_WINDOW, pj)(pi, r[-1])
     w = 1.0 / (li[i] * lj[j]) / size
     if self_pairs:
         w += 1.0 / (li[j] * lj[i]) / size

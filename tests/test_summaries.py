@@ -33,7 +33,7 @@ from markedpoints import (
 )
 from markedpoints import TestFunction as MarkTestFunction
 from markedpoints import _dist
-from markedpoints._dist import cross_pairs
+from markedpoints._dist import cross_search
 from markedpoints.geometry import _border_dist, _loc_arrays, network_arc_mesh, network_cross_distances
 from markedpoints.summaries import translation_weights
 
@@ -533,11 +533,11 @@ def test_cross_pairs_rejects_patterns_on_two_networks():
     pa = MarkedPointPattern(net_a, [MarkedPoint(NetworkLocation(0, 0.5))])
     pb = MarkedPointPattern(net_b, [MarkedPoint(NetworkLocation(1, 0.5))])
     with pytest.raises(ValidationError, match="one domain"):
-        cross_pairs(net_a, pa, pb, 100.0)
+        cross_search(net_a, pb)(pa, 100.0)
     with pytest.raises(ValidationError, match="one domain"):
-        cross_pairs(net_b, pb, pa, 100.0)
+        cross_search(net_b, pa)(pb, 100.0)
     pb_on_a = MarkedPointPattern(net_a, pb.points)
-    i, j, d = cross_pairs(net_a, pa, pb_on_a, 100.0)
+    i, j, d = cross_search(net_a, pb_on_a)(pa, 100.0)
     assert (i.tolist(), j.tolist(), d.tolist()) == ([0], [0], [10.0])
 
 
@@ -553,7 +553,7 @@ def test_planar_cross_pair_tree_distances_equal_cdist(scale, offset, seed):
     window = PlanarWindow(a.min() - scale, a.max() + scale, a.min() - scale, a.max() + scale)
     dense = cdist(a, b)
     cutoff = float(np.quantile(dense, rng.uniform(0.05, 0.6)))  # an exact pair distance
-    i, j, d = cross_pairs(window, a, b, cutoff)
+    i, j, d = cross_search(window, b)(a, cutoff)
     want_i, want_j = np.nonzero(dense <= cutoff)
     order = np.lexsort((j, i))
     np.testing.assert_array_equal(i[order], want_i)
