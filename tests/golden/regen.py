@@ -3,7 +3,7 @@ fresh run: the CLI outputs that row blocks, sum orders, pair searches and
 BLAS threads can move (planar and network K, mark-weighted K, F, H and J
 curves, mark correlation suites, planar rasters with a fixed and a cvl
 bandwidth and with the Epanechnikov kernel), the study bands of models I-III, a single-statistic envelope
-and simulated linked Cox and model III patterns.
+and simulated linked Cox, LGCP, model II and model III patterns.
 
     PYTHONPATH=src python tests/golden/regen.py           # rewrite tests/golden
     PYTHONPATH=src python tests/golden/regen.py OUT_DIR   # write the set elsewhere
@@ -76,6 +76,9 @@ CASES = {
     "envelope_modelII_stoyan": ["envelope", "--model", "modelII", "--stat", "stoyan", "--nsim", "39", "--bins", "30"],
     "simulate_linked": ["simulate", "--model", "linked", "--window", "0,1,0,1", "--nu", "2", "--base-cosine", "40,10,0.5"],
     "simulate_modelIII": ["simulate", "--model", "modelIII"],
+    # the LGCP's constant mean and the study's and mark models' defaults
+    "simulate_lgcp": ["simulate", "--model", "lgcp", "--n-expected", "40"],
+    "simulate_modelII": ["simulate", "--model", "modelII", "--n-expected", "40"],
 }
 
 
