@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .curves import default_r, r_grid
-from .envelope import _mark_model_bands, envelopes, mark_correlation_study
+from .envelope import _STUDY, _mark_model_bands, envelopes, mark_correlation_study
 from .errors import NumericalError, ValidationError
 from .geometry import LinearNetwork, NetworkLocation, PlanarWindow, load_network, synthetic_tree_network
 from .intensity import (
@@ -44,6 +44,8 @@ from .markcorr import (
 )
 from .pattern import _fmt, _moments, _write_table, load_pattern_csv, save_pattern_csv, split_by_type
 from .simulate import (
+    _RADIUS,
+    _TREND,
     GaussianFieldSpec,
     constant_field_sampler,
     cosine_field_sampler,
@@ -66,9 +68,6 @@ from .summaries import (
 from .svgplot import curves_svg, envelope_panels_svg
 
 _TF = {"stoyan": STOYAN, "bk": BEISBART_KERSCHER, "vario": VARIOGRAM, "shimantani": SHIMANTANI_I}
-
-# model I trend flags and their defaults; the suite study fixes its own trend
-_TREND = {"a": 0.0, "b": 1.0, "tau": None}
 
 
 def _parse_window(text) -> PlanarWindow:
@@ -282,9 +281,7 @@ def _simulate_pattern(args, rng):
             shape = np.broadcast_shapes(np.shape(d1), np.shape(d2))
             return np.full(shape, var) if shape else var
 
-        spec = GaussianFieldSpec(
-            mean=mu, cov=const_cov, anchor=NetworkLocation(0, 0.5), nugget=1e-8
-        )
+        spec = GaussianFieldSpec(mean=mu, cov=const_cov, anchor=NetworkLocation(0, 0.5))
         return lgcp_network(spec, net, args.lgcp_step, rng), net
     if model in ("linked", "balanced"):
         domain = _load_domain(args)
@@ -312,10 +309,11 @@ def _cmd_envelope(args):
         kind = args.model[5:]
         run = dict(
             nsim=args.nsim, level=args.level, master_seed=args.seed, n_expected=args.n_expected,
-            r_max=args.rmax if args.rmax is not None else 250.0, bins=args.bins,
-            bandwidth=args.bandwidth if args.bandwidth is not None else 10.0, radius=args.radius,
+            r_max=_STUDY["r_max"] if args.rmax is None else args.rmax, bins=args.bins,
+            bandwidth=_STUDY["bandwidth"] if args.bandwidth is None else args.bandwidth, radius=args.radius,
         )
         if args.stat == "suite":
+            # the model I trend flags: the suite study fixes its own trend
             set_flags = [f"--{flag}" for flag, default in _TREND.items() if getattr(args, flag) != default]
             if set_flags:
                 raise ValidationError(
@@ -372,18 +370,17 @@ def _cmd_rerun(args):
         raise ValidationError(f"rerun of {path} failed with exit code {rc}")
 
 
-def _add_common(sp, with_domain=True):
+def _add_common(sp):
     sp.add_argument("--out-dir", default=".", help="output directory")
     sp.add_argument("--seed", type=int, default=0, help="master seed")
-    if with_domain:
-        sp.add_argument("--window", help="planar window as xmin,xmax,ymin,ymax")
-        sp.add_argument("--network", help="network JSON file")
+    sp.add_argument("--window", help="planar window as xmin,xmax,ymin,ymax")
+    sp.add_argument("--network", help="network JSON file")
 
 
 def _add_mark_model(sp):
     for flag, default in _TREND.items():
         sp.add_argument(f"--{flag}", type=_finite, default=default)
-    sp.add_argument("--radius", type=_finite, default=80.0)
+    sp.add_argument("--radius", type=_finite, default=_RADIUS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     sp.add_argument("--rate", type=_finite, help="poisson intensity (per area / per length)")
-    sp.add_argument("--n-expected", dest="n_expected", type=_finite, default=150.0)
+    sp.add_argument("--n-expected", dest="n_expected", type=_finite, default=_STUDY["n_expected"])
     sp.add_argument("--nu", type=_finite, default=100.0)
     sp.add_argument("--base-const", dest="base_const", type=_finite, default=50.0)
     sp.add_argument("--base-cosine", dest="base_cosine", type=_three_finite, help="base,amplitude,scale")
@@ -460,12 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     sp.add_argument("--stat", choices=["suite"] + sorted(_TF), default="suite")
-    sp.add_argument("--nsim", type=int, default=199)
-    sp.add_argument("--level", type=_finite, default=0.95)
+    sp.add_argument("--nsim", type=int, default=_STUDY["nsim"])
+    sp.add_argument("--level", type=_finite, default=_STUDY["level"])
     sp.add_argument("--rate", type=_finite)
-    sp.add_argument("--n-expected", dest="n_expected", type=_finite, default=150.0)
+    sp.add_argument("--n-expected", dest="n_expected", type=_finite, default=_STUDY["n_expected"])
     sp.add_argument("--rmax", type=_finite)
-    sp.add_argument("--bins", type=int, default=250)
+    sp.add_argument("--bins", type=int, default=_STUDY["bins"])
     sp.add_argument("--bandwidth", type=_finite)
     _add_mark_model(sp)
     sp.set_defaults(func=_cmd_envelope)

@@ -26,10 +26,14 @@ from .errors import ValidationError
 from .geometry import LinearNetwork
 from .markcorr import _SUITE, SmoothingSpec1D, _normalized, _reach
 from .pattern import MarkedPointPattern, _fmt, _write_table
-from .simulate import SeedSpec, _neighbour_counts, model_marks, poisson_network, replicate_rng
+from .simulate import _RADIUS, _TREND, SeedSpec, _neighbour_counts, model_marks, poisson_network, replicate_rng
 from .svgplot import envelope_panels_svg
 
 __all__ = ["EnvelopeBand", "envelopes", "mark_correlation_study", "envelope_rank"]
+
+# mark_correlation_study's defaults, the paper's settings, which envelopes()
+# and the CLI's flags take too
+_STUDY = {"nsim": 199, "level": 0.95, "n_expected": 150.0, "r_max": 250.0, "bins": 250, "bandwidth": 10.0}
 
 
 @dataclass
@@ -100,7 +104,7 @@ def envelopes(
     generator,
     statistic,
     nsim: int,
-    level: float = 0.95,
+    level: float = _STUDY["level"],
     master_seed: int = 0,
     observed: MarkedPointPattern | None = None,
     n_jobs=None,
@@ -193,14 +197,14 @@ def mark_correlation_study(
     net: LinearNetwork,
     model: str,
     out_dir,
-    nsim: int = 199,
-    level: float = 0.95,
+    nsim: int = _STUDY["nsim"],
+    level: float = _STUDY["level"],
     master_seed: int = 20199,
-    n_expected: float = 150.0,
-    r_max: float = 250.0,
-    bins: int = 250,
-    bandwidth: float = 10.0,
-    radius: float = 80.0,
+    n_expected: float = _STUDY["n_expected"],
+    r_max: float = _STUDY["r_max"],
+    bins: int = _STUDY["bins"],
+    bandwidth: float = _STUDY["bandwidth"],
+    radius: float = _RADIUS,
 ) -> dict:
     """Simulation study runner: Poisson points on the network, marks from
     one of the three mechanisms, the four mark-correlation curves per
@@ -215,7 +219,7 @@ def mark_correlation_study(
     trend_a = 1.0 - float(net.vertices.sum(axis=1).min())
     suite = _mark_model_bands(
         net, model, _SUITE, nsim=nsim, level=level, master_seed=master_seed, n_expected=n_expected,
-        r_max=r_max, bins=bins, bandwidth=bandwidth, radius=radius, a=trend_a, b=1.0, tau=None,
+        r_max=r_max, bins=bins, bandwidth=bandwidth, radius=radius, **{**_TREND, "a": trend_a},
     )
     bands = {tf.name: band for tf, band in zip(_SUITE, suite)}
     os.makedirs(out_dir, exist_ok=True)

@@ -306,10 +306,11 @@ class NetworkIntensityEstimate:
     Each data point's kernel is normalized by its total mass on the
     network (the Jones-Diggle analog), so the estimate integrates to the
     point count. Exactly evaluable at any network location. This estimator
-    is a documented extension: no diffusion variant is provided.
+    is a documented extension: no diffusion variant is provided. The masses
+    are sums over an arc mesh of spacing max(sigma / 4, total length / 20,000).
     """
 
-    def __init__(self, p: MarkedPointPattern, k: KernelSpec, mesh_spacing: float | None = None):
+    def __init__(self, p: MarkedPointPattern, k: KernelSpec):
         if not p.is_network:
             raise ValidationError("network intensity estimator on a planar pattern")
         net: LinearNetwork = p.domain
@@ -317,9 +318,7 @@ class NetworkIntensityEstimate:
         self.kernel = k
         self.method = "networkJD"
         self.sigma = k.bandwidth
-        if mesh_spacing is None:
-            mesh_spacing = max(k.bandwidth / 4.0, net.total_length / 20000.0)
-        self._mesh, self.mesh_weights = _arc_mesh(net, mesh_spacing)
+        self._mesh, self.mesh_weights = _arc_mesh(net, max(k.bandwidth / 4.0, net.total_length / 20000.0))
         self._data = p.seg_off()
         self.norms = self._kernel_sums(self._data, self._mesh, self.mesh_weights)
         if np.any(self.norms <= 0):
@@ -371,10 +370,8 @@ class NetworkIntensityEstimate:
         _write_table(path, ["segment", "offset", "value"], cols, comment)
 
 
-def intensity_network(
-    p: MarkedPointPattern, k: KernelSpec, mesh_spacing: float | None = None
-) -> NetworkIntensityEstimate:
-    return NetworkIntensityEstimate(p, k, mesh_spacing)
+def intensity_network(p: MarkedPointPattern, k: KernelSpec) -> NetworkIntensityEstimate:
+    return NetworkIntensityEstimate(p, k)
 
 
 def bandwidth_scott(p: MarkedPointPattern) -> tuple[float, float]:

@@ -216,10 +216,13 @@ def _moments(m: np.ndarray) -> tuple[float, float]:
     values centred on their mean, less the centred sum's square (the corrected
     two-pass form of Chan, Golub & LeVeque 1983); equal values give exactly 0.
 
-    Marks whose largest magnitude or whose range has a square past the float
-    range (about 1.34e154), or whose variance overflows, raise
-    NumericalError: their pair products would overflow."""
+    A NaN mark raises ValidationError with its position. Marks whose largest
+    magnitude or whose range has a square past the float range (about
+    1.34e154), or whose variance overflows, raise NumericalError: their pair
+    products would overflow."""
     lo, hi = float(m.min()), float(m.max())
+    if np.isnan(lo):  # numpy's min keeps a NaN, which the tests below let through
+        raise ValidationError(f"mark {np.flatnonzero(np.isnan(m))[0]} is NaN: no mark statistic is defined")
     big = max(-lo, hi, hi - lo)
     if big * big == np.inf:
         raise NumericalError(f"marks from {lo:g} to {hi:g}: pair products of marks this large overflow")

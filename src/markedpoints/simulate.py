@@ -27,10 +27,7 @@ from .geometry import (
     _check_cells,
     _cross_dist,
     _loc_arrays,
-    _locations,
     _uniform_seg_off,
-    network_cross_distances,
-    uniform_points_on_network,
 )
 from .intensity import _elementwise, eval_intensity
 from .pattern import MarkedPointPattern
@@ -128,15 +125,10 @@ class GaussianFieldSpec:
     value does not depend on the anchor choice; irmps_check probes this.
     """
 
-    mean: Callable[[NetworkLocation], float] | float
+    mean: float
     cov: Callable[[float, float], float]
     anchor: NetworkLocation
     nugget: float = 1e-8
-
-    def mean_at(self, locs) -> np.ndarray:
-        if callable(self.mean):
-            return np.array([float(self.mean(l)) for l in locs])
-        return np.full(len(locs), float(self.mean))
 
     def cov_matrix(self, d_anchor: np.ndarray) -> np.ndarray:
         """cov(d_i, d_j) for every pair of anchor distances, evaluated in row
@@ -213,7 +205,7 @@ def lgcp_network(
         return cov
 
     factor = _psd_factor(jittered_cov)
-    z = spec.mean_at(_locations(seg, mid)) + factor @ rng.standard_normal(len(seg))
+    z = float(spec.mean) + factor @ rng.standard_normal(len(seg))
     with np.errstate(over="ignore"):  # an overflow reads inf, which the cap refuses
         mu = np.exp(z) * ((t1 - t0) * net.seg_lengths[seg])
     if not mu.sum() <= _MAX_EXPECTED_POINTS:
@@ -234,13 +226,12 @@ class IrmpsReport:
     anchor_free: bool
 
 
-def irmps_check(
-    spec: GaussianFieldSpec,
-    net: LinearNetwork,
-    n_triples: int = 64,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-9,
-) -> IrmpsReport:
+# irmps_check's triple count, and the largest discrepancy it calls anchor-free
+_IRMPS_TRIPLES = 64
+_IRMPS_TOL = 1e-9
+
+
+def irmps_check(spec: GaussianFieldSpec, net: LinearNetwork, rng: np.random.Generator | None = None) -> IrmpsReport:
     """Probe whether the induced covariance is independent of the anchor.
 
     Draws random location pairs and two candidate anchors, evaluates the
@@ -248,14 +239,17 @@ def irmps_check(
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    # triple k draws u1, u2, a1, a2 at 4k .. 4k + 3: its locations are rows
+    # 2k and 2k + 1 of d, its anchors columns 2k and 2k + 1
+    seg, off = (c.reshape(-1, 2, 2) for c in _uniform_seg_off(net, 4 * _IRMPS_TRIPLES, rng))
+    d = _cross_dist(net, (seg[:, 0].ravel(), off[:, 0].ravel()), (seg[:, 1].ravel(), off[:, 1].ravel()))
     worst = 0.0
-    for _ in range(n_triples):
-        u1, u2, a1, a2 = uniform_points_on_network(net, 4, rng)
-        d = network_cross_distances(net, [u1, u2], [a1, a2])
-        c1 = float(spec.cov(d[0, 0], d[1, 0]))
-        c2 = float(spec.cov(d[0, 1], d[1, 1]))
+    for k in range(_IRMPS_TRIPLES):
+        (u1a1, u1a2), (u2a1, u2a2) = d[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
+        c1 = float(spec.cov(u1a1, u2a1))
+        c2 = float(spec.cov(u1a2, u2a2))
         worst = max(worst, abs(c1 - c2))
-    return IrmpsReport(worst, n_triples, worst <= tol)
+    return IrmpsReport(worst, _IRMPS_TRIPLES, worst <= _IRMPS_TOL)
 
 
 def constant_field_sampler(value: float):
@@ -343,14 +337,20 @@ def _neighbour_counts(i, j, n: int) -> np.ndarray:
     return (np.bincount(i, minlength=n) + np.bincount(j, minlength=n)).astype(float)
 
 
+# model_marks' defaults, which the study and the CLI take too: the model I
+# trend a + b (x + y) with noise sd tau, and the model III radius
+_TREND = {"a": 0.0, "b": 1.0, "tau": None}
+_RADIUS = 80.0
+
+
 def model_marks(
     kind: str,
     p: MarkedPointPattern,
     rng: np.random.Generator,
-    a: float = 0.0,
-    b: float = 1.0,
-    tau: float | None = None,
-    radius: float = 80.0,
+    a: float = _TREND["a"],
+    b: float = _TREND["b"],
+    tau: float | None = _TREND["tau"],
+    radius: float = _RADIUS,
 ) -> MarkedPointPattern:
     """Attach marks to a network pattern by one of three mechanisms.
 

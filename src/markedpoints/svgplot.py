@@ -15,10 +15,10 @@ __all__ = ["envelope_panels_svg", "curves_svg"]
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 54, 14, 26, 34
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
+def _nice_ticks(lo: float, hi: float) -> list:
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -74,7 +74,7 @@ def _finite_runs(*arrays):
     return runs
 
 
-def _polyline(panel, x, y, stroke, width=1.3, dash=None):
+def _polyline(panel, x, y, stroke, width, dash=None):
     parts = []
     for a, b in _finite_runs(y):
         pts = " ".join(f"{panel.px(x[i]):.2f},{panel.py(y[i]):.2f}" for i in range(a, b))
@@ -127,7 +127,7 @@ def _axes(panel, label):
     return parts
 
 
-def _limits(values, pad=0.06):
+def _limits(values):
     finite = values[np.isfinite(values)]
     if len(finite) == 0:
         return (0.0, 1.0)
@@ -135,29 +135,25 @@ def _limits(values, pad=0.06):
     if hi <= lo:
         lo, hi = lo - 0.5, hi + 0.5
     span = hi - lo
-    return lo - pad * span, hi + pad * span
+    return lo - 0.06 * span, hi + 0.06 * span
 
 
 def _write_svg(path, parts, title, width, height):
     """Write one SVG document: a white page of width x height, the title
-    centred in its top band (when given), then the body parts."""
+    centred in its top band, then the body parts."""
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2:.0f}" y="15" font-size="12" text-anchor="middle" fill="#000">{title}</text>',
     ]
-    if title:
-        head.append(
-            f'<text x="{width / 2:.0f}" y="15" font-size="12" text-anchor="middle" '
-            f'fill="#000">{title}</text>'
-        )
     with open(path, "w") as fh:
         fh.write("\n".join(head + parts + ["</svg>"]) + "\n")
 
 
-def envelope_panels_svg(path, panels, title=None):
-    """Stacked 520 x 190 panels, one per (label, EnvelopeBand)."""
-    head = 22 if title else 0
+def envelope_panels_svg(path, panels, title):
+    """Stacked 520 x 190 panels, one per (label, EnvelopeBand), under a title."""
+    head = 22
     parts = []
     for idx, (label, band) in enumerate(panels):
         stack = [band.lo, band.hi, band.mean]
@@ -173,10 +169,10 @@ def envelope_panels_svg(path, panels, title=None):
     _write_svg(path, parts, title, 520, head + 190 * len(panels))
 
 
-def curves_svg(path, curves, title=None):
-    """Single 520 x 260 panel with one polyline per (label, SummaryCurve)."""
+def curves_svg(path, curves, title):
+    """Single 520 x 260 panel with one polyline per (label, SummaryCurve), under a title."""
     colors = ["#1f4e9c", "#b3312a", "#2a7a2a", "#7a4fa3", "#a3682a", "#2a7a7a"]
-    head = 22 if title else 0
+    head = 22
     allvals = np.concatenate([c.values for _, c in curves])
     r0 = curves[0][1].r
     ylim = _limits(allvals)

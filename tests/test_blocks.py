@@ -505,7 +505,6 @@ def test_grid_outside_the_cap_refused_before_allocation(unit_square, net_pattern
         lambda: f_inhom(p, 50.0, grid_spacing=1.0 / side),
         lambda: f_inhom(p, 50.0, grid_spacing=5.0),  # no cell at all
         lambda: f_inhom(pn, 10.0, grid_spacing=pn.domain.total_length / (_MAX_CELLS + 1)),
-        lambda: intensity_network(pn, KernelSpec(1.5), mesh_spacing=pn.domain.total_length / (_MAX_CELLS + 1)),
         lambda: intensity_uniform(p, KernelSpec(0.1), (side, side)),
         lambda: intensity_jones_diggle(p, KernelSpec(0.1), (side, side)),
         lambda: intensity_heat(p, 0.1, (16, _MAX_CELLS // 16 + 1)),

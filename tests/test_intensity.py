@@ -358,13 +358,6 @@ def test_network_intensity_rejects_planar(unit_square):
         intensity_network(p, KernelSpec(0.1))
 
 
-def test_network_intensity_rejects_nan_mesh_spacing():
-    net = LinearNetwork([[0, 0], [10, 0], [10, 10]], [[0, 1], [1, 2]])
-    p = MarkedPointPattern(net, [MarkedPoint(NetworkLocation(0, 0.5)), MarkedPoint(NetworkLocation(1, 0.5))])
-    with pytest.raises(ValidationError, match="spacing"):
-        intensity_network(p, KernelSpec(2.0), mesh_spacing=float("nan"))
-
-
 def test_three_estimators_agree_in_interior(unit_square):
     # sigma much smaller than the distance from any point to the border
     rng = np.random.default_rng(55)

@@ -23,6 +23,8 @@ from markedpoints import (
     ValidationError,
     mark_corr,
     mark_corr_suite,
+    mark_moments,
+    mark_weighted_k,
     normalization,
     pair_average,
 )
@@ -188,6 +190,28 @@ def test_constant_non_dyadic_marks_are_degenerate(unit_square, n):
 def test_normalization_needs_two_points():
     with pytest.raises(ValidationError):
         normalization(STOYAN, [1.0])
+
+
+def test_nan_mark_refused_by_every_mark_statistic(unit_square):
+    # numpy's min keeps the NaN, Python's max of it and NaN squared do not:
+    # the curves were all NaN and mark-weighted K reported an overflow
+    rng = np.random.default_rng(50)
+    marks = rng.gamma(2.0, 1.0, 50)
+    marks[17] = np.nan
+    p = MarkedPointPattern.from_columns(unit_square, rng.uniform(size=(50, 2)), marks)
+    calls = [
+        lambda: mark_corr(p, STOYAN, SmoothingSpec1D(0.05), np.linspace(0.0, 0.25, 51)),
+        lambda: mark_corr_suite(p, SmoothingSpec1D(0.05), np.linspace(0.0, 0.25, 51)),
+        lambda: normalization(VARIOGRAM, marks),
+        lambda: pair_average(MarkTestFunction("custom", fn=np.minimum), marks),
+        lambda: mark_moments(p),
+        lambda: mark_weighted_k(p, STOYAN, 50.0, "none", np.linspace(0.0, 0.25, 51)),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="mark 17 is NaN"):
+            call()
+    with pytest.raises(NumericalError, match="overflow"):
+        mark_moments(p.with_marks(np.where(np.isnan(marks), np.inf, marks)))
 
 
 def test_two_point_box_kernel_hand_value(unit_square):

@@ -177,7 +177,7 @@ def test_lgcp_non_psd_reported():
 def test_irmps_check_constant_and_anchored():
     net = synthetic_tree_network(core_depth=3)
     spec = GaussianFieldSpec(mean=0.0, cov=const_cov(1.0), anchor=NetworkLocation(0, 0.5))
-    rep = irmps_check(spec, net, 32, np.random.default_rng(0))
+    rep = irmps_check(spec, net, np.random.default_rng(0))
     assert rep.max_discrepancy == 0.0 and rep.anchor_free
 
     spec2 = GaussianFieldSpec(
@@ -185,9 +185,9 @@ def test_irmps_check_constant_and_anchored():
         cov=lambda d1, d2: np.exp(-(np.asarray(d1) + np.asarray(d2)) / 50.0),
         anchor=NetworkLocation(0, 0.5),
     )
-    rep2 = irmps_check(spec2, net, 32, np.random.default_rng(0))
+    rep2 = irmps_check(spec2, net, np.random.default_rng(0))
     assert rep2.max_discrepancy > 0 and not rep2.anchor_free
-    rep3 = irmps_check(spec2, net, 32, np.random.default_rng(0))
+    rep3 = irmps_check(spec2, net, np.random.default_rng(0))
     assert rep2 == rep3  # deterministic given the generator state
 
 
