@@ -2,8 +2,9 @@
 fresh run: the CLI outputs that row blocks, sum orders, pair searches and
 BLAS threads can move (planar and network K, mark-weighted K, F, H and J
 curves, mark correlation suites, planar rasters with a fixed and a cvl
-bandwidth and with the Epanechnikov kernel), the study bands of models I-III, a single-statistic envelope
-and simulated linked Cox, LGCP, model II and model III patterns.
+bandwidth and with the Epanechnikov kernel, and a network intensity), the study
+bands of models I-III, a single-statistic envelope, a Poisson K envelope and
+simulated linked Cox, LGCP, model II and model III patterns.
 
     PYTHONPATH=src python tests/golden/regen.py           # rewrite tests/golden
     PYTHONPATH=src python tests/golden/regen.py OUT_DIR   # write the set elsewhere
@@ -79,6 +80,10 @@ CASES = {
     # the LGCP's constant mean and the study's and mark models' defaults
     "simulate_lgcp": ["simulate", "--model", "lgcp", "--n-expected", "40"],
     "simulate_modelII": ["simulate", "--model", "modelII", "--n-expected", "40"],
+    # the network intensity CSV, and a Poisson K envelope run to the end
+    "intensity_network": ["intensity", "--sigma", "200"] + NETWORK,
+    "envelope_poisson": ["envelope", "--model", "poisson", "--window", "0,1,0,1", "--rate", "50", "--nsim", "39",
+                         "--bins", "30"],
 }
 
 
