@@ -211,10 +211,8 @@ def _cmd_summary(args):
     elif args.stat == "f":
         pj = _type_group(split_by_type(p), args.type_j, "--type-j") if args.type_j else p
         curve = f_inhom(pj, lam_for(pj), grid_spacing=args.grid_spacing, r=r)
-    elif args.stat == "kweighted":
+    else:  # kweighted
         curve = mark_weighted_k(p, _TF[args.tf], lam_for(p), args.ec, r)
-    else:
-        raise ValidationError(f"unknown statistic {args.stat!r}")
     if args.lambda_const is not None:
         curve.meta.update(intensity="constant", lam=args.lambda_const)
     else:
@@ -283,15 +281,14 @@ def _simulate_pattern(args, rng):
 
         spec = GaussianFieldSpec(mean=mu, cov=const_cov, anchor=NetworkLocation(0, 0.5))
         return lgcp_network(spec, net, args.lgcp_step, rng), net
-    if model in ("linked", "balanced"):
-        domain = _load_domain(args)
-        if args.base_cosine is not None:
-            base, amp, scale = (float(t) for t in args.base_cosine.split(","))
-            sampler = cosine_field_sampler(base, amp, scale)
-        else:
-            sampler = constant_field_sampler(args.base_const)
-        return linked_balanced_cox(model, args.nu, sampler, domain, rng), domain
-    raise ValidationError(f"unknown model {args.model!r}")
+    # linked or balanced
+    domain = _load_domain(args)
+    if args.base_cosine is not None:
+        base, amp, scale = (float(t) for t in args.base_cosine.split(","))
+        sampler = cosine_field_sampler(base, amp, scale)
+    else:
+        sampler = constant_field_sampler(args.base_const)
+    return linked_balanced_cox(model, args.nu, sampler, domain, rng), domain
 
 
 def _cmd_simulate(args):
@@ -332,27 +329,25 @@ def _cmd_envelope(args):
         )
         _write_metadata(args, out, {"k": band.k})
         return
-    if args.model == "poisson":
-        domain = _load_domain(args)
-        if args.rate is None:
-            raise ValidationError("--rate is required for poisson envelopes")
-        if isinstance(domain, LinearNetwork):
-            raise ValidationError("poisson envelopes are planar-only in the CLI")
-        r = _summary_r(args, domain)
+    # poisson
+    domain = _load_domain(args)
+    if args.rate is None:
+        raise ValidationError("--rate is required for poisson envelopes")
+    if isinstance(domain, LinearNetwork):
+        raise ValidationError("poisson envelopes are planar-only in the CLI")
+    r = _summary_r(args, domain)
 
-        def gen(rng):
-            return poisson_planar(args.rate, domain, rng)
+    def gen(rng):
+        return poisson_planar(args.rate, domain, rng)
 
-        def stat(p):
-            lab = ["i"] * p.n
-            pi = p.with_labels(lab)
-            return k_cross_inhom(pi, pi, args.rate, args.rate, "translation", r)
+    def stat(p):
+        lab = ["i"] * p.n
+        pi = p.with_labels(lab)
+        return k_cross_inhom(pi, pi, args.rate, args.rate, "translation", r)
 
-        band = envelopes(gen, stat, args.nsim, args.level, args.seed)
-        band.to_csv(os.path.join(out, "poisson_k_band.csv"))
-        _write_metadata(args, out, {"k": band.k})
-        return
-    raise ValidationError(f"envelope does not support model {args.model!r}")
+    band = envelopes(gen, stat, args.nsim, args.level, args.seed)
+    band.to_csv(os.path.join(out, "poisson_k_band.csv"))
+    _write_metadata(args, out, {"k": band.k})
 
 
 def _cmd_rerun(args):

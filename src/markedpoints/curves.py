@@ -15,10 +15,12 @@ __all__ = ["SummaryCurve", "r_grid"]
 
 
 def check_r_grid(r) -> np.ndarray:
-    """r as a float array; raises unless it is a strictly increasing 1-D grid from 0."""
+    """r as a float array; raises unless it is a finite, strictly increasing
+    1-D grid from 0."""
     r = np.asarray(r, dtype=float)
-    if r.ndim != 1 or len(r) < 2 or r[0] != 0.0 or np.any(np.diff(r) <= 0):
-        raise ValidationError("r grid must be strictly increasing and start at 0")
+    # NaN fails every comparison, so the grid is checked by what must hold
+    if r.ndim != 1 or len(r) < 2 or r[0] != 0.0 or not (np.all(np.diff(r) > 0) and r[-1] < np.inf):
+        raise ValidationError("r grid must be finite, strictly increasing and start at 0")
     return r
 
 
@@ -78,26 +80,24 @@ class SummaryCurve:
 
     @staticmethod
     def from_csv(path) -> "SummaryCurve":
+        """Read a Curve CSV; a malformed file raises ValidationError naming the
+        file, and the line where there is one."""
         with open(path, newline="") as fh:
             first = fh.readline()
-            meta = {}
-            statistic = "unknown"
-            if first.startswith("#"):
-                for tok in first[1:].split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        if k == "statistic":
-                            statistic = v
-                        else:
-                            meta[k] = v
-                header = fh.readline()
-            else:
-                header = first
-            names = [h.strip() for h in header.strip().split(",")]
-            rows = list(csv.reader(fh))
-        r = np.array([float(x[0]) for x in rows])
-        vals = np.array([float(x[1]) for x in rows])
-        theo = None
-        if "theoretical" in names:
-            theo = np.array([float(x[2]) for x in rows])
-        return SummaryCurve(r, vals, statistic, theo, meta)
+            commented = first.startswith("#")
+            meta = dict(tok.split("=", 1) for tok in first[1:].split() if "=" in tok) if commented else {}
+            statistic = meta.pop("statistic", "unknown")
+            header, above = (fh.readline(), 2) if commented else (first, 1)
+            rd = csv.reader(fh)
+            rows = [(above + rd.line_num, row) for row in rd if row]
+        if not rows:
+            raise ValidationError(f"curve file {path} has no rows")
+        width = 3 if "theoretical" in [h.strip() for h in header.split(",")] else 2
+        values = []
+        for line, row in rows:
+            try:
+                values.append([float(row[k]) for k in range(width)])
+            except (ValueError, IndexError):
+                raise ValidationError(f"{path} line {line}: malformed or missing field in {row}") from None
+        cols = np.array(values).T
+        return SummaryCurve(cols[0], cols[1], statistic, cols[2] if width == 3 else None, meta)

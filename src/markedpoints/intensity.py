@@ -84,8 +84,7 @@ def kernel1d_pdf(family: str, h: float, t) -> np.ndarray:
             np.fmax(u, 0.0, out=u)
             u /= h
             return u
-    if family != "box":
-        raise ValidationError(f"unknown kernel family {family!r}")
+    # box; the family was checked by KernelSpec
     outside = ~(u <= 1.0)  # u * u, so NaN is outside too
     u.fill(0.5 / h)
     u[outside] = 0.0
@@ -100,9 +99,7 @@ def kernel1d_cdf(family: str, h: float, t) -> np.ndarray:
     if family == "epanechnikov":
         uc = np.clip(u, -1.0, 1.0)
         return 0.5 + 0.75 * (uc - uc**3 / 3.0)
-    if family == "box":
-        return np.clip(0.5 * (u + 1.0), 0.0, 1.0)
-    raise ValidationError(f"unknown kernel family {family!r}")
+    return np.clip(0.5 * (u + 1.0), 0.0, 1.0)  # box
 
 
 def kernel1d_support(family: str, h: float) -> float:

@@ -231,14 +231,12 @@ _IRMPS_TRIPLES = 64
 _IRMPS_TOL = 1e-9
 
 
-def irmps_check(spec: GaussianFieldSpec, net: LinearNetwork, rng: np.random.Generator | None = None) -> IrmpsReport:
+def irmps_check(spec: GaussianFieldSpec, net: LinearNetwork, rng: np.random.Generator) -> IrmpsReport:
     """Probe whether the induced covariance is independent of the anchor.
 
     Draws random location pairs and two candidate anchors, evaluates the
     covariance through both, and reports the largest discrepancy.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     # triple k draws u1, u2, a1, a2 at 4k .. 4k + 3: its locations are rows
     # 2k and 2k + 1 of d, its anchors columns 2k and 2k + 1
     seg, off = (c.reshape(-1, 2, 2) for c in _uniform_seg_off(net, 4 * _IRMPS_TRIPLES, rng))

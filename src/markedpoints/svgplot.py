@@ -58,7 +58,7 @@ class _Panel:
 
 
 def _finite_runs(*arrays):
-    """Indices of maximal runs where every array is finite."""
+    """(start, stop) of each maximal nonempty run where every array is finite."""
     ok = np.ones(len(arrays[0]), dtype=bool)
     for a in arrays:
         ok &= np.isfinite(a)
@@ -78,12 +78,11 @@ def _polyline(panel, x, y, stroke, width, dash=None):
     parts = []
     for a, b in _finite_runs(y):
         pts = " ".join(f"{panel.px(x[i]):.2f},{panel.py(y[i]):.2f}" for i in range(a, b))
-        if pts:
-            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-            parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
-                f'stroke-width="{width}"{dash_attr}/>'
-            )
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
+            f'stroke-width="{width}"{dash_attr}/>'
+        )
     return parts
 
 
@@ -92,10 +91,7 @@ def _band_polygon(panel, x, lo, hi, fill):
     for a, b in _finite_runs(lo, hi):
         fwd = [f"{panel.px(x[i]):.2f},{panel.py(hi[i]):.2f}" for i in range(a, b)]
         back = [f"{panel.px(x[i]):.2f},{panel.py(lo[i]):.2f}" for i in range(b - 1, a - 1, -1)]
-        if fwd:
-            parts.append(
-                f'<polygon points="{" ".join(fwd + back)}" fill="{fill}" stroke="none"/>'
-            )
+        parts.append(f'<polygon points="{" ".join(fwd + back)}" fill="{fill}" stroke="none"/>')
     return parts
 
 

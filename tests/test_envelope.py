@@ -1,5 +1,6 @@
 """Rank-envelope assembly, NaN policy, determinism, and the study runner."""
 
+import re
 import sys
 import threading
 
@@ -23,6 +24,7 @@ from markedpoints import (
 )
 from markedpoints._dist import close_pairs
 from markedpoints.envelope import _assemble_band, mark_correlation_study, poisson_network_min2
+from markedpoints.svgplot import curves_svg, envelope_panels_svg
 
 
 def test_rank_rule():
@@ -114,7 +116,7 @@ def test_envelopes_serial_in_order_on_calling_thread(unit_square):
     assert calls == [(step, i, me) for i in range(nsim) for step in ("generator", "statistic")]
 
 
-def test_envelopes_observed_overlay(unit_square):
+def test_envelopes_observed_overlay(tmp_path, unit_square):
     def gen(rng):
         return poisson_planar(30.0, unit_square, rng)
 
@@ -125,6 +127,31 @@ def test_envelopes_observed_overlay(unit_square):
     band = envelopes(gen, stat, nsim=39, master_seed=2, observed=obs)
     assert band.observed is not None
     assert band.observed.values[0] == obs.n
+    # the Envelope CSV's observed column, and the observed curve in red on the plot
+    band.to_csv(tmp_path / "band.csv")
+    lines = (tmp_path / "band.csv").read_text().splitlines()
+    assert lines[1] == "r,lo,mean,hi,n_effective,observed"
+    assert [line.split(",")[-1] for line in lines[2:]] == [str(obs.n)] * 2
+    envelope_panels_svg(tmp_path / "band.svg", [("count", band)], title="counts")
+    assert (tmp_path / "band.svg").read_text().count('stroke="#b3312a"') == 1
+
+
+def test_svg_flat_range_nan_gap_and_one_tick_axis(tmp_path):
+    r = np.linspace(0.0, 1.0, 5)
+
+    def plot(values):
+        curves_svg(tmp_path / "c.svg", [("c", SummaryCurve(r, values, "k"))], title="t")
+        return (tmp_path / "c.svg").read_text()
+
+    # a flat curve is drawn in a unit range around its value
+    svg = plot(np.full(5, 2.0))
+    assert [float(t) for t in re.findall(r'text-anchor="end" fill="#222">([^<]*)<', svg)] == [1.5, 1.75, 2.0, 2.25, 2.5]
+    # a NaN splits the curve into two polylines
+    assert plot(np.array([1.0, 2.0, np.nan, 3.0, 4.0])).count("<polyline") == 2
+    # a range whose span overflows gets one tick, not an error
+    with np.errstate(invalid="ignore"):
+        svg = plot(np.array([-1e308, 0.0, 0.0, 0.0, 1e308]))
+    assert svg.count('text-anchor="end"') == 1
 
 
 def test_band_csv(tmp_path):

@@ -352,6 +352,30 @@ def test_network_intensity_returned_values_are_copies():
     assert np.array_equal(eval_intensity(est, p), want)
 
 
+def test_network_intensity_csv_holds_the_mesh(tmp_path):
+    _, p = _network_and_pattern()
+    est = intensity_network(p, KernelSpec(8.0))
+    est.to_csv(tmp_path / "intensity.csv")
+    lines = (tmp_path / "intensity.csv").read_text().splitlines()
+    assert lines[:2] == ["# method=networkJD sigma=8", "segment,offset,value"]
+    assert len(lines) - 2 == len(est.mesh_locs) == len(est.mesh_weights)
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    assert rows[:, 0].tolist() == [loc.segment for loc in est.mesh_locs]
+    assert np.allclose(rows[:, 1], [loc.offset for loc in est.mesh_locs], rtol=1e-11, atol=0)
+    assert np.allclose(rows[:, 2], est.evaluate(est.mesh_locs), rtol=1e-11, atol=0)
+
+
+def test_network_intensity_without_points_is_zero():
+    net, _ = _network_and_pattern()
+    est = intensity_network(MarkedPointPattern.from_columns(net, (np.zeros(0, int), np.zeros(0))), KernelSpec(8.0))
+    assert np.all(est.evaluate(est.mesh_locs) == 0.0) and est.integral() == 0.0
+
+
+def test_heat_empty_pattern_zero(unit_square):
+    est = intensity_heat(MarkedPointPattern.from_columns(unit_square, np.empty((0, 2))), 0.2, (16, 16))
+    assert est.values.shape == (16, 16) and np.all(est.values == 0.0)
+
+
 def test_network_intensity_rejects_planar(unit_square):
     p = planar_pattern(unit_square, [(0.5, 0.5)])
     with pytest.raises(ValidationError):

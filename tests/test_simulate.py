@@ -277,6 +277,13 @@ def test_model_marks_i_noise_free_monotone():
     assert np.allclose(m, 2.0 + 0.5 * score)
 
 
+@pytest.mark.parametrize("kind", ["I", "II", "III"])
+def test_model_marks_of_an_empty_pattern_is_the_pattern(kind):
+    net = synthetic_tree_network(core_depth=3)
+    p = MarkedPointPattern.from_columns(net, (np.zeros(0, int), np.zeros(0)))
+    assert model_marks(kind, p, np.random.default_rng(0)) is p
+
+
 def test_model_marks_planar_rejected(unit_square):
     p = MarkedPointPattern(unit_square, [MarkedPoint((0.5, 0.5))])
     with pytest.raises(ValidationError, match="network"):

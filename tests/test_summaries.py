@@ -16,6 +16,7 @@ from markedpoints import (
     NetworkLocation,
     PlanarWindow,
     STOYAN,
+    SmoothingSpec1D,
     SummaryCurve,
     VARIOGRAM,
     ValidationError,
@@ -25,6 +26,7 @@ from markedpoints import (
     j_cross_inhom,
     k_cross_inhom,
     k_dot_inhom,
+    mark_corr,
     mark_sum_measure,
     mark_weighted_k,
     poisson_planar,
@@ -281,6 +283,13 @@ def test_h_single_pair_hand_value(unit_square):
     assert curve.values[1] == pytest.approx(1.0)
 
 
+def test_h_without_type_i_points_is_nan(unit_square):
+    pi = MarkedPointPattern.from_columns(unit_square, np.empty((0, 2)))
+    pj = planar_pattern(unit_square, [(0.6, 0.5)])
+    curve = h_cross_inhom(pi, pj, 1.0, 1.0, r=np.array([0.0, 0.2]))
+    assert curve.statistic == "hcross" and np.all(np.isnan(curve.values))
+
+
 def test_h_nan_when_reduced_window_empty(unit_square):
     pi = planar_pattern(unit_square, [(0.3, 0.5)])
     pj = planar_pattern(unit_square, [(0.6, 0.5)])
@@ -524,6 +533,45 @@ def test_curve_csv_roundtrip(tmp_path, unit_square):
     assert loaded.statistic == "kcross"
     assert np.allclose(loaded.values, curve.values)
     assert np.allclose(loaded.theoretical, curve.theoretical)
+    # the '#' comment line is optional
+    path.write_text(path.read_text().split("\n", 1)[1])
+    bare = SummaryCurve.from_csv(path)
+    assert bare.statistic == "unknown" and bare.meta == {}
+    assert np.array_equal(bare.values, loaded.values)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("# statistic=k\nr,value\n0,0\n0.1,abc\n", "line 4: malformed"),
+        ("# statistic=k\nr,value\n0,0\n0.1\n", "line 4: malformed"),
+        ("r,value,theoretical\n0,0,0\n0.1,1\n", "line 3: malformed"),
+        ("", "has no rows"),
+        ("# statistic=k\nr,value\n", "has no rows"),
+    ],
+)
+def test_malformed_curve_csv_names_the_file_and_line(tmp_path, text, where):
+    path = tmp_path / "k.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as err:
+        SummaryCurve.from_csv(path)
+    assert str(path) in str(err.value) and where in str(err.value)
+
+
+@pytest.mark.parametrize("r", [[0.0, 0.1, np.nan], [0.0, np.nan, 0.2], [0.0, 0.1, np.inf]])
+@pytest.mark.parametrize("call", ["f", "hcross", "markcorr", "kweighted", "curve"])
+def test_non_finite_r_grid_refused(unit_square, r, call):
+    rng = np.random.default_rng(5)
+    p = planar_pattern(unit_square, rng.uniform(size=(100, 2)), rng.uniform(1.0, 2.0, 100))
+    calls = {
+        "f": lambda: f_inhom(p, 100.0, r=r),
+        "hcross": lambda: h_cross_inhom(p, p, 100.0, 100.0, r=r),
+        "markcorr": lambda: mark_corr(p, STOYAN, SmoothingSpec1D(0.01), r),
+        "kweighted": lambda: mark_weighted_k(p, STOYAN, 100.0, "none", r),
+        "curve": lambda: SummaryCurve(r, np.zeros(3), "k"),
+    }
+    with pytest.raises(ValidationError, match="r grid must be finite"):
+        calls[call]()
 
 
 def test_cross_pairs_rejects_patterns_on_two_networks():
