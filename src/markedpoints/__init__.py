@@ -61,7 +61,6 @@ from .pattern import (
     mark_moments,
     save_pattern_csv,
     split_by_type,
-    validate_pattern,
 )
 from .simulate import (
     GaussianFieldSpec,

@@ -190,6 +190,14 @@ def _check_seg_off(net: LinearNetwork, seg, off):
         raise ValidationError(f"location {bad[0]}: offset {off[bad[0]]} outside [0, 1]")
 
 
+def _check_xy(w: PlanarWindow, xy):
+    """Raise for the first (n, 2) location outside the closed window, NaN included."""
+    bad = np.nonzero(~w.contains(xy[:, 0], xy[:, 1]))[0]
+    if len(bad):
+        x, y = xy[bad[0]].tolist()
+        raise ValidationError(f"point {bad[0]} at ({x}, {y}) outside window")
+
+
 def _locations(seg, off) -> list:
     """NetworkLocation objects for (segment, offset) columns."""
     return [NetworkLocation(s, t) for s, t in zip(seg.tolist(), off.tolist())]

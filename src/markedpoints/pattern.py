@@ -1,8 +1,9 @@
-"""Marked point pattern data model, validation, type splitting, mark moments, CSV I/O.
+"""Marked point pattern data model, type splitting, mark moments, CSV I/O.
 
 A pattern lives either in a planar rectangle or on a linear network; every
 point may carry a categorical type label and/or a real-valued mark.
-Patterns are immutable by convention once validated.
+Locations are checked when a pattern is built, and patterns are immutable
+by convention.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .geometry import (
     NetworkLocation,
     PlanarWindow,
     _check_seg_off,
+    _check_xy,
     _embed,
     _loc_arrays,
     _locations,
@@ -27,7 +29,6 @@ __all__ = [
     "MarkedPoint",
     "MarkedPointPattern",
     "MarkSummaryStats",
-    "validate_pattern",
     "split_by_type",
     "mark_moments",
     "load_pattern_csv",
@@ -82,13 +83,15 @@ class MarkedPointPattern:
         """Pattern from columns: loc is an (n, 2) coordinate array on a window
         or a (segment, offset) pair of arrays on a network; marks is a float
         array, present where has_mark is true (everywhere by default);
-        labels holds a str or None per point."""
+        labels holds a str or None per point. A location off the network or
+        outside the closed window (NaN included) raises ValidationError."""
         network = _is_network(domain)
         if network:
             loc = (np.array(loc[0], dtype=int), np.array(loc[1], dtype=float))
             _check_seg_off(domain, *loc)
         else:
             loc = np.array(loc, dtype=float).reshape(-1, 2)
+            _check_xy(domain, loc)
         n = len(loc[0]) if network else len(loc)
         has = np.full(n, marks is not None) if has_mark is None else np.array(has_mark, dtype=bool)
         marks = np.full(n, np.nan) if marks is None else np.array(marks, dtype=float)
@@ -182,25 +185,6 @@ def _is_network(domain) -> bool:
     return isinstance(domain, LinearNetwork)
 
 
-def validate_pattern(p: MarkedPointPattern) -> MarkedPointPattern:
-    """Check all pattern invariants; returns the pattern unchanged when valid.
-
-    Reports the index of the first offending point for points outside the
-    window and for non-finite marks. Mixed location kinds and network
-    locations off the network raise when the pattern is built.
-    """
-    loc, marks, has, _ = p._cols
-    if not p.is_network:
-        bad = np.nonzero(~p.domain.contains(loc[:, 0], loc[:, 1]))[0]
-        if len(bad):
-            x, y = loc[bad[0]].tolist()
-            raise ValidationError(f"point {bad[0]} at ({x}, {y}) outside window")
-    bad = np.nonzero(has & ~np.isfinite(marks))[0]
-    if len(bad):
-        raise ValidationError(f"point {bad[0]} has non-finite mark {marks[bad[0]]}")
-    return p
-
-
 def split_by_type(p: MarkedPointPattern) -> dict:
     """Partition by type label, lexicographic label order; sub-patterns keep the full domain."""
     labels = p._cols[3]
@@ -209,6 +193,13 @@ def split_by_type(p: MarkedPointPattern) -> dict:
         raise ValidationError(f"point {missing[0]} has no type label")
     keys, inv = np.unique(labels, return_inverse=True)
     return {lab: p.subset(np.nonzero(inv == k)[0]) for k, lab in enumerate(keys.tolist())}
+
+
+def _refuse_nan(m: np.ndarray):
+    """Raise ValidationError with the position of the first NaN mark."""
+    bad = np.nonzero(np.isnan(m))[0]
+    if len(bad):
+        raise ValidationError(f"mark {bad[0]} is NaN: no mark statistic is defined")
 
 
 def _moments(m: np.ndarray) -> tuple[float, float]:
@@ -220,9 +211,8 @@ def _moments(m: np.ndarray) -> tuple[float, float]:
     magnitude or whose range has a square past the float range (about
     1.34e154), or whose variance overflows, raise NumericalError: their pair
     products would overflow."""
+    _refuse_nan(m)
     lo, hi = float(m.min()), float(m.max())
-    if np.isnan(lo):  # numpy's min keeps a NaN, which the tests below let through
-        raise ValidationError(f"mark {np.flatnonzero(np.isnan(m))[0]} is NaN: no mark statistic is defined")
     big = max(-lo, hi, hi - lo)
     if big * big == np.inf:
         raise NumericalError(f"marks from {lo:g} to {hi:g}: pair products of marks this large overflow")
@@ -282,7 +272,8 @@ def save_pattern_csv(p: MarkedPointPattern, path):
 
 
 def load_pattern_csv(path, domain) -> MarkedPointPattern:
-    """Read a pattern CSV (header required) against the given domain."""
+    """Read a pattern CSV (header required) against the given domain; a
+    non-finite mark field raises ValidationError with its point's index."""
     with open(path, newline="", encoding="utf-8") as fh:
         rd = csv.reader(fh)
         try:
@@ -324,4 +315,8 @@ def load_pattern_csv(path, domain) -> MarkedPointPattern:
             lab = r[ti].strip()
         labels.append(lab)
     loc = (first, second) if network else np.column_stack([first, second])
-    return validate_pattern(MarkedPointPattern.from_columns(domain, loc, marks, labels, has))
+    p = MarkedPointPattern.from_columns(domain, loc, marks, labels, has)
+    bad = np.nonzero(p._cols[2] & ~np.isfinite(p._cols[1]))[0]
+    if len(bad):
+        raise ValidationError(f"point {bad[0]} has non-finite mark {p._cols[1][bad[0]]}")
+    return p

@@ -168,19 +168,16 @@ def _psd_factor(build: Callable[[], np.ndarray]) -> np.ndarray:
 def lgcp_network(
     spec: GaussianFieldSpec,
     net: LinearNetwork,
-    step: float | None = None,
-    rng: np.random.Generator | None = None,
+    step: float | None,
+    rng: np.random.Generator,
 ) -> MarkedPointPattern:
     """Log-Gaussian Cox pattern on a network.
 
     The field is sampled on a regular arc-length discretization via a
     Cholesky factor of the induced covariance (nugget added on the
     diagonal); each cell then receives an independent Poisson count with
-    mean exp(Z) times the cell length. rng is required, as for every
-    sampler: None raises ValidationError.
+    mean exp(Z) times the cell length. A step of None means total length / 500.
     """
-    if rng is None:
-        raise ValidationError("lgcp_network needs a numpy Generator rng")
     if step is None:
         step = net.total_length / 500.0
     seg, i, m = _arc_cells(net, step)

@@ -7,6 +7,7 @@ polygon, and tick-labeled axes. Output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -15,10 +16,15 @@ __all__ = ["envelope_panels_svg", "curves_svg"]
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 54, 14, 26, 34
 
 
+def _span(lo: float, hi: float) -> tuple:
+    """(s (hi - lo), s): s is 1, or 1/2 when hi - lo overflows."""
+    d = hi - lo
+    return (d, 1.0) if d < math.inf else (hi / 2 - lo / 2, 0.5)
+
+
 def _nice_ticks(lo: float, hi: float) -> list:
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        return [lo]
-    raw = (hi - lo) / 5
+    d, s = _span(lo, hi)
+    raw = d / (5 * s)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -26,9 +32,11 @@ def _nice_ticks(lo: float, hi: float) -> list:
             break
     start = math.ceil(lo / step) * step
     ticks = []
-    t = start
-    while t <= hi + 1e-12 * step:
+    t, stop = start, min(hi + 1e-12 * step, sys.float_info.max)  # past the float range, t ends at inf
+    while t <= stop:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:  # a step below the values' spacing never moves t
+            break
         t += step
     return ticks
 
@@ -42,36 +50,22 @@ class _Panel:
         self.x0, self.y0 = x0, y0
         self.w, self.h = width, height
         self.xlim, self.ylim = xlim, ylim
+        self._xs, self._ys = _span(*xlim), _span(*ylim)
 
     def px(self, x):
-        span = self.xlim[1] - self.xlim[0]
-        return self.x0 + _MARGIN_L + (x - self.xlim[0]) / span * (self.w - _MARGIN_L - _MARGIN_R)
+        (d, s), lo = self._xs, self.xlim[0]
+        return self.x0 + _MARGIN_L + (x * s - lo * s) / d * (self.w - _MARGIN_L - _MARGIN_R)
 
     def py(self, y):
-        span = self.ylim[1] - self.ylim[0]
-        return (
-            self.y0
-            + self.h
-            - _MARGIN_B
-            - (y - self.ylim[0]) / span * (self.h - _MARGIN_T - _MARGIN_B)
-        )
+        (d, s), lo = self._ys, self.ylim[0]
+        return self.y0 + self.h - _MARGIN_B - (y * s - lo * s) / d * (self.h - _MARGIN_T - _MARGIN_B)
 
 
 def _finite_runs(*arrays):
     """(start, stop) of each maximal nonempty run where every array is finite."""
-    ok = np.ones(len(arrays[0]), dtype=bool)
-    for a in arrays:
-        ok &= np.isfinite(a)
-    runs, start = [], None
-    for i, flag in enumerate(ok):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(ok)))
-    return runs
+    ok = np.logical_and.reduce([np.isfinite(a) for a in arrays])
+    edges = np.nonzero(np.diff(ok, prepend=False, append=False))[0].tolist()
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def _polyline(panel, x, y, stroke, width, dash=None):
@@ -128,10 +122,12 @@ def _limits(values):
     if len(finite) == 0:
         return (0.0, 1.0)
     lo, hi = float(finite.min()), float(finite.max())
-    if hi <= lo:
-        lo, hi = lo - 0.5, hi + 0.5
-    span = hi - lo
-    return lo - 0.06 * span, hi + 0.06 * span
+    if hi <= lo:  # widen by 1, or past 2^51, where a fifth of that moves no tick, by 2^-51 of the value
+        pad = max(0.5, 2.0**-52 * abs(lo))
+        lo, hi = lo - pad, hi + pad
+    d, s = _span(lo, hi)
+    pad = 0.06 / s * d
+    return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
 
 
 def _write_svg(path, parts, title, width, height):

@@ -6,16 +6,14 @@ Runs `python -m pytest` from the root of the checkout over a temporary copy
 of src/ whose `sitecustomize.py` traces the package in every process that
 imports it (the CLI subprocesses too) and in every thread it starts (the
 replicate pool), with the standard library only (`sys.settrace`). Executable
-lines are those of the modules' code objects (`co_lines`); a line inside a
-`raise` statement (by `ast`) is reported apart from the others.
+lines are those of the modules' code objects (`co_lines`), raise statements
+included.
 
 Prints one Markdown table of never-run lines per module to standard output
 (pytest's own output goes to standard error) and exits 1 when the tests fail
-or a line outside a raise statement never ran: a line of src/ runs under
-tier-1 or goes.
+or any line never ran: a line of src/ runs under tier-1 or goes.
 """
 
-import ast
 import json
 import os
 import shutil
@@ -68,26 +66,12 @@ def executable_lines(code):
     return lines
 
 
-def raise_lines(tree):
-    """The lines spanned by the raise statements of a module."""
-    return {
-        line
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Raise)
-        for line in range(node.lineno, node.end_lineno + 1)
-    }
-
-
 def never_run(src_dir, hits):
-    """{module file name: (executable lines, never-run lines in raise
-    statements, never-run lines outside them)}."""
+    """{module file name: (executable lines, never-run lines)}."""
     table = {}
     for path in sorted((src_dir / PACKAGE).glob("*.py")):
-        text = path.read_text()
-        lines = executable_lines(compile(text, str(path), "exec"))
-        missed = lines - hits.get(str(path), set())
-        raising = raise_lines(ast.parse(text))
-        table[path.name] = (len(lines), sorted(missed & raising), sorted(missed - raising))
+        lines = executable_lines(compile(path.read_text(), str(path), "exec"))
+        table[path.name] = (len(lines), sorted(lines - hits.get(str(path), set())))
     return table
 
 
@@ -103,20 +87,14 @@ def ranges(lines):
 
 
 def report(table) -> int:
-    """Print the table; returns the count of never-run lines outside raise statements."""
-    print("| module | executable | never run: raise | never run: other | other lines |")
-    print("|---|---:|---:|---:|---|")
-    for name, (n, raising, other) in table.items():
-        print(f"| {name} | {n} | {len(raising)} | {len(other)} | {ranges(other)} |")
-    rows = table.values()
-    n, raising, other = sum(r[0] for r in rows), sum(len(r[1]) for r in rows), sum(len(r[2]) for r in rows)
-    print(f"| total | {n} | {raising} | {other} | |")
-    if raising:
-        print("\nNever-run raise statements:")
-        for name, (_, lines, _) in table.items():
-            if lines:
-                print(f"- {name}: {ranges(lines)}")
-    return other
+    """Print the table; returns the count of never-run lines."""
+    print("| module | executable | never run | lines |")
+    print("|---|---:|---:|---|")
+    for name, (n, missed) in table.items():
+        print(f"| {name} | {n} | {len(missed)} | {ranges(missed)} |")
+    n, missed = sum(r[0] for r in table.values()), sum(len(r[1]) for r in table.values())
+    print(f"| total | {n} | {missed} | |")
+    return missed
 
 
 def main(pytest_args):
@@ -133,12 +111,12 @@ def main(pytest_args):
             for filename, line in json.loads(dump.read_text()):
                 hits.setdefault(filename, set()).add(line)
         table = never_run(src_dir, hits)
-    other = report(table)
+    missed = report(table)
     if tests.returncode != 0:
         print(f"\ntier-1 failed under the tracer (pytest exit code {tests.returncode})")
         return 1
-    if other:
-        print(f"\n{other} line(s) of src/ outside a raise statement never ran")
+    if missed:
+        print(f"\n{missed} line(s) of src/ never ran")
         return 1
     return 0
 

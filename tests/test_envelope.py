@@ -136,22 +136,37 @@ def test_envelopes_observed_overlay(tmp_path, unit_square):
     assert (tmp_path / "band.svg").read_text().count('stroke="#b3312a"') == 1
 
 
-def test_svg_flat_range_nan_gap_and_one_tick_axis(tmp_path):
+def test_svg_flat_range_nan_gap_and_overflowing_span(tmp_path):
     r = np.linspace(0.0, 1.0, 5)
 
     def plot(values):
         curves_svg(tmp_path / "c.svg", [("c", SummaryCurve(r, values, "k"))], title="t")
         return (tmp_path / "c.svg").read_text()
 
+    def y_ticks(svg):
+        return [float(t) for t in re.findall(r'text-anchor="end" fill="#222">([^<]*)<', svg)]
+
+    def y_coords(svg):
+        return [float(xy.split(",")[1]) for pts in re.findall(r'points="([^"]*)"', svg) for xy in pts.split()]
+
     # a flat curve is drawn in a unit range around its value
     svg = plot(np.full(5, 2.0))
-    assert [float(t) for t in re.findall(r'text-anchor="end" fill="#222">([^<]*)<', svg)] == [1.5, 1.75, 2.0, 2.25, 2.5]
+    assert y_ticks(svg) == [1.5, 1.75, 2.0, 2.25, 2.5]
+    # past 2^51 (about 2.3e15) ticks a fraction of a unit apart cannot move,
+    # and past about 4.5e15 the unit range rounds away: the range is 2^-51 of
+    # the value wide, and the curve is drawn across the middle
+    svg = plot(np.full(5, 1e17))
+    assert y_coords(svg) == [148.0] * 5 and y_ticks(svg) == [1e17] * 3
+    # a range of one unit in the last place takes a tick step that cannot
+    # move past the first tick
+    svg = plot(np.array([1.0, 1.0, np.nextafter(1.0, 2.0), 1.0, 1.0]))
+    assert y_coords(svg) == [248.0, 248.0, 48.0, 248.0, 248.0] and y_ticks(svg) == [1.0]
     # a NaN splits the curve into two polylines
     assert plot(np.array([1.0, 2.0, np.nan, 3.0, 4.0])).count("<polyline") == 2
-    # a range whose span overflows gets one tick, not an error
-    with np.errstate(invalid="ignore"):
-        svg = plot(np.array([-1e308, 0.0, 0.0, 0.0, 1e308]))
-    assert svg.count('text-anchor="end"') == 1
+    # a range whose span overflows is drawn and ticked like any other
+    svg = plot(np.array([-1e308, 0.0, 0.0, 0.0, 1e308]))
+    assert y_ticks(svg) == [-1e308, -5e307, 0.0, 5e307, 1e308]
+    assert y_coords(svg) == [237.29, 148.0, 148.0, 148.0, 58.71]
 
 
 def test_band_csv(tmp_path):

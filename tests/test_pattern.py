@@ -1,4 +1,4 @@
-"""Pattern validation, type splitting, mark moments, CSV round-trips."""
+"""Pattern construction checks, type splitting, mark moments, CSV round-trips."""
 
 import numpy as np
 import pytest
@@ -13,31 +13,37 @@ from markedpoints import (
     mark_moments,
     save_pattern_csv,
     split_by_type,
-    validate_pattern,
 )
 
 
-def test_empty_pattern_valid(unit_square):
-    p = MarkedPointPattern(unit_square, [])
-    assert validate_pattern(p) is p
+def test_empty_pattern_valid(tmp_path, unit_square):
+    assert MarkedPointPattern(unit_square, []).n == 0
+    save_pattern_csv(MarkedPointPattern.from_columns(unit_square, np.zeros((0, 2))), tmp_path / "p.csv")
+    assert load_pattern_csv(tmp_path / "p.csv", unit_square).n == 0
 
 
-def test_out_of_domain_reports_index(unit_square):
-    p = MarkedPointPattern(unit_square, [MarkedPoint((1.5, 0.5))])
-    with pytest.raises(ValidationError, match="point 0"):
-        validate_pattern(p)
+def test_out_of_domain_reports_index(tmp_path, unit_square):
+    with pytest.raises(ValidationError, match=r"point 1 at \(1.5, 0.5\) outside window"):
+        MarkedPointPattern(unit_square, [MarkedPoint((0.5, 0.5)), MarkedPoint((1.5, 0.5))])
+    (tmp_path / "p.csv").write_text("x,y\n0.5,0.5\n1.5,0.5\n")
+    with pytest.raises(ValidationError, match=r"point 1 at \(1.5, 0.5\) outside window"):
+        load_pattern_csv(tmp_path / "p.csv", unit_square)
 
 
-def test_nan_mark_rejected(unit_square):
+def test_nan_mark_rejected(tmp_path, unit_square):
+    # a NaN mark in memory is refused by the mark statistics, a non-finite
+    # mark field by the loader
     p = MarkedPointPattern(unit_square, [MarkedPoint((0.5, 0.5), mark=float("nan"))])
-    with pytest.raises(ValidationError, match="non-finite"):
-        validate_pattern(p)
+    with pytest.raises(ValidationError, match="mark 0 is NaN"):
+        mark_moments(p)
+    (tmp_path / "p.csv").write_text("x,y,mark\n0.5,0.5,1\n0.5,0.5,nan\n")
+    with pytest.raises(ValidationError, match="point 1 has non-finite mark nan"):
+        load_pattern_csv(tmp_path / "p.csv", unit_square)
 
 
 def test_mixed_domain_kinds_rejected(unit_square):
     with pytest.raises(ValidationError, match="network location"):
-        p = MarkedPointPattern(unit_square, [MarkedPoint(NetworkLocation(0, 0.5))])
-        validate_pattern(p)
+        MarkedPointPattern(unit_square, [MarkedPoint(NetworkLocation(0, 0.5))])
 
 
 def test_point_list_errors_raise_from_the_constructor(unit_square):

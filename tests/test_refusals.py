@@ -128,8 +128,20 @@ PATTERN = [
     pytest.param(lambda tmp: mp.mark_moments(mp.MarkedPointPattern.from_columns(
         W, np.full((8, 2), 0.5), np.tile([0.0, 1.3e154], 4))), NumericalError, "their variance overflows",
         id="variance-overflow"),
+    # a planar location outside the closed window, NaN included, through
+    # either constructor
+    pytest.param(lambda tmp: mp.MarkedPointPattern.from_columns(W, [[2.0, 2.0]]), ValidationError,
+                 r"point 0 at \(2.0, 2.0\) outside window", id="columns-outside"),
+    pytest.param(lambda tmp: mp.MarkedPointPattern.from_columns(W, [[np.nan, 0.5]]), ValidationError,
+                 r"point 0 at \(nan, 0.5\) outside window", id="columns-nan"),
+    pytest.param(lambda tmp: mp.MarkedPointPattern(W, [mp.MarkedPoint((2.0, 2.0))]), ValidationError,
+                 r"point 0 at \(2.0, 2.0\) outside window", id="points-outside"),
+    pytest.param(lambda tmp: mp.MarkedPointPattern(W, [mp.MarkedPoint((np.nan, 0.5))]), ValidationError,
+                 r"point 0 at \(nan, 0.5\) outside window", id="points-nan"),
     pytest.param(lambda tmp: mp.load_pattern_csv(write(tmp / "p.csv", ""), W), ValidationError,
                  "empty pattern file", id="empty-file"),
+    pytest.param(lambda tmp: mp.load_pattern_csv(write(tmp / "p.csv", "x,y,mark\n0.5,0.5,1\n0.5,0.5,inf\n"), W),
+                 ValidationError, "point 1 has non-finite mark inf", id="non-finite-mark"),
     pytest.param(lambda tmp: mp.load_pattern_csv(write(tmp / "p.csv", "a,b\n0.5,0.5\n"), W), ValidationError,
                  "must have columns x,y or segment,offset", id="columns-missing"),
 ]
@@ -160,6 +172,8 @@ SUMMARIES = [
                  "mark-weighted K needs at least 2 marked points", id="weighted-one-point"),
     pytest.param(lambda tmp: mp.mark_weighted_k(planar(5).with_marks(np.ones(5)), mp.VARIOGRAM, 5.0), NumericalError,
                  "pair average is zero", id="weighted-degenerate"),
+    pytest.param(lambda tmp: mp.mark_sum_measure(planar(3).with_marks([1.0, np.nan, 2.0]), 0.5), ValidationError,
+                 "mark 1 is NaN: no mark statistic is defined", id="sum-measure-nan-mark"),
 ]
 
 
@@ -177,8 +191,9 @@ def test_library_refusals(tmp_path, call, error, message):
 
 
 # (argv, exit code, stderr text); PTS is a planar pattern, TREE the bundled
-# tree, ON_TREE a pattern on it, NOT_JSON a text file and FAILING a metadata
-# file whose run is refused
+# tree, ON_TREE a pattern on it, NAN_MARK and OUTSIDE planar patterns with a
+# NaN mark and a point outside the unit square, NOT_JSON a text file and
+# FAILING a metadata file whose run is refused
 CLI = [
     pytest.param(["intensity", "--pattern", "PTS"], 3, "either --window or --network is required", id="no-domain"),
     pytest.param(["intensity", "--pattern", "PTS", "--window", "0,1"], 3,
@@ -203,6 +218,10 @@ CLI = [
                  "poisson envelopes are planar-only in the CLI", id="envelope-network"),
     pytest.param(["envelope", "--model", "modelI", "--stat", "stoyan", "--nsim", "39",
                   "--n-expected", "1e-9"], 3, "no pattern with 2 or more points", id="envelope-redraws"),
+    pytest.param(["markcorr", "--pattern", "NAN_MARK", "--window", "0,1,0,1"], 3, "point 1 has non-finite mark nan",
+                 id="non-finite-mark"),
+    pytest.param(["markcorr", "--pattern", "OUTSIDE", "--window", "0,1,0,1"], 3, "point 1 at (2.0, 0.5) outside window",
+                 id="outside-window"),
     pytest.param(["rerun", "NOT_JSON"], 3, "is not a JSON object with an argv record", id="rerun-not-json"),
     pytest.param(["rerun", "FAILING"], 3, "failed with exit code 3", id="rerun-failing"),
 ]
@@ -214,11 +233,13 @@ def cli_files(tmp_path):
     mp.save_network(net, tmp_path / "tree.json")
     mp.save_pattern_csv(planar(20), tmp_path / "pts.csv")
     mp.save_pattern_csv(mp.poisson_network(20.0 / net.total_length, net, rng()), tmp_path / "on_tree.csv")
+    write(tmp_path / "nan_mark.csv", "x,y,mark\n0.5,0.5,1\n0.5,0.5,nan\n")
+    write(tmp_path / "outside.csv", "x,y\n0.5,0.5\n2,0.5\n")
     write(tmp_path / "not.json", "not json")
     run = ["simulate", "--model", "poisson", "--window", "0,1,0,1", "--out-dir", str(tmp_path / "out")]
     write(tmp_path / "failing.json", json.dumps({"argv": run}))
-    return {"PTS": "pts.csv", "TREE": "tree.json", "ON_TREE": "on_tree.csv", "NOT_JSON": "not.json",
-            "FAILING": "failing.json"}
+    return {"PTS": "pts.csv", "TREE": "tree.json", "ON_TREE": "on_tree.csv", "NAN_MARK": "nan_mark.csv",
+            "OUTSIDE": "outside.csv", "NOT_JSON": "not.json", "FAILING": "failing.json"}
 
 
 @pytest.mark.parametrize("argv, code, message", CLI)

@@ -145,10 +145,10 @@ def test_lgcp_cap_after_the_field_draw():
 
 
 def test_lgcp_needs_an_rng():
-    # no sampler draws from unseeded entropy
+    # no sampler draws from unseeded entropy: rng has no default
     net = LinearNetwork([[0, 0], [100, 0]], [[0, 1]])
     spec = GaussianFieldSpec(mean=0.0, cov=const_cov(0.25), anchor=NetworkLocation(0, 0.5))
-    with pytest.raises(ValidationError, match="rng"):
+    with pytest.raises(TypeError, match="rng"):
         lgcp_network(spec, net, 10.0)
 
 

@@ -16,6 +16,7 @@ from markedpoints import (
     SmoothingSpec1D,
     all_pairs_network_distances,
     constant_field_sampler,
+    cosine_field_sampler,
     f_inhom,
     h_cross_inhom,
     intensity_heat,
@@ -29,6 +30,7 @@ from markedpoints import (
     mark_corr_suite,
     model_marks,
     poisson_network,
+    poisson_planar,
     save_pattern_csv,
     split_by_type,
     synthetic_tree_network,
@@ -83,7 +85,7 @@ def _lgcp():
     net = synthetic_tree_network()
     spec = GaussianFieldSpec(mean=np.log(100.0 / net.total_length), cov=lambda a, b: 0.2 + 0.0 * a * b,
                              anchor=NetworkLocation(0, 0.5))
-    return lgcp_network(spec, net, rng=np.random.default_rng(33))
+    return lgcp_network(spec, net, None, np.random.default_rng(33))
 
 
 @pytest.mark.parametrize("make", [_planar, _network, _lgcp], ids=["planar", "network", "lgcp"])
@@ -159,6 +161,28 @@ def test_csv_round_trip_byte_identical(tmp_path, p):
     save_pattern_csv(q, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == first
     _assert_same_pattern(q, load_pattern_csv(tmp_path / "list.csv", p.domain))
+
+
+@pytest.mark.parametrize("kind", ["poisson", "linked", "balanced"])
+def test_simulated_planar_patterns_load_back(tmp_path, kind):
+    # a simulated pattern lies in the closed window, and so does its CSV,
+    # which holds each coordinate to 12 significant digits
+    w = PlanarWindow(-3.0, 5.5, 10.0, 12.25)
+    rng = np.random.default_rng(35)
+    if kind == "poisson":
+        p = poisson_planar(lambda x, y: 40.0 * (x + 3.0), w, rng, lam_max=340.0)
+        p = p.with_marks(rng.uniform(-1.0, 1.0, p.n))
+    else:
+        p = linked_balanced_cox(kind, 20.0, cosine_field_sampler(10.0, 3.0, 2.0), w, rng)
+    save_pattern_csv(p, tmp_path / "p.csv")
+    q = load_pattern_csv(tmp_path / "p.csv", w)
+    assert p.n > 100 and q.n == p.n
+    held = np.vectorize(lambda v: float(format(v, ".12g")))
+    assert np.array_equal(q.coords(), held(p.coords()))
+    assert q.labels() == p.labels()
+    assert q.has_marks() == p.has_marks()
+    if p.has_marks():
+        assert np.array_equal(q.marks(), held(p.marks()))
 
 
 def _crowded_network_pattern(seed):
