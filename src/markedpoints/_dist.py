@@ -161,13 +161,17 @@ def _euclidean(xy_a, xy_b, i, j) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
+def _check_same_domain(domain, p: MarkedPointPattern):
+    if p.domain is not domain:
+        raise ValidationError("patterns must share one domain object")
+
+
 def _points_on(domain, side):
     """Planar coordinates or network (segment, offset) columns of one side
     of a cross search."""
     if not isinstance(side, MarkedPointPattern):
         return side
-    if side.domain is not domain:
-        raise ValidationError("patterns must share one domain object")
+    _check_same_domain(domain, side)
     return side.seg_off() if side.is_network else side.coords()
 
 

@@ -254,13 +254,18 @@ def _write_table(path, header, cols, comment=None):
 def save_pattern_csv(p: MarkedPointPattern, path):
     """Pattern CSV: x,y[,type][,mark] planar; segment,offset[,type][,mark] network.
 
-    Missing marks are written as empty fields.
+    Numbers take 12 significant digits, or a planar coordinate its shortest round-trip
+    text where 12 digits read back outside the window. Missing marks are empty fields.
     """
     loc, marks, has, labels = p._cols
     if p.is_network:
         header, cols = ["segment", "offset"], [[str(s) for s in loc[0].tolist()], _fmt(loc[1])]
     else:
         header, cols = ["x", "y"], [_fmt(loc[:, 0]), _fmt(loc[:, 1])]
+        back = np.array(cols, dtype=float)
+        out = [~p.domain.contains(back[0], loc[:, 1]), ~p.domain.contains(loc[:, 0], back[1])]
+        for axis, k in zip(*np.nonzero(out)):
+            cols[axis][k] = repr(float(loc[k, axis]))
     labels = labels.tolist()
     if any(lab is not None for lab in labels):
         header.append("type")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._dist import _bins, _row_blocks, close_pairs, cross_search, translation_weights
+from ._dist import _bins, _check_same_domain, _row_blocks, close_pairs, cross_search, translation_weights
 from .curves import SummaryCurve, _r_values
 from .errors import NumericalError, ValidationError
 from .geometry import _MAX_ENTRIES, LinearNetwork, _arc_mesh, _border_dist, _check_cells, boundary_distance
@@ -30,11 +30,6 @@ __all__ = [
     "mark_weighted_k",
     "mark_sum_measure",
 ]
-
-
-def _check_same_domain(pa: MarkedPointPattern, pb: MarkedPointPattern):
-    if pa.domain is not pb.domain:
-        raise ValidationError("patterns must share one domain object")
 
 
 def _positive_intensities(lam, p, what) -> np.ndarray:
@@ -76,7 +71,7 @@ def k_cross_inhom(
     """Cross-type inhomogeneous K: intensity-reweighted pair counts between
     two sub-patterns, scaled by the domain size."""
     _check_k_ec(ec, pi)
-    _check_same_domain(pi, pj)
+    _check_same_domain(pi.domain, pj)
     r = _r_values(pi.domain, r)
     size = pi.domain_size
     with np.errstate(over="ignore"):
@@ -199,7 +194,7 @@ def h_cross_inhom(
     Border correction by r-reduction: type-i points closer than r to the
     border are dropped at that r; the value is NaN when no point survives.
     """
-    _check_same_domain(pi, pj)
+    _check_same_domain(pi.domain, pj)
     r = _r_values(pi.domain, r)
     if pi.n == 0:
         return SummaryCurve(r, np.full_like(r, np.nan), "hcross", None, {})

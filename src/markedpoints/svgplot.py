@@ -23,13 +23,13 @@ def _span(lo: float, hi: float) -> tuple:
 
 
 def _nice_ticks(lo: float, hi: float) -> list:
+    """Ticks at a 1-2-2.5-5 step in [lo, hi]; none where no such step covers a fifth of hi - lo."""
     d, s = _span(lo, hi)
     raw = d / (5 * s)
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
+    step = next((mult * mag for mult in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= mult * mag), 0.0)
+    if not step:
+        return []
     start = math.ceil(lo / step) * step
     ticks = []
     t, stop = start, min(hi + 1e-12 * step, sys.float_info.max)  # past the float range, t ends at inf
@@ -122,12 +122,13 @@ def _limits(values):
     if len(finite) == 0:
         return (0.0, 1.0)
     lo, hi = float(finite.min()), float(finite.max())
-    if hi <= lo:  # widen by 1, or past 2^51, where a fifth of that moves no tick, by 2^-51 of the value
-        pad = max(0.5, 2.0**-52 * abs(lo))
-        lo, hi = lo - pad, hi + pad
-    d, s = _span(lo, hi)
-    pad = 0.06 / s * d
-    return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
+    # a flat range, or one too narrow for a nonzero tick step, is widened by 1,
+    # or past 2^51, where a fifth of that moves no tick, by 2^-51 of the value
+    for pad in (0.0, max(0.5, 2.0**-52 * abs(lo))):
+        d, s = _span(lo - pad, hi + pad)
+        lims = max(lo - pad - 0.06 / s * d, -sys.float_info.max), min(hi + pad + 0.06 / s * d, sys.float_info.max)
+        if _nice_ticks(*lims):
+            return lims
 
 
 def _write_svg(path, parts, title, width, height):

@@ -1,10 +1,11 @@
 """Write the golden artifact set that tests/test_golden.py compares with a
 fresh run: the CLI outputs that row blocks, sum orders, pair searches and
 BLAS threads can move (planar and network K, mark-weighted K, F, H and J
-curves, mark correlation suites, planar rasters with a fixed and a cvl
-bandwidth and with the Epanechnikov kernel, and a network intensity), the study
-bands of models I-III, a single-statistic envelope, a Poisson K envelope and
-simulated linked Cox, LGCP, model II and model III patterns.
+curves, planar dot-type K, mark correlation suites, planar rasters with a
+fixed and a cvl bandwidth and with the Epanechnikov kernel, and a network
+intensity), the study bands of models I-III, a single-statistic envelope, a
+Poisson K envelope and simulated Poisson, linked and balanced Cox, LGCP and
+model I-III patterns.
 
     PYTHONPATH=src python tests/golden/regen.py           # rewrite tests/golden
     PYTHONPATH=src python tests/golden/regen.py OUT_DIR   # write the set elsewhere
@@ -84,6 +85,13 @@ CASES = {
     "intensity_network": ["intensity", "--sigma", "200"] + NETWORK,
     "envelope_poisson": ["envelope", "--model", "poisson", "--window", "0,1,0,1", "--rate", "50", "--nsim", "39",
                          "--bins", "30"],
+    # the planar dot-type K, and the planar Poisson, balanced Cox (nu at the
+    # cosine field's bound 15 + 3 * 5) and model I patterns
+    "summary_kdot_planar": ["summary", "--type-i", "a", "--bins", "24", "--stat", "kdot"] + PLANAR,
+    "simulate_poisson": ["simulate", "--model", "poisson", "--window", "0,1,0,1", "--rate", "40"],
+    "simulate_balanced": ["simulate", "--model", "balanced", "--window", "0,1,0,1", "--nu", "30",
+                          "--base-cosine", "15,5,0.5"],
+    "simulate_modelI": ["simulate", "--model", "modelI", "--n-expected", "40"],
 }
 
 

@@ -169,6 +169,23 @@ def test_svg_flat_range_nan_gap_and_overflowing_span(tmp_path):
     assert y_coords(svg) == [237.29, 148.0, 148.0, 148.0, 58.71]
 
 
+def test_svg_span_of_a_few_subnormal_steps(tmp_path):
+    # no 1-2-2.5-5 tick step covers a fifth of these spans: the power of ten
+    # at or below it underflows, or is rounded too far down; they are drawn
+    # like a flat range around 0
+    r = np.linspace(0.0, 1.0, 3)
+    for top in (5e-324, 895 * 5e-324):
+        curves_svg(tmp_path / "c.svg", [("c", SummaryCurve(r, np.array([0.0, top, 0.0]), "k"))], title="t")
+        svg = (tmp_path / "c.svg").read_text()
+        assert [float(t) for t in re.findall(r'text-anchor="end" fill="#222">([^<]*)<', svg)] == [
+            -0.5, -0.25, 0.0, 0.25, 0.5]
+        assert re.findall(r'points="([^"]*)"', svg) == ["54.00,148.00 280.00,148.00 506.00,148.00"]
+    # an r range of a few subnormal steps is drawn with no ticks
+    curves_svg(tmp_path / "c.svg", [("c", SummaryCurve([0.0, 1e-323, 2e-323], [0.0, 1.0, 2.0], "k"))], title="t")
+    svg = (tmp_path / "c.svg").read_text()
+    assert 'text-anchor="middle" fill="#222"' not in svg and svg.count("<polyline") == 1
+
+
 def test_band_csv(tmp_path):
     r = np.array([0.0, 1.0])
     band = EnvelopeBand(

@@ -16,6 +16,8 @@ import markedpoints
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FILES = sorted(str(p.relative_to(GOLDEN)) for p in GOLDEN.glob("*/*"))
+# the declared size of the committed set (README, ROADMAP item 5), in bytes
+BUDGET = 220_000
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,11 @@ def _assert_close(want_rows, got_rows):
         tol = 1e-12 * np.max(np.abs(w[finite]), initial=0.0)
         with np.errstate(invalid="ignore"):  # inf - inf where both are inf
             assert np.all((w == g) | (np.abs(w - g) <= tol) | np.isnan(w))
+
+
+def test_golden_set_within_budget():
+    # every file under tests/golden/ except the script that writes them
+    assert sum(p.stat().st_size for p in GOLDEN.rglob("*") if p.is_file() and p.name != "regen.py") <= BUDGET
 
 
 def test_golden_file_set(fresh):

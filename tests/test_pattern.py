@@ -8,6 +8,7 @@ from markedpoints import (
     MarkedPoint,
     MarkedPointPattern,
     NetworkLocation,
+    PlanarWindow,
     ValidationError,
     load_pattern_csv,
     mark_moments,
@@ -159,6 +160,17 @@ def test_planar_csv_roundtrip(tmp_path, unit_square):
     assert q.points[0].mark == 1.5
     assert q.points[1].mark is None
     assert q.points[1].type_label == "b"
+
+
+def test_planar_csv_coordinate_next_to_a_window_bound(tmp_path):
+    # at 12 significant digits these x would read back outside the window:
+    # 0.333333333333 below 1/3 and 0.666666666667 above 2/3
+    w = PlanarWindow(1 / 3, 2 / 3, 0.0, 1.0)
+    xy = np.array([[np.nextafter(1 / 3, 1.0), 0.5], [np.nextafter(2 / 3, 0.0), 0.5], [0.5, 0.25]])
+    path = tmp_path / "p.csv"
+    save_pattern_csv(MarkedPointPattern.from_columns(w, xy), path)
+    assert path.read_text().splitlines() == ["x,y", "0.33333333333333337,0.5", "0.6666666666666665,0.5", "0.5,0.25"]
+    assert np.array_equal(load_pattern_csv(path, w).coords(), xy)
 
 
 def test_network_csv_roundtrip(tmp_path):

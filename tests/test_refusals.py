@@ -26,6 +26,11 @@ def on_net(offsets):
     return mp.MarkedPointPattern.from_columns(NET, (np.zeros(len(offsets), int), np.array(offsets, float)))
 
 
+def elsewhere(n):
+    """n points on a unit square that is another domain object than W."""
+    return mp.MarkedPointPattern.from_columns(mp.PlanarWindow(0.0, 1.0, 0.0, 1.0), np.full((n, 2), 0.5))
+
+
 def curve(r_max):
     return mp.SummaryCurve([0.0, r_max], [0.0, 0.0], "k")
 
@@ -165,9 +170,13 @@ SIMULATE = [
 ]
 
 SUMMARIES = [
-    pytest.param(lambda tmp: mp.k_cross_inhom(planar(3), mp.MarkedPointPattern.from_columns(
-        mp.PlanarWindow(0.0, 1.0, 0.0, 1.0), np.full((3, 2), 0.5)), 3.0, 3.0), ValidationError,
-        "patterns must share one domain object", id="two-windows"),
+    pytest.param(lambda tmp: mp.k_cross_inhom(planar(3), elsewhere(3), 3.0, 3.0), ValidationError,
+                 "patterns must share one domain object", id="two-windows"),
+    # an empty side ends K and H before any pair search
+    pytest.param(lambda tmp: mp.k_cross_inhom(planar(3), elsewhere(0), 3.0, 3.0), ValidationError,
+                 "patterns must share one domain object", id="two-windows-empty-k"),
+    pytest.param(lambda tmp: mp.h_cross_inhom(elsewhere(0), planar(3), 3.0, 3.0), ValidationError,
+                 "patterns must share one domain object", id="two-windows-empty-h"),
     pytest.param(lambda tmp: mp.mark_weighted_k(planar(1), mp.STOYAN, 1.0), ValidationError,
                  "mark-weighted K needs at least 2 marked points", id="weighted-one-point"),
     pytest.param(lambda tmp: mp.mark_weighted_k(planar(5).with_marks(np.ones(5)), mp.VARIOGRAM, 5.0), NumericalError,
