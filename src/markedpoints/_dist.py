@@ -68,8 +68,8 @@ def close_pairs(p: MarkedPointPattern, cutoff: float):
     """Unordered pairs i < j at distance d <= cutoff, as arrays (i, j, d).
 
     Distances are bit-identical to the matching entries of cdist or
-    network_cross_distances, so the cutoff test agrees with a filter on the
-    dense matrix. On networks the pairs come in row-major order, as
+    all_pairs_network_distances, so the cutoff test agrees with a filter on
+    the dense matrix. On networks the pairs come in row-major order, as
     _network_search gives them.
     """
     if p.is_network:
@@ -110,17 +110,15 @@ def _network_pairs(net: LinearNetwork, a, b, tree, cutoff: float, upper: bool):
     shortest-path distance d <= cutoff, in row-major order, with j > i only
     when upper; tree is the k-d tree of b's planar embedding.
 
-    A path of length L moves the planar embedding at most kappa * L, for
-    kappa = net._stretch, the largest chord / length ratio of any segment
-    (at least 1), so a k-d tree query at radius kappa * cutoff, widened for
-    rounding, misses no pair. Each row block of a is queried against the
+    Segments are straight, so a path of length L moves the planar embedding
+    at most L, and a k-d tree query at radius cutoff, widened for rounding,
+    misses no pair. Each row block of a is queried against the
     tree of all of b, at most _BLOCK candidates a block, and its candidates
     are sorted row-major and filtered by the exact distance, which _sp_dist
     gives bit-identical to the entries of _cross_dist.
     """
-    reach = net._stretch * cutoff
     # the embedding of a location rounds by a few ulp of the coordinates
-    radius = reach + 1e-9 * (reach + np.abs(net.vertices).max())
+    radius = cutoff + 1e-9 * (cutoff + np.abs(net.vertices).max())
     xa, nb = _embed(net, *a), len(b[0])
     parts = []
     for lo, hi in _row_blocks(len(xa), nb):
@@ -182,7 +180,7 @@ def cross_search(domain, b):
 
     a and b are patterns on domain itself, or raw planar coordinates (n, 2)
     or network (segment, offset) columns on it. Distances are bit-identical
-    to the matching entries of cdist or network_cross_distances.
+    to the matching entries of cdist or of the dense _cross_dist matrix.
     """
     b = _points_on(domain, b)
     network = isinstance(domain, LinearNetwork)

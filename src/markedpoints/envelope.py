@@ -26,7 +26,9 @@ from .errors import ValidationError
 from .geometry import LinearNetwork
 from .markcorr import _SUITE, SmoothingSpec1D, _normalized, _reach
 from .pattern import MarkedPointPattern, _fmt, _write_table
-from .simulate import _RADIUS, _TREND, SeedSpec, _neighbour_counts, model_marks, poisson_network, replicate_rng
+from .simulate import (
+    _RADIUS, _TREND, SeedSpec, _check_mark_model, _neighbour_counts, model_marks, poisson_network, replicate_rng,
+)
 from .svgplot import envelope_panels_svg
 
 __all__ = ["EnvelopeBand", "envelopes", "mark_correlation_study", "envelope_rank"]
@@ -163,11 +165,8 @@ def _mark_model_bands(
     checked before any replicate is drawn. Replicates run on one thread per
     CPU in the affinity mask; every CPU count gives the same bands.
     """
-    if model not in ("I", "II", "III"):
-        raise ValidationError(f"model must be I, II or III, got {model!r}")
+    _check_mark_model(model, radius)
     k = envelope_rank(nsim, level)
-    if model == "III" and not radius >= 0:
-        raise ValidationError(f"radius must be nonnegative, got {radius}")
     lam = n_expected / net.total_length
     r = check_r_grid(r_grid(r_max, bins))
     smoothing = SmoothingSpec1D(bandwidth)

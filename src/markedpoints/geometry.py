@@ -1,7 +1,7 @@
 """Planar windows, linear networks, and the distance/measure/sampling primitives.
 
 A window is an axis-aligned rectangle; a linear network is a connected
-weighted undirected graph of straight segments embedded in the plane.
+undirected graph of straight segments embedded in the plane.
 Everything here is immutable after construction and safe to share across
 threads; randomized operations take an explicit numpy Generator.
 """
@@ -23,8 +23,6 @@ __all__ = [
     "NetworkLocation",
     "boundary_distance",
     "all_pairs_network_distances",
-    "network_cross_distances",
-    "uniform_points_on_network",
     "network_arc_mesh",
     "load_network",
     "save_network",
@@ -87,21 +85,19 @@ class NetworkLocation:
 
 
 class LinearNetwork:
-    """Connected undirected graph of positively-weighted segments in the plane.
+    """Connected undirected graph of straight segments in the plane.
 
     Parameters
     ----------
     vertices : (V, 2) array of planar coordinates.
     segments : (S, 2) array of vertex index pairs (undirected, no duplicates).
-    lengths : optional (S,) array of explicit segment lengths. By default
-        lengths are the Euclidean distances between segment endpoints;
-        explicit lengths model curved segments and abstract graphs.
 
+    A segment's length is the Euclidean distance between its endpoints.
     Disconnected networks are rejected: every downstream statistic assumes
     finite shortest-path distances.
     """
 
-    def __init__(self, vertices, segments, lengths=None):
+    def __init__(self, vertices, segments):
         self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
         self.segments = np.asarray(segments, dtype=int).reshape(-1, 2)
         nv = len(self.vertices)
@@ -118,17 +114,9 @@ class LinearNetwork:
             raise ValidationError("duplicate undirected segment")
 
         diffs = self.vertices[self.segments[:, 1]] - self.vertices[self.segments[:, 0]]
-        euclid = np.hypot(diffs[:, 0], diffs[:, 1])
-        if lengths is None:
-            self.seg_lengths = euclid
-        else:
-            self.seg_lengths = np.asarray(lengths, dtype=float).reshape(-1)
-            if len(self.seg_lengths) != len(self.segments):
-                raise ValidationError("lengths/segments size mismatch")
+        self.seg_lengths = np.hypot(diffs[:, 0], diffs[:, 1])
         if not np.all((0 < self.seg_lengths) & (self.seg_lengths < np.inf)):
             raise ValidationError("every segment length must be positive and finite")
-        # a path of length L moves the planar embedding at most _stretch * L
-        self._stretch = max(1.0, float((euclid / self.seg_lengths).max()))
         self.total_length = float(self.seg_lengths.sum())
 
         ends = np.concatenate([self.segments, self.segments[:, ::-1]])
@@ -148,12 +136,9 @@ class LinearNetwork:
     def n_segments(self) -> int:
         return len(self.segments)
 
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.segments.ravel(), minlength=self.n_vertices)
-
     def border_vertices(self) -> np.ndarray:
         """Degree-1 vertices; the network analog of the window border."""
-        return np.nonzero(self.degrees() == 1)[0]
+        return np.nonzero(np.bincount(self.segments.ravel(), minlength=self.n_vertices) == 1)[0]
 
     def vertex_distances(self) -> np.ndarray:
         """Shortest-path distance matrix between all vertex pairs (cached).
@@ -274,22 +259,13 @@ def _cross_dist(net: LinearNetwork, a, b) -> np.ndarray:
     return _along_segment(net, a, b, np.arange(len(sa))[:, None], np.arange(len(sb))[None, :], best)
 
 
-def network_cross_distances(net: LinearNetwork, locs_a, locs_b) -> np.ndarray:
-    """Shortest-path distances between two batches of network locations.
-
-    Each query point is treated as a temporary degree-2 vertex on its
-    segment, so offsets are honored exactly. The (i, j) sums are formed
-    symmetrically, which makes the full matrix exactly symmetric when
-    locs_a is locs_b.
-    """
-    return _cross_dist(net, _loc_arrays(net, locs_a), _loc_arrays(net, locs_b))
-
-
 def all_pairs_network_distances(net: LinearNetwork, locs) -> np.ndarray:
-    """Symmetric matrix of pairwise shortest-path distances, zero diagonal."""
+    """Symmetric matrix of pairwise shortest-path distances between network
+    locations, zero diagonal, with the sums of _cross_dist."""
     if len(locs) == 0:
         raise ValidationError("all_pairs_network_distances needs at least one location")
-    M = network_cross_distances(net, locs, locs)
+    cols = _loc_arrays(net, locs)
+    M = _cross_dist(net, cols, cols)
     np.fill_diagonal(M, 0.0)
     return M
 
@@ -304,11 +280,6 @@ def _border_dist(net: LinearNetwork, seg, off) -> np.ndarray:
     near = net.vertex_distances()[:, border].min(axis=1)
     d0, d1 = _end_distances(net, seg, off)
     return np.minimum(d0 + near[net.segments[seg, 0]], d1 + near[net.segments[seg, 1]])
-
-
-def uniform_points_on_network(net: LinearNetwork, n: int, rng: np.random.Generator):
-    """n i.i.d. arc-length-uniform locations."""
-    return _locations(*_uniform_seg_off(net, n, rng))
 
 
 def _uniform_seg_off(net: LinearNetwork, n: int, rng: np.random.Generator):

@@ -12,6 +12,7 @@ window mass of a kernel factorizes into two closed-form 1-D masses.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,7 +22,7 @@ from scipy.special import ndtr
 
 from ._dist import _row_blocks
 from .errors import NumericalError, ValidationError
-from .geometry import LinearNetwork, PlanarWindow, _arc_mesh, _check_cells, _cross_dist, _loc_arrays, _locations
+from .geometry import LinearNetwork, PlanarWindow, _arc_mesh, _check_cells, _check_seg_off, _cross_dist, _locations
 from .pattern import MarkedPointPattern, _fmt, _write_table
 
 __all__ = [
@@ -161,15 +162,12 @@ class IntensityEstimate:
         )
         return np.maximum(v, self.floor)
 
-    def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        return _cell_centers(self.window, self.nx, self.ny)
-
     def integral(self) -> float:
         """Midpoint quadrature of the field over the window."""
         return float(self.values.sum() * self.dx * self.dy)
 
     def to_csv(self, path):
-        xs, ys = self.cell_centers()
+        xs, ys = _cell_centers(self.window, self.nx, self.ny)
         cols = [np.repeat(xs, self.ny), np.tile(ys, self.nx), self.values.ravel()]
         comment = f"method={self.method} sigma={format(self.sigma, '.12g')} nx={self.nx} ny={self.ny}"
         _write_table(path, ["cx", "cy", "value"], map(_fmt, cols), comment)
@@ -338,31 +336,31 @@ class NetworkIntensityEstimate:
         """Cell-center NetworkLocations of the mesh, built on first request."""
         return _locations(*self._mesh)
 
-    def evaluate(self, locs) -> np.ndarray:
-        return self._evaluate(_loc_arrays(self.net, locs))
-
-    def _evaluate(self, cols) -> np.ndarray:
+    def evaluate(self, cols) -> np.ndarray:
+        """Values at (segment, offset) columns on the estimate's network."""
+        cols = (np.asarray(cols[0], dtype=int), np.asarray(cols[1], dtype=float))
+        _check_seg_off(self.net, *cols)
         if len(self._data[0]) == 0:
             return np.zeros(len(cols[0]))
         return np.maximum(self._kernel_sums(cols, self._data, 1.0 / self.norms), self.floor)
 
     @cached_property
     def _at_data(self) -> np.ndarray:
-        return self._evaluate(self._data)
+        return self.evaluate(self._data)
 
     def _at(self, cols) -> np.ndarray:
         """Values at (segment, offset) columns; at the estimate's own data
         points they are computed once and handed out as copies."""
         if all(np.array_equal(a, b) for a, b in zip(cols, self._data)):
             return self._at_data.copy()
-        return self._evaluate(cols)
+        return self.evaluate(cols)
 
     def integral(self) -> float:
-        return float(np.einsum("i,i->", self._evaluate(self._mesh), self.mesh_weights))
+        return float(np.einsum("i,i->", self.evaluate(self._mesh), self.mesh_weights))
 
     def to_csv(self, path):
         seg, off = self._mesh
-        cols = [list(map(str, seg.tolist())), _fmt(off), _fmt(self._evaluate(self._mesh))]
+        cols = [list(map(str, seg.tolist())), _fmt(off), _fmt(self.evaluate(self._mesh))]
         comment = f"method={self.method} sigma={format(self.sigma, '.12g')}"
         _write_table(path, ["segment", "offset", "value"], cols, comment)
 
@@ -424,10 +422,10 @@ def eval_intensity(lam, p: MarkedPointPattern) -> np.ndarray:
     """Evaluate an intensity specifier at every point of a pattern.
 
     Accepts a positive constant, a per-point array, a raster or network
-    estimate, or a callable (planar: f(x, y); network: f(location)).
+    estimate, or a callable (planar: f(x, y); network: f(segment, offset)).
     """
     n = p.n
-    if isinstance(lam, (int, float)) and not isinstance(lam, bool):
+    if isinstance(lam, numbers.Real) and not isinstance(lam, bool):
         return np.full(n, float(lam))
     if isinstance(lam, np.ndarray):
         if lam.shape != (n,):
@@ -438,10 +436,7 @@ def eval_intensity(lam, p: MarkedPointPattern) -> np.ndarray:
     if isinstance(lam, NetworkIntensityEstimate):
         return lam._at(p.seg_off()) if n else np.zeros(0)
     if callable(lam):
-        if p.is_network:
-            return np.array([float(lam(loc)) for loc in p.locations()])
-        xy = p.coords()
-        return _elementwise(lam, xy[:, 0], xy[:, 1])
+        return _elementwise(lam, *(p.seg_off() if p.is_network else p.coords().T))
     raise ValidationError(f"cannot interpret {type(lam).__name__} as an intensity")
 
 

@@ -338,6 +338,15 @@ _TREND = {"a": 0.0, "b": 1.0, "tau": None}
 _RADIUS = 80.0
 
 
+def _check_mark_model(kind: str, radius: float):
+    """Raise unless kind is mark model I, II or III, and, for model III, the
+    radius is nonnegative."""
+    if kind not in ("I", "II", "III"):
+        raise ValidationError(f"model must be I, II or III, got {kind!r}")
+    if kind == "III" and not radius >= 0:
+        raise ValidationError(f"radius must be nonnegative, got {radius}")
+
+
 def model_marks(
     kind: str,
     p: MarkedPointPattern,
@@ -356,8 +365,7 @@ def model_marks(
     """
     if not p.is_network:
         raise ValidationError("mark models are defined for network patterns")
-    if kind not in ("I", "II", "III"):
-        raise ValidationError(f"unknown mark model {kind!r}")
+    _check_mark_model(kind, radius)
     n = p.n
     if n == 0:
         return p
@@ -372,7 +380,5 @@ def model_marks(
             raise ValidationError("model II needs at least one degree-1 vertex")
         marks = _border_dist(p.domain, *p.seg_off())
     else:
-        if not radius >= 0:
-            raise ValidationError(f"radius must be nonnegative, got {radius}")
         marks = _neighbour_counts(*close_pairs(p, radius)[:2], n)
     return p.with_marks(marks)

@@ -10,7 +10,7 @@ from hypothesis import settings
 from scipy.spatial.distance import cdist
 
 from markedpoints import LinearNetwork, MarkedPoint, MarkedPointPattern, PlanarWindow
-from markedpoints.geometry import network_cross_distances
+from markedpoints.geometry import _cross_dist, _loc_arrays
 
 # HYPOTHESIS_PROFILE=ci runs more examples of every property test that does not
 # set its own max_examples; local runs keep Hypothesis' default budget
@@ -105,18 +105,23 @@ def planar_pattern(window, xy, marks=None, labels=None):
     return MarkedPointPattern(window, pts)
 
 
+def cross_distances(net, locs_a, locs_b):
+    """Dense shortest-path matrix between two lists of NetworkLocations."""
+    return _cross_dist(net, _loc_arrays(net, locs_a), _loc_arrays(net, locs_b))
+
+
 def location_distance(net, a, b) -> float:
     """Shortest-path distance between two NetworkLocations: a 1 x 1
-    network_cross_distances."""
-    return float(network_cross_distances(net, [a], [b])[0, 0])
+    cross_distances."""
+    return float(cross_distances(net, [a], [b])[0, 0])
 
 
 def dense_distances(pa, pb=None):
     """Full (na, nb) distance matrix between two patterns on one domain:
-    cdist on planar windows, network_cross_distances on networks."""
+    cdist on planar windows, cross_distances on networks."""
     pb = pa if pb is None else pb
     if pa.n == 0 or pb.n == 0:
         return np.zeros((pa.n, pb.n))
     if pa.is_network:
-        return network_cross_distances(pa.domain, pa.locations(), pb.locations())
+        return cross_distances(pa.domain, pa.locations(), pb.locations())
     return cdist(pa.coords(), pb.coords())

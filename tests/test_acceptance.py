@@ -5,11 +5,14 @@ lines. Every tolerance is pinned here; nothing is deferred to later
 calibration. Monte Carlo criteria use fixed master seeds.
 """
 
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.spatial.distance import cdist
 
 import markedpoints as mp
@@ -430,6 +433,13 @@ def test_criterion_9_mark_model_study(tmp_path):
     _check(9, parts)
     for model in ("I", "II", "III"):
         assert (tmp_path / f"model{model}" / f"model{model}_markcorr.svg").exists()
+    # the 12 band CSVs keep their bytes, compared like the golden plots: only
+    # under the numpy and scipy recorded with the golden set
+    golden = Path(__file__).resolve().parent / "golden"
+    if json.loads((golden / "versions.json").read_text()) != {"numpy": np.__version__, "scipy": scipy.__version__}:
+        pytest.skip("the study bands are compared byte for byte only under the numpy and scipy of the golden set")
+    got = [f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}" for f in sorted(tmp_path.glob("model*/*.csv"))]
+    assert got == (golden / "study_paper_scale.sha256").read_text().splitlines(), "\n".join(got)
 
 
 def test_criterion_10_cli_determinism(tmp_path, cpu_mask):

@@ -94,23 +94,13 @@ def test_network_pairs_block_invariant(monkeypatch, net_patterns, block):
 
 
 def _pair_cases():
-    """Random networks, a loop, explicit lengths below and above the chords
-    and two coincident vertices, each with two patterns that put every
+    """Random networks and a loop, each with two patterns that put every
     fifth point on a segment's first vertex and every fifth on its last."""
     rng = np.random.default_rng(35)
     nets = {f"random{k}": random_connected_network(rng, 15 + 5 * k) for k in range(3)}
     angle = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
     ring = np.column_stack([np.cos(angle), np.sin(angle)]) * 10.0
     nets["loop"] = LinearNetwork(ring, [[k, (k + 1) % 12] for k in range(12)])
-    base = random_connected_network(rng, 20)
-    chords = base.seg_lengths
-    for name, lo, hi in (("lengths_below_chords", 0.2, 1.0), ("lengths_above_chords", 1.0, 4.0)):
-        nets[name] = LinearNetwork(base.vertices, base.segments, chords * rng.uniform(lo, hi, len(chords)))
-    # vertex 20 sits on vertex 0, joined to it by a segment of length 2 and to vertex 5
-    verts = np.vstack([base.vertices, base.vertices[:1]])
-    segs = np.vstack([base.segments, [[0, 20], [20, 5]]])
-    lengths = np.append(chords, [2.0, np.hypot(*(verts[5] - verts[0]))])
-    nets["coincident_vertices"] = LinearNetwork(verts, segs, lengths)
     cases = {}
     for name, net in nets.items():
         patterns = []
@@ -153,7 +143,7 @@ def test_network_close_pairs_equal_the_triangle_sweep(n):
     # up to 512 points the n x n distances fit in one block and come from the
     # dense matrix; beyond, from the k-d candidate search; both against the
     # shortest-path sums over every pair i < j
-    net = PAIR_CASES["coincident_vertices"][0].domain
+    net = PAIR_CASES["random2"][0].domain
     rng = np.random.default_rng(36)
     seg, off = rng.integers(0, net.n_segments, n), rng.uniform(size=n)
     off[::5], off[1::5] = 0.0, 1.0
@@ -276,7 +266,7 @@ def test_network_intensity_block_invariant(monkeypatch, net_patterns, block):
 
     def compute():
         est = intensity_network(pa, KernelSpec(1.5))
-        return [est.norms, est.evaluate(pa.locations()), est.evaluate(pb.locations()), est.integral()]
+        return [est.norms, est.evaluate(pa.seg_off()), est.evaluate(pb.seg_off()), est.integral()]
 
     _same_under_blocks(monkeypatch, block, compute)
 
@@ -295,7 +285,7 @@ pa = mp.poisson_network(1500.0 / net.total_length, net, rng)
 pb = mp.poisson_network(600.0 / net.total_length, net, rng)
 ea = mp.intensity_network(pa, mp.KernelSpec(20.0))
 eb = mp.intensity_network(pb, mp.KernelSpec(20.0))
-parts = [ea.norms, ea.evaluate(pa.locations()), eb.evaluate(pa.locations()), np.array([ea.integral()])]
+parts = [ea.norms, ea.evaluate(pa.seg_off()), eb.evaluate(pa.seg_off()), np.array([ea.integral()])]
 parts.append(mp.f_inhom(pb, eb, r=mp.r_grid(60.0, 250)).values)
 print(hashlib.sha256(b"".join(np.ascontiguousarray(v).tobytes() for v in parts)).hexdigest())
 """

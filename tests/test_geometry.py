@@ -18,11 +18,16 @@ from markedpoints import (
     boundary_distance,
     load_network,
     save_network,
-    uniform_points_on_network,
 )
-from markedpoints.geometry import _border_dist, _loc_arrays, network_arc_mesh, network_cross_distances
+from markedpoints.geometry import _border_dist, _loc_arrays, _locations, _uniform_seg_off, network_arc_mesh
 
-from conftest import grid_network_arrays, location_distance, random_connected_network, shortest_path_by_enumeration
+from conftest import (
+    cross_distances,
+    grid_network_arrays,
+    location_distance,
+    random_connected_network,
+    shortest_path_by_enumeration,
+)
 
 
 # ---------------- windows ----------------
@@ -75,21 +80,14 @@ def test_network_rejects_zero_length():
         LinearNetwork([[0, 0], [0, 0]], [[0, 1]])
 
 
-@pytest.mark.parametrize("site", ["vertex", "length", "mesh_spacing"])
+@pytest.mark.parametrize("site", ["vertex", "mesh_spacing"])
 def test_network_rejects_nan_scalars(site):
     nan = float("nan")
     with pytest.raises(ValidationError, match="vertex coordinates" if site == "vertex" else "finite"):
         if site == "vertex":
             LinearNetwork([[0, 0], [nan, 1], [1, 1]], [[0, 1], [1, 2]])
-        elif site == "length":
-            LinearNetwork([[0, 0], [1, 0]], [[0, 1]], lengths=[nan])
         else:
             network_arc_mesh(LinearNetwork([[0, 0], [1, 0]], [[0, 1]]), nan)
-
-
-def test_explicit_lengths_for_abstract_graphs():
-    net = LinearNetwork([[0, 0], [1, 0], [0.5, 1]], [[0, 1], [1, 2], [0, 2]], lengths=[3, 1, 1])
-    assert net.total_length == pytest.approx(5.0)
 
 
 # ---------------- network distance ----------------
@@ -102,15 +100,6 @@ def path_network():
 def test_path_distance():
     net = path_network()
     d = location_distance(net, NetworkLocation(0, 0.0), NetworkLocation(1, 1.0))
-    assert d == pytest.approx(2.0)
-
-
-def test_triangle_detour():
-    # endpoints of the length-3 segment reached faster via the two unit segments
-    net = LinearNetwork(
-        [[0, 0], [1, 0], [0.5, 1]], [[0, 1], [1, 2], [0, 2]], lengths=[3.0, 1.0, 1.0]
-    )
-    d = location_distance(net, NetworkLocation(0, 0.0), NetworkLocation(0, 1.0))
     assert d == pytest.approx(2.0)
 
 
@@ -151,12 +140,7 @@ def test_all_pairs_matches_pairwise_calls():
 def test_vertex_distances_match_enumeration_sample():
     # distances accumulate from the smaller vertex index; enumerate likewise
     rng = np.random.default_rng(5)
-    nets = []
-    for _ in range(20):
-        net = random_connected_network(rng, int(rng.integers(3, 8)))
-        nets.append(net)
-        lengths = rng.uniform(0.5, 5.0, size=net.n_segments)
-        nets.append(LinearNetwork(net.vertices, net.segments, lengths=lengths))
+    nets = [random_connected_network(rng, int(rng.integers(3, 8))) for _ in range(20)]
     for net in nets:
         D = net.vertex_distances()
         assert np.array_equal(D, D.T)
@@ -225,16 +209,15 @@ def test_arc_mesh_cells_per_segment_and_total_weight():
 def test_uniform_sampling_segment_frequency():
     net = LinearNetwork([[0, 0], [1, 0], [4, 0]], [[0, 1], [1, 2]])
     rng = np.random.default_rng(23)
-    locs = uniform_points_on_network(net, 100_000, rng)
-    frac = np.mean([l.segment == 0 for l in locs])
-    assert frac == pytest.approx(0.25, abs=0.01)
+    seg, _ = _uniform_seg_off(net, 100_000, rng)
+    assert np.mean(seg == 0) == pytest.approx(0.25, abs=0.01)
 
 
 def test_uniform_sampling_deterministic():
     net = path_network()
-    a = uniform_points_on_network(net, 1, np.random.default_rng(99))
-    b = uniform_points_on_network(net, 1, np.random.default_rng(99))
-    assert a == b
+    a = _uniform_seg_off(net, 1, np.random.default_rng(99))
+    b = _uniform_seg_off(net, 1, np.random.default_rng(99))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 # ---------------- serialization ----------------
@@ -260,7 +243,7 @@ def test_border_distances_on_path():
 
 
 def _border_oracle(net, locs):
-    """Minimum over the degree-1 vertices of network_cross_distances to each."""
+    """Minimum over the degree-1 vertices of cross_distances to each."""
     border = net.border_vertices()
     ends = []
     for v in border:
@@ -268,7 +251,7 @@ def _border_oracle(net, locs):
         ends.append(NetworkLocation(k, 0.0 if net.segments[k, 0] == v else 1.0))
     if not ends:
         return np.full(len(locs), np.inf)
-    return network_cross_distances(net, locs, ends).min(axis=1)
+    return cross_distances(net, locs, ends).min(axis=1)
 
 
 def _grid_with_spurs(rng, side=30, n_spurs=40):
@@ -291,7 +274,7 @@ def test_border_distances_match_cross_distances(case):
     else:
         nets = [_grid_with_spurs(rng)]
     for net in nets:
-        locs = uniform_points_on_network(net, 300, rng) + [NetworkLocation(0, 0.0), NetworkLocation(0, 1.0)]
+        locs = _locations(*_uniform_seg_off(net, 300, rng)) + [NetworkLocation(0, 0.0), NetworkLocation(0, 1.0)]
         want = _border_oracle(net, locs)
         got = _border_dist(net, *_loc_arrays(net, locs))
         assert np.array_equal(np.isinf(got), np.isinf(want))
@@ -302,5 +285,5 @@ def test_border_distances_match_cross_distances(case):
 def test_border_distances_on_loop_are_infinite():
     ang = 2.0 * np.pi * np.arange(6) / 6
     net = LinearNetwork(np.column_stack([np.cos(ang), np.sin(ang)]), [[k, (k + 1) % 6] for k in range(6)])
-    d = _border_dist(net, *_loc_arrays(net, uniform_points_on_network(net, 20, np.random.default_rng(1))))
+    d = _border_dist(net, *_uniform_seg_off(net, 20, np.random.default_rng(1)))
     assert np.all(np.isinf(d))

@@ -32,6 +32,7 @@ from markedpoints import (
     poisson_planar,
 )
 from markedpoints import _dist
+from markedpoints.geometry import _loc_arrays
 from markedpoints.intensity import _kernel_sum_raster, heat_evolve, kernel1d_pdf
 
 from conftest import planar_pattern
@@ -301,7 +302,7 @@ def test_network_intensity_integrates_to_n():
     p = MarkedPointPattern(net, pts)
     est = intensity_network(p, KernelSpec(5.0))
     assert est.integral() == pytest.approx(p.n, rel=0.01)
-    vals = est.evaluate(p.locations())
+    vals = est.evaluate(p.seg_off())
     assert np.all(vals > 0)
 
 
@@ -318,7 +319,7 @@ def test_network_intensity_at_own_points_matches_fresh_estimate():
     est = intensity_network(p, KernelSpec(8.0))
     first = [k_cross_inhom(p, p, est, est, r=r), h_cross_inhom(p, p, est, est, r=r), f_inhom(p, est, r=r)]
     for _ in range(2):  # the values kept at the data points serve every later call
-        fresh = intensity_network(p, KernelSpec(8.0)).evaluate(p.locations())
+        fresh = intensity_network(p, KernelSpec(8.0)).evaluate(p.seg_off())
         again = [k_cross_inhom(p, p, est, est, r=r), h_cross_inhom(p, p, est, est, r=r), f_inhom(p, est, r=r)]
         want = [k_cross_inhom(p, p, fresh, fresh, r=r), h_cross_inhom(p, p, fresh, fresh, r=r),
                 f_inhom(p, fresh, r=r)]
@@ -339,14 +340,14 @@ def test_network_intensity_moved_point_evaluated_afresh():
     moved[7] = 0.5 * moved[7] + 0.25
     q = MarkedPointPattern.from_columns(net, (seg, moved))
     got = eval_intensity(est, q)
-    assert np.array_equal(got, est.evaluate(q.locations()))
+    assert np.array_equal(got, est.evaluate(q.seg_off()))
     assert got[7] != kept[7]
 
 
 def test_network_intensity_returned_values_are_copies():
     _, p = _network_and_pattern()
     est = intensity_network(p, KernelSpec(8.0))
-    want = est.evaluate(p.locations())
+    want = est.evaluate(p.seg_off())
     vals = eval_intensity(est, p)
     vals[:] = -1.0
     assert np.array_equal(eval_intensity(est, p), want)
@@ -362,13 +363,13 @@ def test_network_intensity_csv_holds_the_mesh(tmp_path):
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
     assert rows[:, 0].tolist() == [loc.segment for loc in est.mesh_locs]
     assert np.allclose(rows[:, 1], [loc.offset for loc in est.mesh_locs], rtol=1e-11, atol=0)
-    assert np.allclose(rows[:, 2], est.evaluate(est.mesh_locs), rtol=1e-11, atol=0)
+    assert np.allclose(rows[:, 2], est.evaluate(_loc_arrays(est.net, est.mesh_locs)), rtol=1e-11, atol=0)
 
 
 def test_network_intensity_without_points_is_zero():
     net, _ = _network_and_pattern()
     est = intensity_network(MarkedPointPattern.from_columns(net, (np.zeros(0, int), np.zeros(0))), KernelSpec(8.0))
-    assert np.all(est.evaluate(est.mesh_locs) == 0.0) and est.integral() == 0.0
+    assert np.all(est.evaluate(_loc_arrays(est.net, est.mesh_locs)) == 0.0) and est.integral() == 0.0
 
 
 def test_heat_empty_pattern_zero(unit_square):
@@ -449,6 +450,34 @@ def test_scalar_only_callables_still_work(unit_square):
     spec = GaussianFieldSpec(cov=lambda a, b: math.exp(-abs(a - b)), **_SPEC)
     d = np.array([0.0, 1.0, 2.5])
     assert np.allclose(spec.cov_matrix(d), np.exp(-np.abs(d[:, None] - d[None, :])), rtol=1e-15, atol=0)
+
+
+def test_numpy_scalar_constants_are_intensities(unit_square):
+    # a numpy scalar is the constant it holds, as poisson_planar takes it
+    p = planar_pattern(unit_square, [(0.2, 0.3), (0.6, 0.5), (0.4, 0.9)])
+    r = np.linspace(0.0, 0.5, 8)
+    want = k_cross_inhom(p, p, 50.0, 50.0, r=r).values
+    for lam in (np.int64(50), np.float32(50), np.float64(50)):
+        assert np.array_equal(eval_intensity(lam, p), [50.0, 50.0, 50.0])
+        assert np.array_equal(k_cross_inhom(p, p, lam, lam, r=r).values, want, equal_nan=True)
+    with pytest.raises(ValidationError, match="cannot interpret bool"):
+        eval_intensity(np.bool_(True), p)
+
+
+def test_network_callable_gets_the_columns_in_one_call():
+    _, p = _network_and_pattern()
+    calls = []
+
+    def lam(seg, off):
+        calls.append((seg, off))
+        return 0.5 + seg * off
+
+    vals = eval_intensity(lam, p)
+    seg, off = p.seg_off()
+    assert len(calls) == 1
+    assert all(np.array_equal(got, want) for got, want in zip(calls[0], (seg, off)))
+    assert np.array_equal(vals, 0.5 + seg * off)
+    assert p._points is None  # no location objects were built
 
 
 @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), 0.0])

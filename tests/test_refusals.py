@@ -75,8 +75,6 @@ GEOMETRY = [
                  "network has no segments", id="no-segments"),
     pytest.param(lambda tmp: mp.LinearNetwork([[0.0, 0.0], [1.0, 0.0]], [[0, 1], [1, 1]]), ValidationError,
                  "segment joins a vertex to itself", id="self-loop"),
-    pytest.param(lambda tmp: mp.LinearNetwork([[0.0, 0.0], [1.0, 0.0]], [[0, 1]], lengths=[1.0, 2.0]),
-                 ValidationError, "lengths/segments size mismatch", id="lengths"),
     pytest.param(lambda tmp: mp.all_pairs_network_distances(NET, []), ValidationError,
                  "needs at least one location", id="no-locations"),
     pytest.param(lambda tmp: mp.load_network(write(tmp / "net.json", '{"vertices": [[0, 0], [1, 0]]}')),
@@ -166,7 +164,10 @@ SIMULATE = [
     pytest.param(lambda tmp: mp.linked_balanced_cox("linked", 1.0, lambda g: (lambda x, y: x - 2.0, 1.0), W, rng()),
                  ValidationError, "base field is negative on the evaluation grid", id="negative-field"),
     pytest.param(lambda tmp: mp.model_marks("IV", on_net([0.5]), rng()), ValidationError,
-                 "unknown mark model 'IV'", id="mark-model"),
+                 "model must be I, II or III, got 'IV'", id="mark-model"),
+    # checked before an empty pattern is handed back unmarked
+    pytest.param(lambda tmp: mp.model_marks("III", on_net([]), rng(), radius=-1.0), ValidationError,
+                 "radius must be nonnegative, got -1.0", id="mark-model-radius-empty"),
 ]
 
 SUMMARIES = [

@@ -348,8 +348,14 @@ def _planar_scalar_only(x, y):
     return 40.0 + 30.0 * np.cos(3.0 * x) * np.sin(2.0 * y)
 
 
-def _network_lam(loc):
-    return 0.05 + 0.04 * np.cos(loc.segment + 3.0 * loc.offset)
+def _network_lam(seg, off):
+    return 0.05 + 0.04 * np.cos(seg + 3.0 * off)
+
+
+def _network_scalar_only(seg, off):
+    if np.ndim(seg):
+        raise TypeError("scalar arguments only")
+    return 0.05 + 0.04 * np.cos(seg + 3.0 * off)
 
 
 @pytest.mark.parametrize(
@@ -360,7 +366,8 @@ def _network_lam(loc):
         ("planar", _planar_scalar_only, 70.0),
         ("planar", _planar_vec, 1e-12),  # the proposal is empty: no thinning draws
         ("network", 0.05, None),
-        ("network", _network_lam, 0.09),  # network callables take one location
+        ("network", _network_lam, 0.09),
+        ("network", _network_scalar_only, 0.09),
         ("network", _network_lam, 1e-12),
     ],
 )
@@ -387,7 +394,7 @@ def test_poisson_rng_order_matches_hand_replay(domain, lam, lam_max, seed):
         n = ref.poisson(rate * net.total_length)
         seg, off = _uniform_seg_off(net, n, ref)
         if callable(lam) and n:
-            vals = np.array([lam(NetworkLocation(int(s), float(t))) for s, t in zip(seg, off)])
+            vals = np.array([lam(int(s), float(t)) for s, t in zip(seg, off)])
             keep = ref.uniform(size=n) <= vals / lam_max
             seg, off = seg[keep], off[keep]
         got = p.seg_off()

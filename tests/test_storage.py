@@ -121,7 +121,7 @@ def test_estimators_agree_across_storage(make):
         if p.is_network:
             lam = lambda q: intensity_network(q, KernelSpec(40.0))
             est = lam(p)
-            dens = [est.norms, est.evaluate(p.locations()), np.array([est.integral()])]
+            dens = [est.norms, est.evaluate(p.seg_off()), np.array([est.integral()])]
         else:
             lam = lambda q: intensity_jones_diggle(q, KernelSpec(0.1), (32, 32))
             dens = [intensity_uniform(p, KernelSpec(0.1), (32, 32)).values, lam(p).values,

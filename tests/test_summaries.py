@@ -36,10 +36,10 @@ from markedpoints import (
 from markedpoints import TestFunction as MarkTestFunction
 from markedpoints import _dist
 from markedpoints._dist import cross_search
-from markedpoints.geometry import _border_dist, _loc_arrays, network_arc_mesh, network_cross_distances
+from markedpoints.geometry import _border_dist, _loc_arrays, network_arc_mesh
 from markedpoints.summaries import translation_weights
 
-from conftest import dense_distances, planar_pattern, random_connected_network
+from conftest import cross_distances, dense_distances, planar_pattern, random_connected_network
 
 
 # ---------------- oracles (independent code paths) ----------------
@@ -626,7 +626,7 @@ def _rows_to(domain, rows, p):
     if p.n == 0:
         return np.zeros((len(rows), 0))
     if p.is_network:
-        return network_cross_distances(domain, rows, p.locations())
+        return cross_distances(domain, rows, p.locations())
     return cdist(rows, p.coords())
 
 
