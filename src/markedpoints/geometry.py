@@ -99,14 +99,12 @@ class LinearNetwork:
 
     def __init__(self, vertices, segments):
         self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
-        self.segments = np.asarray(segments, dtype=int).reshape(-1, 2)
         nv = len(self.vertices)
         if not np.isfinite(self.vertices).all():
             raise ValidationError("vertex coordinates must be finite")
+        self.segments = _indices(np.reshape(segments, (-1, 2)), nv, "segment", "vertex")
         if len(self.segments) == 0:
             raise ValidationError("network has no segments")
-        if self.segments.min() < 0 or self.segments.max() >= nv:
-            raise ValidationError("segment vertex index out of range")
         if np.any(self.segments[:, 0] == self.segments[:, 1]):
             raise ValidationError("segment joins a vertex to itself")
         und = {tuple(sorted(s)) for s in self.segments.tolist()}
@@ -156,31 +154,42 @@ class LinearNetwork:
         return self._vertex_dist
 
 
-def _loc_arrays(net: LinearNetwork, locs) -> tuple[np.ndarray, np.ndarray]:
-    """(segment, offset) columns of NetworkLocation objects, range-checked:
-    the one conversion from location objects to columns."""
-    seg = np.array([l.segment for l in locs], dtype=int)
-    off = np.array([l.offset for l in locs], dtype=float)
-    _check_seg_off(net, seg, off)
-    return seg, off
-
-
-def _check_seg_off(net: LinearNetwork, seg, off):
-    """Raise for the first location off the network's segments or offsets."""
-    bad = np.nonzero((seg < 0) | (seg >= net.n_segments))[0]
+def _indices(values, n: int, row: str, kind: str) -> np.ndarray:
+    """values as a new intp array; an entry that is not an integral value in
+    0 .. n - 1 (NaN, infinities) raises ValidationError naming its row."""
+    v = np.array(values, dtype=float)
+    bad = np.argwhere(~((v >= 0) & (v < n) & (v == np.floor(v))))
     if len(bad):
-        raise ValidationError(f"location {bad[0]}: invalid segment index {seg[bad[0]]}")
+        x = float(v[tuple(bad[0])])
+        raise ValidationError(f"{row} {bad[0][0]}: invalid {kind} index {int(x) if x.is_integer() else x}")
+    return v.astype(np.intp)
+
+
+def _seg_off(net: LinearNetwork, seg, off) -> tuple[np.ndarray, np.ndarray]:
+    """Checked copies of (segment, offset) columns, as intp and float arrays:
+    the one entry point of network locations; a bad one raises with its index."""
+    seg = _indices(seg, net.n_segments, "location", "segment")
+    off = np.array(off, dtype=float)
     bad = np.nonzero(~((off >= 0.0) & (off <= 1.0)))[0]
     if len(bad):
         raise ValidationError(f"location {bad[0]}: offset {off[bad[0]]} outside [0, 1]")
+    return seg, off
 
 
-def _check_xy(w: PlanarWindow, xy):
-    """Raise for the first (n, 2) location outside the closed window, NaN included."""
+def _loc_arrays(net: LinearNetwork, locs) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (segment, offset) columns of NetworkLocation objects."""
+    return _seg_off(net, [l.segment for l in locs], [l.offset for l in locs])
+
+
+def _xy(w: PlanarWindow, xy) -> np.ndarray:
+    """Checked (n, 2) float copy of planar locations: the one entry point of planar
+    locations; one outside the closed window, NaN included, raises with its index."""
+    xy = np.array(xy, dtype=float).reshape(-1, 2)
     bad = np.nonzero(~w.contains(xy[:, 0], xy[:, 1]))[0]
     if len(bad):
         x, y = xy[bad[0]].tolist()
         raise ValidationError(f"point {bad[0]} at ({x}, {y}) outside window")
+    return xy
 
 
 def _locations(seg, off) -> list:

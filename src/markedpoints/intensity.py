@@ -22,7 +22,7 @@ from scipy.special import ndtr
 
 from ._dist import _row_blocks
 from .errors import NumericalError, ValidationError
-from .geometry import LinearNetwork, PlanarWindow, _arc_mesh, _check_cells, _check_seg_off, _cross_dist, _locations
+from .geometry import LinearNetwork, PlanarWindow, _arc_mesh, _check_cells, _cross_dist, _locations, _seg_off
 from .pattern import MarkedPointPattern, _fmt, _write_table
 
 __all__ = [
@@ -338,8 +338,7 @@ class NetworkIntensityEstimate:
 
     def evaluate(self, cols) -> np.ndarray:
         """Values at (segment, offset) columns on the estimate's network."""
-        cols = (np.asarray(cols[0], dtype=int), np.asarray(cols[1], dtype=float))
-        _check_seg_off(self.net, *cols)
+        cols = _seg_off(self.net, *cols)
         if len(self._data[0]) == 0:
             return np.zeros(len(cols[0]))
         return np.maximum(self._kernel_sums(cols, self._data, 1.0 / self.norms), self.floor)

@@ -9,6 +9,7 @@ by convention.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,11 @@ from .geometry import (
     LinearNetwork,
     NetworkLocation,
     PlanarWindow,
-    _check_seg_off,
-    _check_xy,
     _embed,
     _loc_arrays,
     _locations,
+    _seg_off,
+    _xy,
 )
 
 __all__ = [
@@ -58,7 +59,7 @@ class MarkedPointPattern:
     """Finite marked point pattern on a planar window or a linear network.
 
     Stored as columns: planar coordinates xy (n, 2), or network segment
-    and offset arrays; marks as floats with a presence mask; type labels.
+    and offset arrays; marks as floats, NaN where a point has none; labels.
     A point list given to the constructor is converted to columns at once
     and kept as the `points` view; otherwise `points` and `locations()` are
     built from the columns on request.
@@ -74,41 +75,33 @@ class MarkedPointPattern:
         locs = [pt.location for pt in pts]
         loc = _loc_arrays(domain, locs) if network else [(xy[0], xy[1]) for xy in locs]
         marks = [np.nan if pt.mark is None else pt.mark for pt in pts]
-        has = [pt.mark is not None for pt in pts]
-        q = MarkedPointPattern.from_columns(domain, loc, marks, [pt.type_label for pt in pts], has)
+        q = MarkedPointPattern.from_columns(domain, loc, marks, [pt.type_label for pt in pts])
         self.domain, self._points, self._n, self._cols = domain, pts, q.n, q._cols
 
     @classmethod
-    def from_columns(cls, domain, loc, marks=None, labels=None, has_mark=None):
-        """Pattern from columns: loc is an (n, 2) coordinate array on a window
-        or a (segment, offset) pair of arrays on a network; marks is a float
-        array, present where has_mark is true (everywhere by default);
-        labels holds a str or None per point. A location off the network or
-        outside the closed window (NaN included) raises ValidationError."""
+    def from_columns(cls, domain, loc, marks=None, labels=None):
+        """Pattern from columns: loc is an (n, 2) coordinate array on a window or a
+        (segment, offset) pair of arrays on a network; marks is a float array, NaN
+        where a point has no mark; labels holds a str or None per point. A location
+        off the network or outside the closed window (NaN included) raises ValidationError."""
         network = _is_network(domain)
-        if network:
-            loc = (np.array(loc[0], dtype=int), np.array(loc[1], dtype=float))
-            _check_seg_off(domain, *loc)
-        else:
-            loc = np.array(loc, dtype=float).reshape(-1, 2)
-            _check_xy(domain, loc)
+        loc = _seg_off(domain, *loc) if network else _xy(domain, loc)
         n = len(loc[0]) if network else len(loc)
-        has = np.full(n, marks is not None) if has_mark is None else np.array(has_mark, dtype=bool)
         marks = np.full(n, np.nan) if marks is None else np.array(marks, dtype=float)
         labels = np.array([None] * n if labels is None else list(labels), dtype=object)
-        if not len(marks) == len(has) == len(labels) == n:
+        if not len(marks) == len(labels) == n:
             raise ValidationError("column lengths do not match the pattern size")
         p = cls.__new__(cls)
-        p.domain, p._points, p._n, p._cols = domain, None, n, (loc, marks, has, labels)
+        p.domain, p._points, p._n, p._cols = domain, None, n, (loc, marks, labels)
         return p
 
     @property
     def points(self) -> list:
         """MarkedPoint view of the pattern, built once on request."""
         if self._points is None:
-            loc, marks, has, labels = self._cols
+            loc, marks, labels = self._cols
             locs = _locations(*loc) if self.is_network else [tuple(xy) for xy in loc.tolist()]
-            mk = [m if h else None for m, h in zip(marks.tolist(), has.tolist())]
+            mk = [None if math.isnan(m) else m for m in marks.tolist()]
             self._points = [MarkedPoint(*v) for v in zip(locs, labels.tolist(), mk)]
         return self._points
 
@@ -143,17 +136,16 @@ class MarkedPointPattern:
         return _embed(self.domain, *loc) if self.is_network else loc
 
     def marks(self) -> np.ndarray:
-        """Marks as a float array; raises if any point lacks one."""
-        _, marks, has, _ = self._cols
-        if not has.all():
-            raise ValidationError("pattern has points without marks")
+        """Marks as a float array; a missing (NaN) mark raises with its position."""
+        marks = self._cols[1]
+        _refuse_nan(marks)
         return marks.copy()
 
     def has_marks(self) -> bool:
-        return self.n > 0 and bool(self._cols[2].all())
+        return self.n > 0 and not np.isnan(self._cols[1]).any()
 
     def labels(self) -> list:
-        return self._cols[3].tolist()
+        return self._cols[2].tolist()
 
     def subset(self, indices) -> "MarkedPointPattern":
         """The points at indices, each in 0 .. n - 1, in the order given."""
@@ -161,21 +153,21 @@ class MarkedPointPattern:
         if idx.dtype == bool or np.any((idx < 0) | (idx >= self.n)):
             raise ValidationError(f"subset takes point indices in 0 .. {self.n - 1}, not a mask or an index out of range")
         idx = idx.astype(np.intp, copy=False).reshape(-1)
-        loc, marks, has, labels = self._cols
+        loc, marks, labels = self._cols
         loc = (loc[0][idx], loc[1][idx]) if self.is_network else loc[idx]
-        return MarkedPointPattern.from_columns(self.domain, loc, marks[idx], labels[idx], has[idx])
+        return MarkedPointPattern.from_columns(self.domain, loc, marks[idx], labels[idx])
 
     def with_marks(self, marks) -> "MarkedPointPattern":
         if len(marks) != self.n:
             raise ValidationError("marks length does not match pattern size")
-        loc, _, _, labels = self._cols
+        loc, _, labels = self._cols
         return MarkedPointPattern.from_columns(self.domain, loc, marks, labels)
 
     def with_labels(self, labels) -> "MarkedPointPattern":
         if len(labels) != self.n:
             raise ValidationError("labels length does not match pattern size")
-        loc, marks, has, _ = self._cols
-        return MarkedPointPattern.from_columns(self.domain, loc, marks, map(str, labels), has)
+        loc, marks, _ = self._cols
+        return MarkedPointPattern.from_columns(self.domain, loc, marks, map(str, labels))
 
 
 def _is_network(domain) -> bool:
@@ -187,7 +179,7 @@ def _is_network(domain) -> bool:
 
 def split_by_type(p: MarkedPointPattern) -> dict:
     """Partition by type label, lexicographic label order; sub-patterns keep the full domain."""
-    labels = p._cols[3]
+    labels = p._cols[2]
     missing = np.nonzero(labels == None)[0]  # noqa: E711 -- elementwise test on an object array
     if len(missing):
         raise ValidationError(f"point {missing[0]} has no type label")
@@ -228,12 +220,10 @@ def _moments(m: np.ndarray) -> tuple[float, float]:
 
 
 def mark_moments(p: MarkedPointPattern) -> MarkSummaryStats:
-    """Mean and population (1/N) variance of the marks that are present."""
-    _, marks, has, _ = p._cols
-    vals = marks[has]
-    if len(vals) == 0:
-        raise ValidationError("pattern has no marks")
-    return MarkSummaryStats(*_moments(vals), int(len(vals)))
+    """Mean and population (1/N) variance of the marks; a missing mark raises."""
+    if np.isnan(p._cols[1]).all():
+        raise ValidationError("pattern has no marks" + (" (mark 0 is NaN)" if p.n else ""))
+    return MarkSummaryStats(*_moments(p.marks()), p.n)
 
 
 def _fmt(values) -> list:
@@ -255,9 +245,13 @@ def save_pattern_csv(p: MarkedPointPattern, path):
     """Pattern CSV: x,y[,type][,mark] planar; segment,offset[,type][,mark] network.
 
     Numbers take 12 significant digits, or a planar coordinate its shortest round-trip
-    text where 12 digits read back outside the window. Missing marks are empty fields.
+    text where 12 digits read back outside the window. Missing (NaN) marks are empty
+    fields; an infinite mark, which the loader refuses, raises ValidationError.
     """
-    loc, marks, has, labels = p._cols
+    loc, marks, labels = p._cols
+    bad = np.nonzero(np.isinf(marks))[0]
+    if len(bad):
+        raise ValidationError(f"point {bad[0]} has non-finite mark {marks[bad[0]]}")
     if p.is_network:
         header, cols = ["segment", "offset"], [[str(s) for s in loc[0].tolist()], _fmt(loc[1])]
     else:
@@ -270,15 +264,15 @@ def save_pattern_csv(p: MarkedPointPattern, path):
     if any(lab is not None for lab in labels):
         header.append("type")
         cols.append(["" if lab is None else lab for lab in labels])
-    if has.any():
+    if not np.isnan(marks).all():
         header.append("mark")
-        cols.append([m if h else "" for m, h in zip(_fmt(marks), has.tolist())])
+        cols.append(["" if m == "nan" else m for m in _fmt(marks)])  # NaN formats as "nan"
     _write_table(path, header, cols)
 
 
 def load_pattern_csv(path, domain) -> MarkedPointPattern:
-    """Read a pattern CSV (header required) against the given domain; a
-    non-finite mark field raises ValidationError with its point's index."""
+    """Read a pattern CSV (header required) against the given domain; an empty mark
+    field is a missing (NaN) mark, a non-finite one raises with its point's index."""
     with open(path, newline="", encoding="utf-8") as fh:
         rd = csv.reader(fh)
         try:
@@ -305,23 +299,18 @@ def load_pattern_csv(path, domain) -> MarkedPointPattern:
 
     ti, mi = col("type"), col("mark")
     ca, cb = (col("segment"), col("offset")) if network else (col("x"), col("y"))
-    first, second, marks, has, labels = [], [], [], [], []
+    first, second, marks, labels = [], [], [], []
     for line, r in rows:
         try:
             first.append(int(r[ca]) if network else float(r[ca]))
             second.append(float(r[cb]))
-            present = mi is not None and mi < len(r) and r[mi].strip() != ""
-            marks.append(float(r[mi]) if present else np.nan)
+            mark = r[mi].strip() if mi is not None and mi < len(r) else ""
+            marks.append(float(mark) if mark else np.nan)
         except (ValueError, IndexError):
             raise ValidationError(f"{path} line {line}: malformed or missing field in {r}") from None
-        has.append(present)
-        lab = None
-        if ti is not None and ti < len(r) and r[ti].strip() != "":
-            lab = r[ti].strip()
-        labels.append(lab)
+        if mark and not math.isfinite(marks[-1]):
+            raise ValidationError(f"point {len(marks) - 1} has non-finite mark {marks[-1]}")
+        lab = r[ti].strip() if ti is not None and ti < len(r) else ""
+        labels.append(lab or None)
     loc = (first, second) if network else np.column_stack([first, second])
-    p = MarkedPointPattern.from_columns(domain, loc, marks, labels, has)
-    bad = np.nonzero(p._cols[2] & ~np.isfinite(p._cols[1]))[0]
-    if len(bad):
-        raise ValidationError(f"point {bad[0]} has non-finite mark {p._cols[1][bad[0]]}")
-    return p
+    return MarkedPointPattern.from_columns(domain, loc, marks, labels)

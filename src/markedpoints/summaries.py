@@ -19,7 +19,7 @@ from .errors import NumericalError, ValidationError
 from .geometry import _MAX_ENTRIES, LinearNetwork, _arc_mesh, _border_dist, _check_cells, boundary_distance
 from .intensity import eval_intensity
 from .markcorr import TestFunction, _constant, _pair_values
-from .pattern import MarkedPointPattern, _moments, _refuse_nan
+from .pattern import MarkedPointPattern, _moments
 
 __all__ = [
     "k_cross_inhom",
@@ -291,7 +291,6 @@ def mark_sum_measure(p: MarkedPointPattern, radius: float) -> np.ndarray:
     if not radius >= 0:
         raise ValidationError(f"radius must be nonnegative, got {radius}")
     marks = p.marks()
-    _refuse_nan(marks)
     i, j, _ = close_pairs(p, radius)
     counts = np.bincount(i, minlength=p.n) + np.bincount(j, minlength=p.n)
     sums = np.bincount(i, marks[j], p.n) + np.bincount(j, marks[i], p.n)

@@ -243,6 +243,8 @@ BAD_NETWORK_JSON = {
     "network_json_truncated": '{"vertices": [[0, 0], [1, 0]], "segm',
     "network_json_fields": '{"vertices": "abc", "segments": [[0, 1]]}',
     "network_json_nan_vertex": '{"vertices": [[0, 0], [NaN, 1], [1, 1]], "segments": [[0, 1], [1, 2]]}',
+    # a fractional vertex index is refused, not truncated to another network
+    "network_json_fractional_vertex": '{"vertices": [[0, 0], [1, 0], [1, 1]], "segments": [[0, 1.9], [1, 2]]}',
 }
 
 # every float flag rejects inf and NaN at parse time, and --base-cosine
@@ -375,6 +377,7 @@ CVL_OTHER_KERNEL = {
         ("network_json_truncated", 3),
         ("network_json_fields", 3),
         ("network_json_nan_vertex", 3),
+        ("network_json_fractional_vertex", 3),
         ("summary_grid_spacing_zero", 3),
     ]
     + [(case, 2) for case in NON_FINITE_FLAGS]

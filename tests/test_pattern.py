@@ -42,6 +42,14 @@ def test_nan_mark_rejected(tmp_path, unit_square):
         load_pattern_csv(tmp_path / "p.csv", unit_square)
 
 
+def test_writer_refuses_an_infinite_mark_before_writing(tmp_path, unit_square):
+    # the loader refuses an infinite mark field, so the writer never writes one
+    p = MarkedPointPattern.from_columns(unit_square, [[0.5, 0.5], [0.25, 0.5]], [1.0, -np.inf])
+    with pytest.raises(ValidationError, match="point 1 has non-finite mark -inf"):
+        save_pattern_csv(p, tmp_path / "p.csv")
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_mixed_domain_kinds_rejected(unit_square):
     with pytest.raises(ValidationError, match="network location"):
         MarkedPointPattern(unit_square, [MarkedPoint(NetworkLocation(0, 0.5))])

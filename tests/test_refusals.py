@@ -54,6 +54,15 @@ def write(path, text):
     return path
 
 
+def bad_segments(name, entry):
+    """Rows in which entry(s) puts a location 1 on segment s = 1.9, NaN or -0.5:
+    a segment index that is not an integral value in range is refused, never
+    truncated."""
+    return [pytest.param(lambda tmp, s=s: entry(s), ValidationError, f"location 1: invalid segment index {s}",
+                         id=f"{name}-segment-{label}") for label, s in (("fraction", 1.9), ("nan", np.nan),
+                                                                        ("negative", -0.5))]
+
+
 # (call on a temporary directory, exception, message)
 CURVES = [
     pytest.param(lambda tmp: mp.SummaryCurve([0.0, 1.0], [0.0, 1.0, 2.0], "k"), ValidationError,
@@ -79,6 +88,11 @@ GEOMETRY = [
                  "needs at least one location", id="no-locations"),
     pytest.param(lambda tmp: mp.load_network(write(tmp / "net.json", '{"vertices": [[0, 0], [1, 0]]}')),
                  ValidationError, "missing key 'segments'", id="missing-key"),
+    # a vertex index is refused, never truncated, when it is not integral
+    pytest.param(lambda tmp: mp.LinearNetwork([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], [[0, 1.9], [1, 2]]),
+                 ValidationError, "segment 0: invalid vertex index 1.9", id="fractional-vertex"),
+    pytest.param(lambda tmp: mp.LinearNetwork([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], [[0, 1], [np.nan, 2]]),
+                 ValidationError, "segment 1: invalid vertex index nan", id="nan-vertex"),
 ]
 
 INTENSITY = [
@@ -103,6 +117,8 @@ INTENSITY = [
                  r"per-point intensity array has shape \(3,\), need \(5,\)", id="per-point-shape"),
     pytest.param(lambda tmp: mp.eval_intensity("abc", planar(5)), ValidationError,
                  "cannot interpret str as an intensity", id="intensity-type"),
+    *bad_segments("evaluate", lambda s: mp.intensity_network(on_net([0.5]), mp.KernelSpec(0.5)).evaluate(
+        ([0, s], [0.5, 0.5]))),
 ]
 
 MARKCORR = [
@@ -121,8 +137,12 @@ PATTERN = [
                  ValidationError, "column lengths do not match the pattern size", id="columns"),
     pytest.param(lambda tmp: planar(3).seg_off(), ValidationError,
                  "segment/offset columns exist for network patterns only", id="seg-off"),
-    pytest.param(lambda tmp: planar(3, marks=False).marks(), ValidationError, "pattern has points without marks",
-                 id="no-marks"),
+    pytest.param(lambda tmp: planar(3, marks=False).marks(), ValidationError,
+                 "mark 0 is NaN: no mark statistic is defined", id="no-marks"),
+    # a point without a mark is refused by position, as every mark statistic refuses it
+    pytest.param(lambda tmp: mp.mark_moments(mp.MarkedPointPattern(W, [mp.MarkedPoint((0.5, 0.5), mark=1.0),
+                                                                      mp.MarkedPoint((0.5, 0.5))])),
+                 ValidationError, "mark 1 is NaN: no mark statistic is defined", id="moments-partly-marked"),
     pytest.param(lambda tmp: planar(3).with_marks([1.0]), ValidationError, "marks length does not match",
                  id="with-marks"),
     pytest.param(lambda tmp: planar(3).with_labels(["a"]), ValidationError, "labels length does not match",
@@ -147,6 +167,9 @@ PATTERN = [
                  ValidationError, "point 1 has non-finite mark inf", id="non-finite-mark"),
     pytest.param(lambda tmp: mp.load_pattern_csv(write(tmp / "p.csv", "a,b\n0.5,0.5\n"), W), ValidationError,
                  "must have columns x,y or segment,offset", id="columns-missing"),
+    *bad_segments("columns", lambda s: mp.MarkedPointPattern.from_columns(NET, ([0, s], [0.5, 0.5]))),
+    *bad_segments("points", lambda s: mp.MarkedPointPattern(NET, [mp.MarkedPoint(mp.NetworkLocation(0, 0.5)),
+                                                                  mp.MarkedPoint(mp.NetworkLocation(s, 0.5))])),
 ]
 
 SIMULATE = [

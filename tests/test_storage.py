@@ -14,6 +14,7 @@ from markedpoints import (
     NetworkLocation,
     PlanarWindow,
     SmoothingSpec1D,
+    ValidationError,
     all_pairs_network_distances,
     constant_field_sampler,
     cosine_field_sampler,
@@ -143,16 +144,16 @@ def _csv_patterns():
     w = PlanarWindow(0.0, 1.0, 0.0, 1.0)
     xy = np.array([[0.125, 0.25], [0.5, 0.75], [0.9, 0.1], [1.0, 0.0]])
     planar = MarkedPointPattern.from_columns(
-        w, xy, marks=[1.5, np.nan, -2.0, 1.0 / 3.0], labels=["a", "b", None, "a"],
-        has_mark=[True, False, True, True])
+        w, xy, marks=[1.5, np.nan, -2.0, 1.0 / 3.0], labels=["a", "b", None, "a"])
     net = LinearNetwork([[0, 0], [10, 0], [10, 5]], [[0, 1], [1, 2]])
     network = MarkedPointPattern.from_columns(net, ([0, 1, 1, 0], [0.25, 1.0, 0.1, 0.0]),
                                               marks=[3.0, 0.0, 0.1, 7.0])
     return [planar, network, _network(), _planar()]
 
 
-@pytest.mark.parametrize("p", _csv_patterns(), ids=["planar_mixed", "network_small", "network", "planar"])
-def test_csv_round_trip_byte_identical(tmp_path, p):
+@pytest.mark.parametrize("p, missing", zip(_csv_patterns(), [[1], [], [], []]),
+                         ids=["planar_mixed", "network_small", "network", "planar"])
+def test_csv_round_trip_byte_identical(tmp_path, p, missing):
     save_pattern_csv(p, tmp_path / "cols.csv")
     save_pattern_csv(_as_list(p), tmp_path / "list.csv")
     first = (tmp_path / "cols.csv").read_bytes()
@@ -161,6 +162,15 @@ def test_csv_round_trip_byte_identical(tmp_path, p):
     save_pattern_csv(q, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == first
     _assert_same_pattern(q, load_pattern_csv(tmp_path / "list.csv", p.domain))
+    # a missing mark is NaN: an empty last field on file, read back as NaN,
+    # None in the points view, and the pattern has no marks
+    rows = first.decode().splitlines()[1:]
+    assert [k for k, row in enumerate(rows) if row.endswith(",")] == missing
+    assert [k for k, pt in enumerate(q.points) if pt.mark is None] == missing
+    assert q.has_marks() == (not missing)
+    if missing:
+        with pytest.raises(ValidationError, match=f"mark {missing[0]} is NaN"):
+            q.marks()
 
 
 @pytest.mark.parametrize("kind", ["poisson", "linked", "balanced"])
