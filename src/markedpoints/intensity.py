@@ -139,8 +139,8 @@ class IntensityEstimate:
     def __init__(self, window: PlanarWindow, values: np.ndarray, method: str, sigma: float):
         self.window = window
         self.values = np.asarray(values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValidationError("intensity raster must be 2-D")
+        if self.values.ndim != 2 or min(self.values.shape) < 2:
+            raise ValidationError(f"intensity raster must be 2-D, at least 2 x 2, got shape {self.values.shape}")
         if np.any(self.values < 0):
             raise ValidationError("intensity raster has negative values")
         self.method = method
@@ -179,13 +179,13 @@ def _cell_centers(w: PlanarWindow, nx: int, ny: int) -> tuple[np.ndarray, np.nda
 
 
 def _bilinear(w: PlanarWindow, nx: int, ny: int, xy: np.ndarray):
-    """Bilinear stencil on the cell centres of an nx x ny raster: the lower
-    corner cells (i0, j0) of the (n, 2) points and their fractional
+    """Bilinear stencil on the cell centres of an nx x ny raster (nx, ny >= 2):
+    the lower corner cells (i0, j0) of the (n, 2) points and their fractional
     offsets (fx, fy) towards (i0 + 1, j0 + 1), clamped to the raster."""
     gx = np.clip((xy[:, 0] - w.xmin) / (w.width / nx) - 0.5, 0.0, nx - 1.0)
     gy = np.clip((xy[:, 1] - w.ymin) / (w.height / ny) - 0.5, 0.0, ny - 1.0)
-    i0 = np.clip(np.floor(gx).astype(int), 0, nx - 2) if nx > 1 else np.zeros(len(gx), int)
-    j0 = np.clip(np.floor(gy).astype(int), 0, ny - 2) if ny > 1 else np.zeros(len(gy), int)
+    i0 = np.clip(np.floor(gx).astype(int), 0, nx - 2)
+    j0 = np.clip(np.floor(gy).astype(int), 0, ny - 2)
     return i0, j0, gx - i0, gy - j0
 
 

@@ -20,7 +20,6 @@ from .geometry import (
     NetworkLocation,
     PlanarWindow,
     _embed,
-    _loc_arrays,
     _locations,
     _seg_off,
     _xy,
@@ -60,9 +59,8 @@ class MarkedPointPattern:
 
     Stored as columns: planar coordinates xy (n, 2), or network segment
     and offset arrays; marks as floats, NaN where a point has none; labels.
-    A point list given to the constructor is converted to columns at once
-    and kept as the `points` view; otherwise `points` and `locations()` are
-    built from the columns on request.
+    A point list given to the constructor is converted to columns at once;
+    `points` and `locations()` are built from the columns on request.
     """
 
     def __init__(self, domain, points):
@@ -73,10 +71,10 @@ class MarkedPointPattern:
             kinds = ("planar", "network") if network else ("network", "planar")
             raise ValidationError(f"point {wrong[0]}: {kinds[0]} location in a {kinds[1]} pattern")
         locs = [pt.location for pt in pts]
-        loc = _loc_arrays(domain, locs) if network else [(xy[0], xy[1]) for xy in locs]
+        loc = ([l.segment for l in locs], [l.offset for l in locs]) if network else [(xy[0], xy[1]) for xy in locs]
         marks = [np.nan if pt.mark is None else pt.mark for pt in pts]
         q = MarkedPointPattern.from_columns(domain, loc, marks, [pt.type_label for pt in pts])
-        self.domain, self._points, self._n, self._cols = domain, pts, q.n, q._cols
+        self.domain, self._points, self._cols = domain, None, q._cols
 
     @classmethod
     def from_columns(cls, domain, loc, marks=None, labels=None):
@@ -92,7 +90,7 @@ class MarkedPointPattern:
         if not len(marks) == len(labels) == n:
             raise ValidationError("column lengths do not match the pattern size")
         p = cls.__new__(cls)
-        p.domain, p._points, p._n, p._cols = domain, None, n, (loc, marks, labels)
+        p.domain, p._points, p._cols = domain, None, (loc, marks, labels)
         return p
 
     @property
@@ -106,11 +104,11 @@ class MarkedPointPattern:
         return self._points
 
     def __len__(self):
-        return self._n
+        return len(self._cols[1])
 
     @property
     def n(self) -> int:
-        return self._n
+        return len(self._cols[1])
 
     @property
     def is_network(self) -> bool:

@@ -54,6 +54,9 @@ _MASK64 = (1 << 64) - 1
 # before any draw (the benchmark's largest pattern has about 2,000 points)
 _MAX_EXPECTED_POINTS = 1e8
 
+# the LGCP covariance's diagonal nugget, relative to its largest variance (at least 1)
+_NUGGET = 1e-8
+
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -128,7 +131,6 @@ class GaussianFieldSpec:
     mean: float
     cov: Callable[[float, float], float]
     anchor: NetworkLocation
-    nugget: float = 1e-8
 
     def cov_matrix(self, d_anchor: np.ndarray) -> np.ndarray:
         """cov(d_i, d_j) for every pair of anchor distances, evaluated in row
@@ -140,29 +142,18 @@ class GaussianFieldSpec:
         return out
 
 
-def _psd_factor(build: Callable[[], np.ndarray]) -> np.ndarray:
-    """Matrix square root of the PSD covariance that build() forms.
-
-    Cholesky when positive definite, from LAPACK in place: the upper factor
-    of the Fortran-order view cov.T, which reads cov's lower triangle, is
-    the transpose of cov's lower factor, so the result is cov's own memory
-    in C order. Otherwise, since the failed factorization overwrote cov,
-    build() forms it again for an eigen square root, so that
-    singular-but-PSD matrices (a constant or zero field) still factor. A
-    genuinely indefinite matrix is reported, not silently repaired.
+def _psd_factor(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the jittered covariance cov, from LAPACK in
+    place: the upper factor of the Fortran-order view cov.T, which reads
+    cov's lower triangle, is the transpose of cov's lower factor, so the
+    result is cov's own memory in C order. With the nugget on its diagonal
+    every positive semidefinite covariance factors; one that does not is
+    indefinite, and is reported, not silently repaired.
     """
     try:
-        return cholesky(build().T, lower=False, overwrite_a=True, check_finite=False).T
+        return cholesky(cov.T, lower=False, overwrite_a=True, check_finite=False).T
     except np.linalg.LinAlgError:
-        pass
-    cov = build()
-    w, v = np.linalg.eigh((cov + cov.T) / 2.0)
-    tol = 1e-10 * max(1.0, float(np.abs(w).max()))
-    if w.min() < -tol:
-        raise NumericalError(
-            f"covariance not positive semidefinite (min eigenvalue {w.min():.3e} after nugget)"
-        )
-    return v * np.sqrt(np.clip(w, 0.0, None))
+        raise NumericalError("covariance not positive semidefinite: no Cholesky factor after the nugget") from None
 
 
 def lgcp_network(
@@ -187,21 +178,21 @@ def lgcp_network(
     d0 = _cross_dist(net, (seg, mid), _loc_arrays(net, [spec.anchor]))[:, 0]
 
     probe = rng.uniform(0.0, d0.max() if len(d0) else 1.0, size=(8, 2))
-    for a, b in probe:
-        if abs(spec.cov(a, b) - spec.cov(b, a)) > 1e-9 * max(1.0, abs(spec.cov(a, b))):
-            raise ValidationError(f"covariance function is asymmetric at ({a}, {b})")
+    with np.errstate(invalid="ignore"):  # inf - inf: the blocks below refuse a non-finite covariance
+        for a, b in probe:
+            if abs(spec.cov(a, b) - spec.cov(b, a)) > 1e-9 * max(1.0, abs(spec.cov(a, b))):
+                raise ValidationError(f"covariance function is asymmetric at ({a}, {b})")
 
-    def jittered_cov():
-        cov = spec.cov_matrix(d0)
-        blocks = _row_blocks(len(cov), len(cov))
-        if not all(np.allclose(cov[lo:hi], cov[:, lo:hi].T, rtol=1e-9, atol=1e-12) for lo, hi in blocks):
+    cov = spec.cov_matrix(d0)
+    for lo, hi in _row_blocks(len(cov), len(cov)):
+        if not np.isfinite(cov[lo:hi]).all():
+            raise ValidationError("induced covariance matrix is not finite")
+        if not np.allclose(cov[lo:hi], cov[:, lo:hi].T, rtol=1e-9, atol=1e-12):
             raise ValidationError("induced covariance matrix is asymmetric")
-        jitter = spec.nugget * max(1.0, float(np.abs(np.diag(cov)).max()))
-        # on the diagonal in place: off it, only an exact -0.0 differs from cov + jitter * I
-        np.fill_diagonal(cov, cov.diagonal() + jitter)
-        return cov
-
-    factor = _psd_factor(jittered_cov)
+    jitter = _NUGGET * max(1.0, float(np.abs(np.diag(cov)).max()))
+    # on the diagonal in place: off it, only an exact -0.0 differs from cov + jitter * I
+    np.fill_diagonal(cov, cov.diagonal() + jitter)
+    factor = _psd_factor(cov)
     z = float(spec.mean) + factor @ rng.standard_normal(len(seg))
     with np.errstate(over="ignore"):  # an overflow reads inf, which the cap refuses
         mu = np.exp(z) * ((t1 - t0) * net.seg_lengths[seg])

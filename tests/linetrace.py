@@ -9,9 +9,10 @@ replicate pool), with the standard library only (`sys.settrace`). Executable
 lines are those of the modules' code objects (`co_lines`), raise statements
 included.
 
-Prints one Markdown table of never-run lines per module to standard output
-(pytest's own output goes to standard error) and exits 1 when the tests fail
-or any line never ran: a line of src/ runs under tier-1 or goes.
+Prints one Markdown table per module of its size (`wc -l`), its executable
+lines and its never-run lines to standard output (pytest's own output goes
+to standard error) and exits 1 when the tests fail or any line never ran: a
+line of src/ runs under tier-1 or goes.
 """
 
 import json
@@ -67,11 +68,12 @@ def executable_lines(code):
 
 
 def never_run(src_dir, hits):
-    """{module file name: (executable lines, never-run lines)}."""
+    """{module file name: (lines, executable lines, never-run lines)}."""
     table = {}
     for path in sorted((src_dir / PACKAGE).glob("*.py")):
         lines = executable_lines(compile(path.read_text(), str(path), "exec"))
-        table[path.name] = (len(lines), sorted(lines - hits.get(str(path), set())))
+        size = path.read_bytes().count(b"\n")  # as wc -l counts
+        table[path.name] = (size, len(lines), sorted(lines - hits.get(str(path), set())))
     return table
 
 
@@ -88,12 +90,13 @@ def ranges(lines):
 
 def report(table) -> int:
     """Print the table; returns the count of never-run lines."""
-    print("| module | executable | never run | lines |")
-    print("|---|---:|---:|---|")
-    for name, (n, missed) in table.items():
-        print(f"| {name} | {n} | {len(missed)} | {ranges(missed)} |")
-    n, missed = sum(r[0] for r in table.values()), sum(len(r[1]) for r in table.values())
-    print(f"| total | {n} | {missed} | |")
+    print("| module | lines | executable | never run | never-run lines |")
+    print("|---|---:|---:|---:|---|")
+    for name, (size, n, missed) in table.items():
+        print(f"| {name} | {size} | {n} | {len(missed)} | {ranges(missed)} |")
+    size, n = sum(r[0] for r in table.values()), sum(r[1] for r in table.values())
+    missed = sum(len(r[2]) for r in table.values())
+    print(f"| total | {size} | {n} | {missed} | |")
     return missed
 
 

@@ -291,20 +291,59 @@ print(hashlib.sha256(b"".join(np.ascontiguousarray(v).tobytes() for v in parts))
 """
 
 
-def test_network_intensity_and_f_same_bytes_for_blas_threads():
-    """gemv splits its rows between BLAS threads, which moves last bits;
-    the network intensity sums each row on its own."""
+# LGCP patterns of seeds 0-19 on the benchmark's grid network at step 15
+# (1,270 cells) and on the bundled tree under `simulate --model lgcp`
+_LGCP = """
+import hashlib, importlib.util, sys
+import numpy as np
+import markedpoints as mp
+from markedpoints.cli import _simulate_pattern, build_parser
+spec = importlib.util.spec_from_file_location("bench_inputs", sys.argv[1])
+inputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(inputs)
+net = mp.LinearNetwork(*inputs.grid_network_arrays(np.random.default_rng(5), 30, 10.0, 100))
+var = 0.1
+grid = mp.GaussianFieldSpec(mean=float(np.log(600.0 / net.total_length) - var / 2.0),
+                            cov=lambda a, b: var * np.exp(-np.abs(np.subtract(a, b)) / 10.0),
+                            anchor=mp.NetworkLocation(0, 0.5))
+tree = build_parser().parse_args(["simulate", "--model", "lgcp", "--out-dir", "unused"])
+digest = hashlib.sha256()
+for seed in range(20):
+    for p in (mp.lgcp_network(grid, net, 15.0, mp.replicate_rng(mp.SeedSpec(seed, 0))),
+              _simulate_pattern(tree, mp.replicate_rng(mp.SeedSpec(seed, 0)))[0]):
+        for col in p.seg_off():
+            digest.update(np.ascontiguousarray(col).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _digests_for_blas_threads(script) -> list:
+    """The digest that script prints under one and under two OpenBLAS threads."""
     inputs = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(markedpoints.__file__))
         proc = subprocess.run(
-            [sys.executable, "-c", _CHAIN, str(inputs)], env=env, capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", script, str(inputs)], env=env, capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
-    assert digests[0] == digests[1]
+    return digests
+
+
+def test_network_intensity_and_f_same_bytes_for_blas_threads():
+    """gemv splits its rows between BLAS threads, which moves last bits;
+    the network intensity sums each row on its own."""
+    a, b = _digests_for_blas_threads(_CHAIN)
+    assert a == b
+
+
+def test_lgcp_patterns_same_for_blas_threads():
+    """The LAPACK factor's last bits move with the BLAS thread count; the
+    patterns drawn with it do not."""
+    a, b = _digests_for_blas_threads(_LGCP)
+    assert a == b
 
 
 def _traced_peak(call) -> float:

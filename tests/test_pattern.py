@@ -15,6 +15,7 @@ from markedpoints import (
     save_pattern_csv,
     split_by_type,
 )
+from markedpoints import geometry, pattern
 
 
 def test_empty_pattern_valid(tmp_path, unit_square):
@@ -67,6 +68,24 @@ def test_point_list_errors_raise_from_the_constructor(unit_square):
     # the domain is checked before any point
     with pytest.raises(ValidationError, match="unsupported domain type"):
         MarkedPointPattern("square", [MarkedPoint(NetworkLocation(0, 0.5))])
+
+
+def test_point_list_checked_once_and_viewed_from_its_columns(monkeypatch, unit_square):
+    # each network location passes the one checking entry point once, and the
+    # pattern keeps only its columns, so a NaN mark reads None in its points
+    # view as in every pattern built from columns
+    calls = []
+    seg_off = geometry._seg_off
+    for module in (geometry, pattern):
+        monkeypatch.setattr(module, "_seg_off", lambda *args: calls.append(args) or seg_off(*args))
+    net = LinearNetwork([[0, 0], [10, 0]], [[0, 1]])
+    pts = [MarkedPoint(NetworkLocation(0, 0.25), "a", float("nan")), MarkedPoint(NetworkLocation(0, 0.5), mark=2.0)]
+    p = MarkedPointPattern(net, pts)
+    assert len(calls) == 1
+    assert sorted(vars(p)) == ["_cols", "_points", "domain"] and p._points is None
+    assert p.points == [MarkedPoint(NetworkLocation(0, 0.25), "a", None), pts[1]]
+    q = MarkedPointPattern(unit_square, [MarkedPoint((0.5, 0.5), mark=float("nan"))])
+    assert q.points == [MarkedPoint((0.5, 0.5))] and q.n == len(q) == 1
 
 
 def test_subset_refuses_masks_and_indices_out_of_range(unit_square):

@@ -102,6 +102,11 @@ INTENSITY = [
                  "point outside window", id="mass-outside"),
     pytest.param(lambda tmp: mp.IntensityEstimate(W, np.ones(4), "uniform", 0.1), ValidationError,
                  "intensity raster must be 2-D", id="raster-1d"),
+    # a bilinear stencil needs two cell centres on each axis
+    pytest.param(lambda tmp: mp.IntensityEstimate(W, np.ones((1, 5)), "uniform", 0.1), ValidationError,
+                 r"at least 2 x 2, got shape \(1, 5\)", id="raster-one-row"),
+    pytest.param(lambda tmp: mp.IntensityEstimate(W, np.ones((5, 1)), "uniform", 0.1), ValidationError,
+                 r"at least 2 x 2, got shape \(5, 1\)", id="raster-one-column"),
     pytest.param(lambda tmp: mp.IntensityEstimate(W, -np.ones((2, 2)), "uniform", 0.1), ValidationError,
                  "intensity raster has negative values", id="raster-negative"),
     pytest.param(lambda tmp: mp.intensity_uniform(on_net([0.5]), mp.KernelSpec(0.1)), ValidationError,
@@ -180,6 +185,10 @@ SIMULATE = [
                                                                    + 0.1 * np.asarray(d1) * (np.ndim(d1) > 0),
                                                                    mp.NetworkLocation(0, 0.5)), NET, 0.1, rng()),
                  ValidationError, "induced covariance matrix is asymmetric", id="asymmetric-cov-matrix"),
+    # infinite everywhere: the scalar probes read inf - inf, the matrix's row blocks refuse it
+    pytest.param(lambda tmp: mp.lgcp_network(mp.GaussianFieldSpec(0.0, lambda d1, d2: np.full_like(np.add(d1, d2), np.inf),
+                                                                   mp.NetworkLocation(0, 0.5)), NET, 0.1, rng()),
+                 ValidationError, "induced covariance matrix is not finite", id="non-finite-cov"),
     pytest.param(lambda tmp: mp.cosine_field_sampler(1.0, 1.0, 1.0), ValidationError,
                  "amplitude too large", id="cosine-amplitude"),
     pytest.param(lambda tmp: mp.linked_balanced_cox("mixed", 1.0, mp.constant_field_sampler(1.0), W, rng()),

@@ -239,13 +239,13 @@ def test_lgcp_covariance_same_bits_in_row_blocks(monkeypatch):
     # the jittered matrix handed to the factor, against cov + jitter * I
     factored = []
     psd_factor = simulate._psd_factor
-    monkeypatch.setattr(simulate, "_psd_factor", lambda build: factored.append(build()) or psd_factor(build))
+    monkeypatch.setattr(simulate, "_psd_factor", lambda cov: factored.append(cov.copy()) or psd_factor(cov))
     p = lgcp_network(spec, net, 5.0, np.random.default_rng(40))
     seg, i, m = _arc_cells(net, 5.0)
     mid = (i / m + (i + 1) / m) / 2.0
     d0 = _cross_dist(net, (seg, mid), _loc_arrays(net, [spec.anchor]))[:, 0]
     cov = _elementwise(spec.cov, d0[:, None], d0[None, :])
-    jitter = spec.nugget * max(1.0, float(np.abs(np.diag(cov)).max()))
+    jitter = simulate._NUGGET * max(1.0, float(np.abs(np.diag(cov)).max()))
     (got,) = factored
     assert np.any(cov == 0.0) and _same(got, cov + jitter * np.eye(len(cov)))
     assert p.n > 0
@@ -306,16 +306,16 @@ def test_lgcp_in_place_factor_gives_numpys_patterns(monkeypatch, case):
     simulate_one = {"grid": _grid_lgcp, "tree": _tree_lgcp}[case]()
     psd_factor, gaps = simulate._psd_factor, []
 
-    def compared(build):
-        want = np.linalg.cholesky(build())
-        got = psd_factor(build)
+    def compared(cov):
+        want = np.linalg.cholesky(cov)
+        got = psd_factor(cov)
         gaps.append(np.abs(got - want).max() / np.abs(want).max())
         return got
 
     monkeypatch.setattr(simulate, "_psd_factor", compared)
     got = [simulate_one(replicate_rng(SeedSpec(seed, 0))) for seed in range(20)]
     assert 0 < max(gaps) < 1e-11
-    monkeypatch.setattr(simulate, "_psd_factor", lambda build: np.linalg.cholesky(build()))
+    monkeypatch.setattr(simulate, "_psd_factor", np.linalg.cholesky)
     want = [simulate_one(replicate_rng(SeedSpec(seed, 0))) for seed in range(20)]
     assert sum(p.n for p in got) > 20 * 50
     for g, w in zip(got, want):

@@ -100,9 +100,7 @@ def test_lgcp_constant_cov_overdispersed():
 def test_lgcp_degenerate_reduces_to_poisson():
     net = LinearNetwork([[0, 0], [100, 0]], [[0, 1]])
     lam0 = 0.8
-    spec = GaussianFieldSpec(
-        mean=float(np.log(lam0)), cov=const_cov(0.0), anchor=NetworkLocation(0, 0.5), nugget=0.0
-    )
+    spec = GaussianFieldSpec(mean=float(np.log(lam0)), cov=const_cov(0.0), anchor=NetworkLocation(0, 0.5))
     rng = np.random.default_rng(11)
     counts = np.array([lgcp_network(spec, net, 5.0, rng).n for _ in range(2000)])
     target = lam0 * net.total_length
@@ -169,7 +167,7 @@ def test_lgcp_non_psd_reported():
         d2 = np.asarray(d2, dtype=float)
         return -np.abs(d1 - d2)  # symmetric but wildly non-PSD
 
-    spec = GaussianFieldSpec(mean=0.0, cov=bad_cov, anchor=NetworkLocation(0, 0.5), nugget=0.0)
+    spec = GaussianFieldSpec(mean=0.0, cov=bad_cov, anchor=NetworkLocation(0, 0.5))
     with pytest.raises(NumericalError, match="positive semidefinite"):
         lgcp_network(spec, net, 2.0, np.random.default_rng(0))
 
